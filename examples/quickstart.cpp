@@ -37,7 +37,7 @@ int main() {
       const auto chunk = pipe.read(64 * 1024);
       if (chunk.empty()) break;
       reader.feed(chunk);
-      while (auto block = reader.next_block()) hash.update(*block);
+      while (auto block = reader.next_block_view()) hash.update(block->data);
     }
     received_digest = hash.digest();
   });

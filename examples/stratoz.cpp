@@ -147,9 +147,9 @@ int do_decompress(const std::string& in_path, const std::string& out_path) {
       const auto n = static_cast<std::size_t>(in.gcount());
       if (n == 0) break;
       reader.feed(common::ByteSpan(buf.data(), n));
-      while (auto block = reader.next_block()) {
-        out.write(reinterpret_cast<const char*>(block->data()),
-                  static_cast<std::streamsize>(block->size()));
+      while (auto block = reader.next_block_view()) {
+        out.write(reinterpret_cast<const char*>(block->data.data()),
+                  static_cast<std::streamsize>(block->data.size()));
       }
     }
   } catch (const compress::CodecError& e) {

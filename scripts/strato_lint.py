@@ -64,6 +64,12 @@ into every presubmit script (check_static.sh runs this first):
                    lifetime discipline (STRATO_LIFETIME_BOUND at compile
                    time, BufferPool poisoning at run time; DESIGN.md
                    section 14).
+  encode           frame encoding has exactly one caller: a call to
+                   encode_block_into() outside src/compress/framing.*
+                   (its definition) and src/compress/pipeline.* (the
+                   block pipeline, inline at <= 1 worker) is banned, so
+                   no front-end grows a private serial encoder with its
+                   own level clamp and frame buffer again.
   pragma-once      every header starts with #pragma once.
   using-namespace  `using namespace std` is banned in src/.
   include-path     project includes are "dir/file.h" from the src/ root:
@@ -120,6 +126,9 @@ SIMD_ALLOWED = {"common/simd.h"}
 SOCKET_ALLOWED_PREFIXES = ("core/tcp.", "core/epoll_loop.",
                            "core/transport.")
 
+# The one sanctioned caller of encode_block_into (plus its definition).
+ENCODE_ALLOWED_PREFIXES = ("compress/framing.", "compress/pipeline.")
+
 RULES = {
     "wallclock": [
         (re.compile(r"system_clock"), "std::chrono::system_clock"),
@@ -169,6 +178,11 @@ RULES = {
          "raw socket(2) (use core::TcpConnection / core::TcpListener)"),
         (re.compile(r"(?<![A-Za-z0-9_])epoll_(?:create1?|ctl|p?wait)\s*\("),
          "raw epoll_* syscall (use core::EpollLoop)"),
+    ],
+    "encode": [
+        (re.compile(r"(?<![A-Za-z0-9_])encode_block_into\s*\("),
+         "encode_block_into outside compress/pipeline (submit the block to "
+         "a compress::ParallelBlockPipeline)"),
     ],
     "using-namespace": [
         (re.compile(r"\busing\s+namespace\s+std\b"), "using namespace std"),
@@ -549,6 +563,8 @@ def lint_file(path: Path, rel: str):
             check("simd", RULES["simd"])
         if not rel.startswith(SOCKET_ALLOWED_PREFIXES):
             check("socket", RULES["socket"])
+        if not rel.startswith(ENCODE_ALLOWED_PREFIXES):
+            check("encode", RULES["encode"])
         check("using-namespace", RULES["using-namespace"])
         check("include-path", RULES["include-path"])
 
@@ -598,6 +614,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("core/bad_header.h", "include-path"): 1,
     ("compress/framing.cc", "copy"): 4,
     ("core/bad_socket.cc", "socket"): 4,
+    ("core/bad_encode.cc", "encode"): 2,
     ("compress/bad_simd.cc", "simd"): 5,
     ("vsim/fleet.cc", "fleet-alloc"): 3,
     ("compress/bad_lifetime.cc", "lifetime"): 6,

@@ -60,4 +60,46 @@ double ChaosSchedule::capacity_factor(std::uint64_t now_ns) const {
   return f;
 }
 
+void ChaosWalker::walk(ByteSpan data,
+                       const std::function<void(ByteSpan)>& emit,
+                       const std::function<void(std::uint64_t)>& stall) {
+  const std::vector<ChaosEvent>& events = schedule_.events();
+  const std::uint64_t base = offset_;
+  std::size_t pos = 0;
+  while (pos < data.size()) {
+    while (idx_ < events.size() && events[idx_].at < base + pos) {
+      ++idx_;  // events that landed inside an already-walked span
+    }
+    std::size_t next = data.size();
+    if (idx_ < events.size() && events[idx_].at < base + data.size()) {
+      next = static_cast<std::size_t>(events[idx_].at - base);
+    }
+    if (next > pos) {
+      emit(data.subspan(pos, next - pos));
+      pos = next;
+      continue;
+    }
+    const ChaosEvent& ev = events[idx_++];
+    switch (ev.kind) {
+      case ChaosKind::kStall:
+        stall(std::max<std::uint64_t>(ev.stall_ns, 1));
+        break;
+      case ChaosKind::kDrop:
+        pos += static_cast<std::size_t>(std::min<std::uint64_t>(
+            std::max<std::uint64_t>(ev.span, 1), data.size() - pos));
+        break;
+      case ChaosKind::kCorrupt: {
+        const std::uint8_t flipped =
+            data[pos] ^ (ev.xor_mask == 0 ? std::uint8_t{0xFF} : ev.xor_mask);
+        emit(ByteSpan(&flipped, 1));
+        ++pos;
+        break;
+      }
+      case ChaosKind::kBlackout:
+        break;
+    }
+  }
+  offset_ = base + data.size();
+}
+
 }  // namespace strato::common

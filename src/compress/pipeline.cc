@@ -10,12 +10,9 @@ namespace strato::compress {
 
 namespace {
 
-std::size_t coerce_workers(std::size_t n) { return n == 0 ? 1 : n; }
-
 std::size_t coerce_depth(const PipelineConfig& cfg) {
-  const std::size_t d =
-      cfg.depth == 0 ? 2 * coerce_workers(cfg.worker_count) : cfg.depth;
-  return d == 0 ? 1 : d;
+  if (cfg.depth != 0) return cfg.depth;
+  return 2 * std::max<std::size_t>(std::size_t{1}, cfg.worker_count);
 }
 
 }  // namespace
@@ -30,27 +27,41 @@ ParallelBlockPipeline::ParallelBlockPipeline(const CodecRegistry& registry,
       // raw + frame per in-flight block, both usually back in the free
       // list while a block is between acquire points.
       pool_(2 * depth_ + 2),
-      workers_(coerce_workers(config.worker_count)) {}
+      workers_(config.worker_count > 1
+                   ? std::make_unique<common::ThreadPool>(config.worker_count)
+                   : nullptr) {}
 
 ParallelBlockPipeline::~ParallelBlockPipeline() {
-  // ThreadPool's destructor (member order: constructed last, destroyed
-  // first) drains every accepted job, so no worker can touch slots_ after
-  // this body runs. Undelivered frames are simply dropped.
-  workers_.shutdown();
+  // ThreadPool (constructed last, destroyed first) drains every accepted
+  // job, so no worker can touch slots_ after this body runs. Undelivered
+  // frames are simply dropped.
+  if (workers_ != nullptr) workers_->shutdown();
 }
 
 void ParallelBlockPipeline::submit(int level, common::ByteSpan payload) {
+  level = std::clamp(level, 0, static_cast<int>(registry_.level_count()) - 1);
+  if (workers_ == nullptr) {
+    // Inline: no raw copy, no slot; the sink sees the frame before submit
+    // returns, and an encode error propagates from here.
+    ++next_seq_;
+    ++deliver_seq_;
+    encode_block_into(*registry_.level(static_cast<std::size_t>(level)).codec,
+                      static_cast<std::uint8_t>(level), payload,
+                      inline_frame_);
+    sink_(inline_frame_, payload.size(), level);
+    return;
+  }
+
   // Opportunistically drain ready frames, then make room in the window.
   deliver_ready(false);
   while (next_seq_ - deliver_seq_ >= depth_) {
     deliver_ready(true);
   }
 
-  const int max_level = static_cast<int>(registry_.level_count()) - 1;
   const std::uint64_t seq = next_seq_++;
   Slot& slot = slots_[seq % depth_];
   slot.state = Slot::State::kPending;
-  slot.level = std::clamp(level, 0, max_level);
+  slot.level = level;
   slot.raw_size = payload.size();
   slot.error = nullptr;
   slot.raw = pool_.acquire(payload.size());
@@ -59,7 +70,7 @@ void ParallelBlockPipeline::submit(int level, common::ByteSpan payload) {
     std::memcpy(slot.raw.data(), payload.data(), payload.size());
   }
 
-  workers_.submit([this, seq] { compress_slot(seq); });
+  workers_->submit([this, seq] { compress_slot(seq); });
 }
 
 void ParallelBlockPipeline::compress_slot(std::uint64_t seq) {

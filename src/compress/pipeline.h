@@ -23,11 +23,18 @@
 // in flight (raw copy + frame each), all recycled through a BufferPool.
 // submit() blocks when the window is full — that backpressure is exactly
 // what the application data rate measurement needs to see.
+//
+// worker_count <= 1 runs no threads at all, like the decode pipeline:
+// submit() encodes straight from the caller's payload into one reused
+// frame buffer and hands it to the sink before returning. This inline
+// mode is the serial send path of every front-end, so level clamping and
+// frame encoding live only here.
 #pragma once
 
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/buffer_pool.h"
@@ -42,8 +49,8 @@ namespace strato::compress {
 /// Pipeline sizing knobs (surfaced as CompressionSpec::worker_count /
 /// pipeline_depth on channels).
 struct PipelineConfig {
-  /// Compression worker threads. 1 still runs a (single) worker thread;
-  /// use the serial CompressingWriter path to avoid threads entirely.
+  /// Compression worker threads; <= 1 encodes inline on the submitting
+  /// thread (no threads are created).
   std::size_t worker_count = 1;
   /// Reorder-window depth = max blocks in flight; 0 = 2 * worker_count.
   std::size_t depth = 0;
@@ -63,17 +70,19 @@ class ParallelBlockPipeline {
   ParallelBlockPipeline(const ParallelBlockPipeline&) = delete;
   ParallelBlockPipeline& operator=(const ParallelBlockPipeline&) = delete;
 
-  /// Enqueue one block at `level` (clamped to the registry ladder). Copies
-  /// the payload into a pooled buffer, so the caller may reuse its block
-  /// buffer immediately. Blocks while the reorder window is full,
-  /// delivering completed frames while it waits. Rethrows worker errors.
+  /// Encode one block at `level` (clamped to the registry ladder). With
+  /// workers, copies the payload into a pooled buffer, so the caller may
+  /// reuse its block buffer immediately, and blocks while the reorder
+  /// window is full, delivering completed frames while it waits. Inline,
+  /// delivers the frame before returning. Rethrows encode errors.
   void submit(int level, common::ByteSpan payload);
 
   /// Deliver every outstanding frame (blocking), in submission order.
   void flush();
 
+  /// Encode workers actually running (0 = inline).
   [[nodiscard]] std::size_t worker_count() const {
-    return workers_.size();
+    return workers_ == nullptr ? 0 : workers_->size();
   }
   [[nodiscard]] std::size_t depth() const { return depth_; }
   [[nodiscard]] std::uint64_t blocks_submitted() const { return next_seq_; }
@@ -115,7 +124,8 @@ class ParallelBlockPipeline {
   std::uint64_t deliver_seq_ = 0;  // next sequence number to deliver
 
   common::BufferPool pool_;
-  common::ThreadPool workers_;  // declared last: joins before state dies
+  common::Bytes inline_frame_;  // the reused frame buffer when inline
+  std::unique_ptr<common::ThreadPool> workers_;  // last: joins before state
 };
 
 }  // namespace strato::compress

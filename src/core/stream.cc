@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/buffer_pool.h"
-
 namespace strato::core {
 
 CompressingWriter::CompressingWriter(ByteSink& sink,
@@ -14,23 +12,15 @@ CompressingWriter::CompressingWriter(ByteSink& sink,
                                      std::size_t worker_count,
                                      std::size_t pipeline_depth)
     : sink_(sink),
-      registry_(registry),
       policy_(policy),
       clock_(clock),
       block_size_(block_size == 0 ? compress::kDefaultBlockSize : block_size),
       buffer_(block_size_),
-      blocks_per_level_(registry.level_count(), 0) {
-  if (worker_count > 1) {
-    compress::PipelineConfig cfg;
-    cfg.worker_count = worker_count;
-    cfg.depth = pipeline_depth;
-    pipeline_ = std::make_unique<compress::ParallelBlockPipeline>(
-        registry, cfg,
-        [this](common::ByteSpan frame, std::size_t raw_size, int level) {
-          account_frame(frame, raw_size, level);
-        });
-  }
-}
+      blocks_per_level_(registry.level_count(), 0),
+      pipeline_(registry,
+                compress::PipelineConfig{worker_count, pipeline_depth},
+                [this](common::ByteSpan frame, std::size_t raw_size,
+                       int level) { account_frame(frame, raw_size, level); }) {}
 
 void CompressingWriter::write(common::ByteSpan data) {
   std::size_t off = 0;
@@ -46,16 +36,16 @@ void CompressingWriter::write(common::ByteSpan data) {
 
 void CompressingWriter::flush() {
   if (buffered_ > 0) emit_block();
-  if (pipeline_) pipeline_->flush();
+  pipeline_.flush();
   sink_.flush();
 }
 
 void CompressingWriter::account_frame(common::ByteSpan frame,
                                       std::size_t raw_size, int level) {
   // The sink write may have blocked (backpressure); sample time after it
-  // returns so the policy sees the achievable application data rate. With
-  // the parallel pipeline this runs on the submitting thread in submission
-  // order, so the rate meter aggregates accepted bytes across all workers.
+  // returns so the policy sees the achievable application data rate. The
+  // pipeline runs this on the submitting thread in submission order, so
+  // the rate meter aggregates accepted bytes across all workers.
   sink_.write(frame);
   {
     common::MutexLock lk(stats_mu_);
@@ -67,20 +57,8 @@ void CompressingWriter::account_frame(common::ByteSpan frame,
 }
 
 void CompressingWriter::emit_block() {
-  const int max_level = static_cast<int>(registry_.level_count()) - 1;
-  const int level = std::clamp(policy_.level(), 0, max_level);
-  const common::ByteSpan payload(buffer_.data(), buffered_);
-  if (pipeline_) {
-    pipeline_->submit(level, payload);
-    buffered_ = 0;
-    return;
-  }
-  const auto& rung = registry_.level(static_cast<std::size_t>(level));
-  common::PoolLease frame(common::BufferPool::shared(),
-                             compress::kFrameHeaderSize + payload.size());
-  compress::encode_block_into(*rung.codec, static_cast<std::uint8_t>(level),
-                              payload, *frame);
-  account_frame(*frame, buffered_, level);
+  pipeline_.submit(policy_.level(),
+                   common::ByteSpan(buffer_.data(), buffered_));
   buffered_ = 0;
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/bytes.h"
 #include "common/mutex.h"
@@ -38,10 +37,11 @@ class ByteSink {
 
 /// Application-facing compressing writer.
 ///
-/// With worker_count > 1 blocks are compressed concurrently on a
-/// ParallelBlockPipeline and re-sequenced before the sink; the wire bytes
-/// are identical to the serial path and the policy still observes the
-/// aggregate application data rate on the writing thread.
+/// Blocks are encoded by a ParallelBlockPipeline at every worker count
+/// (1 worker = inline encode on the writing thread). With worker_count > 1
+/// they are compressed concurrently and re-sequenced before the sink; the
+/// wire bytes are identical to the inline path and the policy still
+/// observes the aggregate application data rate on the writing thread.
 class CompressingWriter {
  public:
   /// @param sink           downstream I/O layer
@@ -49,7 +49,7 @@ class CompressingWriter {
   /// @param policy         level selection strategy (static / adaptive / ...)
   /// @param clock          time source for the policy (wall or simulated)
   /// @param block_size     channel block size (paper: 128 KB)
-  /// @param worker_count   compression threads; 1 = serial on the caller
+  /// @param worker_count   compression threads; <= 1 = inline on the caller
   /// @param pipeline_depth reorder-window depth; 0 = 2 * worker_count
   CompressingWriter(ByteSink& sink, const compress::CodecRegistry& registry,
                     CompressionPolicy& policy, const common::Clock& clock,
@@ -91,7 +91,6 @@ class CompressingWriter {
   void account_frame(common::ByteSpan frame, std::size_t raw_size, int level);
 
   ByteSink& sink_;
-  const compress::CodecRegistry& registry_;
   CompressionPolicy& policy_;
   const common::Clock& clock_;
   std::size_t block_size_;
@@ -101,7 +100,7 @@ class CompressingWriter {
   std::uint64_t raw_bytes_ STRATO_GUARDED_BY(stats_mu_) = 0;
   std::uint64_t framed_bytes_ STRATO_GUARDED_BY(stats_mu_) = 0;
   std::vector<std::uint64_t> blocks_per_level_ STRATO_GUARDED_BY(stats_mu_);
-  std::unique_ptr<compress::ParallelBlockPipeline> pipeline_;
+  compress::ParallelBlockPipeline pipeline_;  // last: joins before state
 };
 
 /// Receive-side parallelism knobs (the decode mirror of worker_count /
@@ -131,9 +130,9 @@ class DecompressingReader {
   /// Append bytes received from the I/O layer. Never blocks on workers.
   void feed(common::ByteSpan data) { pipeline_.feed(data); }
 
-  /// Zero-copy variant: the next decoded block as a lease into the
-  /// pipeline's pooled output buffer. The view is valid until the next
-  /// next_block_view()/next_block() call.
+  /// Next decoded block as a lease into the pipeline's pooled output
+  /// buffer, or nullopt if more input is needed. The view is valid until
+  /// the next next_block_view() call.
   [[nodiscard]] std::optional<compress::DecodedBlock> next_block_view() {
     auto block = pipeline_.next_block();
     if (block) {
@@ -145,14 +144,6 @@ class DecompressingReader {
       ++blocks_per_level_[lvl];
     }
     return block;
-  }
-
-  /// Next decoded block, or nullopt if more input is needed (copying
-  /// compatibility API; prefer next_block_view() on hot paths).
-  [[nodiscard]] std::optional<common::Bytes> next_block() {
-    auto block = next_block_view();
-    if (!block) return std::nullopt;
-    return common::Bytes(block->data.begin(), block->data.end());
   }
 
   /// Raw bytes decoded so far.

@@ -71,8 +71,19 @@ TcpConnection TcpConnection::connect(const std::string& host,
     throw std::runtime_error("bad address: " + host);
   }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    fail("connect");
+    int err = errno;
+    if (err == EINTR) {
+      // An interrupted connect completes in the background: wait for it
+      // and take its outcome from SO_ERROR.
+      wait_ready(fd, POLLOUT);
+      socklen_t len = sizeof err;
+      if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) err = errno;
+    }
+    if (err != 0) {
+      ::close(fd);
+      errno = err;
+      fail("connect");
+    }
   }
   configure_connection(fd);
   return TcpConnection(fd);

@@ -29,54 +29,11 @@ ThrottledPipe::ThrottledPipe(std::shared_ptr<LinkShare> link,
     : link_(std::move(link)), capacity_(capacity == 0 ? 1 : capacity) {}
 
 void ThrottledPipe::write(common::ByteSpan data) {
-  if (chaos_.empty()) {
-    write_clean(data);
-    return;
-  }
-  // Walk the write in segments, applying each scripted event when its
-  // byte coordinate is crossed. Coordinates count bytes the writer
-  // *attempted* (pre-drop), so a schedule replays identically regardless
-  // of how the application chunks its writes.
-  const auto& events = chaos_.events();
-  const std::uint64_t base = chaos_offset_;
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    while (chaos_idx_ < events.size() &&
-           events[chaos_idx_].at < base + pos) {
-      ++chaos_idx_;  // events that landed inside an already-written span
-    }
-    std::size_t next = data.size();
-    if (chaos_idx_ < events.size() &&
-        events[chaos_idx_].at < base + data.size()) {
-      next = static_cast<std::size_t>(events[chaos_idx_].at - base);
-    }
-    if (next > pos) {
-      write_clean(data.subspan(pos, next - pos));
-      pos = next;
-      continue;
-    }
-    const common::ChaosEvent& ev = events[chaos_idx_++];
-    switch (ev.kind) {
-      case common::ChaosKind::kStall:
-        std::this_thread::sleep_for(std::chrono::nanoseconds(
-            std::max<std::uint64_t>(ev.stall_ns, 1)));
-        break;
-      case common::ChaosKind::kDrop:
-        pos += static_cast<std::size_t>(std::min<std::uint64_t>(
-            std::max<std::uint64_t>(ev.span, 1), data.size() - pos));
-        break;
-      case common::ChaosKind::kCorrupt: {
-        const std::uint8_t flipped =
-            data[pos] ^ (ev.xor_mask == 0 ? std::uint8_t{0xFF} : ev.xor_mask);
-        write_clean(common::ByteSpan(&flipped, 1));
-        ++pos;
-        break;
-      }
-      case common::ChaosKind::kBlackout:
-        break;  // time-indexed; meaningless on a byte pipe
-    }
-  }
-  chaos_offset_ = base + data.size();
+  chaos_.walk(
+      data, [this](common::ByteSpan clean) { write_clean(clean); },
+      [](std::uint64_t stall_ns) {
+        std::this_thread::sleep_for(std::chrono::nanoseconds(stall_ns));
+      });
 }
 
 void ThrottledPipe::write_clean(common::ByteSpan data) {

@@ -72,9 +72,7 @@ class ThrottledPipe final : public ByteSink {
   /// pipe, kCorrupt flips bits in flight. The caller's buffer is never
   /// modified. Must be set before the first write (single-writer side).
   void set_chaos(common::ChaosSchedule schedule) {
-    chaos_ = std::move(schedule);
-    chaos_idx_ = 0;
-    chaos_offset_ = 0;
+    chaos_ = common::ChaosWalker(std::move(schedule));
   }
 
   /// Writer signals end-of-stream.
@@ -87,13 +85,11 @@ class ThrottledPipe final : public ByteSink {
   [[nodiscard]] std::uint64_t transferred() const;
 
  private:
-  /// The pre-chaos write path (also the fast path with no schedule).
+  /// Move bytes that survived the chaos walk through the link.
   void write_clean(common::ByteSpan data);
 
   std::shared_ptr<LinkShare> link_;
-  common::ChaosSchedule chaos_;    // writer-side fault script
-  std::size_t chaos_idx_ = 0;      // next unapplied event
-  std::uint64_t chaos_offset_ = 0; // cumulative bytes attempted by writer
+  common::ChaosWalker chaos_;  // writer-side fault script; stalls sleep
   mutable common::Mutex mu_{"ThrottledPipe::mu_"};
   common::CondVar readable_;
   common::CondVar writable_;

@@ -33,8 +33,12 @@ AsyncSender::AsyncSender(EpollLoop& loop, TcpConnection conn,
                          Config config, metrics::MetricRegistry* metrics)
     : loop_(loop),
       conn_(std::move(conn)),
-      registry_(registry),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      pipeline_(registry,
+                compress::PipelineConfig{config_.workers, config_.depth},
+                [this](common::ByteSpan frame, std::size_t raw_size,
+                       int level) { enqueue_frame(frame, raw_size, level); }),
+      chaos_(config_.chaos) {
   if (config_.segment_bytes == 0) config_.segment_bytes = 64 * 1024;
   if (config_.low_watermark > config_.high_watermark) {
     config_.low_watermark = config_.high_watermark / 2;
@@ -46,19 +50,11 @@ AsyncSender::AsyncSender(EpollLoop& loop, TcpConnection conn,
     m_backpressure_ = &metrics->counter("tx.backpressure");
     m_writev_ = &metrics->counter("tx.sendmsg_calls");
     m_queued_ = &metrics->gauge("tx.queued_bytes");
-    m_level_blocks_.reserve(registry_.level_count());
-    for (std::size_t l = 0; l < registry_.level_count(); ++l) {
+    m_level_blocks_.reserve(registry.level_count());
+    for (std::size_t l = 0; l < registry.level_count(); ++l) {
       m_level_blocks_.push_back(
           &metrics->counter("tx.blocks.level" + std::to_string(l)));
     }
-  }
-  if (config_.workers > 1) {
-    pipeline_.emplace(
-        registry_,
-        compress::PipelineConfig{config_.workers, config_.depth},
-        [this](common::ByteSpan frame, std::size_t raw_size, int level) {
-          enqueue_frame(frame, raw_size, level);
-        });
   }
   conn_.set_nonblocking(true);
   loop_.add(conn_.fd(), 0, [this](std::uint32_t ev) { on_event(ev); });
@@ -71,18 +67,8 @@ AsyncSender::~AsyncSender() {
 
 void AsyncSender::send(int level, common::ByteSpan payload) {
   throw_if_broken();
-  if (pipeline_.has_value()) {
-    // Frames arrive (in submission order) through enqueue_frame.
-    pipeline_->submit(level, payload);
-  } else {
-    const std::size_t last = registry_.level_count() - 1;
-    const std::size_t idx =
-        level < 0 ? 0 : std::min(static_cast<std::size_t>(level), last);
-    encode_block_into(*registry_.level(idx).codec,
-                      static_cast<std::uint8_t>(idx), payload, scratch_);
-    enqueue_frame(common::ByteSpan(scratch_), payload.size(),
-                  static_cast<int>(idx));
-  }
+  // Frames arrive (in submission order) through enqueue_frame.
+  pipeline_.submit(level, payload);
   if (queued_bytes_ > config_.high_watermark) {
     // The kernel buffer is full and frames keep landing: stall the
     // application (exactly what a blocking socket would do) until the
@@ -96,7 +82,7 @@ void AsyncSender::send(int level, common::ByteSpan payload) {
 
 void AsyncSender::finish() {
   throw_if_broken();
-  if (pipeline_.has_value()) pipeline_->flush();
+  pipeline_.flush();
   finishing_ = true;
   pump();
   while (broken_ == nullptr && !(drained() && shut_)) {
@@ -129,61 +115,19 @@ void AsyncSender::enqueue_frame(common::ByteSpan frame, std::size_t raw_size,
       static_cast<std::size_t>(level) < m_level_blocks_.size()) {
     m_level_blocks_[static_cast<std::size_t>(level)]->add();
   }
-  if (config_.chaos.empty()) {
-    append_wire_bytes(frame);
-  } else {
-    // ThrottledPipe::write's exact walk: coordinates count bytes the
-    // writer *attempted* (pre-drop), so a schedule replays identically
-    // regardless of frame sizes. The one deliberate difference: kStall
-    // extends a flush deadline instead of sleeping, so a stalled
-    // connection never freezes its loop's siblings.
-    const auto& events = config_.chaos.events();
-    const std::uint64_t base = chaos_offset_;
-    std::size_t pos = 0;
-    while (pos < frame.size()) {
-      while (chaos_idx_ < events.size() &&
-             events[chaos_idx_].at < base + pos) {
-        ++chaos_idx_;
-      }
-      std::size_t next = frame.size();
-      if (chaos_idx_ < events.size() &&
-          events[chaos_idx_].at < base + frame.size()) {
-        next = static_cast<std::size_t>(events[chaos_idx_].at - base);
-      }
-      if (next > pos) {
-        append_wire_bytes(frame.subspan(pos, next - pos));
-        pos = next;
-        continue;
-      }
-      const common::ChaosEvent& ev = events[chaos_idx_++];
-      switch (ev.kind) {
-        case common::ChaosKind::kStall: {
-          const common::SimTime now = clock_.now();
-          const common::SimTime from = stall_until_ > now ? stall_until_ : now;
-          stall_until_ = from + common::SimTime::ns(static_cast<std::int64_t>(
-              std::max<std::uint64_t>(ev.stall_ns, 1)));
-          ++stalls_;
-          if (m_stalls_ != nullptr) m_stalls_->add();
-          break;
-        }
-        case common::ChaosKind::kDrop:
-          pos += static_cast<std::size_t>(std::min<std::uint64_t>(
-              std::max<std::uint64_t>(ev.span, 1), frame.size() - pos));
-          break;
-        case common::ChaosKind::kCorrupt: {
-          const std::uint8_t flipped =
-              frame[pos] ^
-              (ev.xor_mask == 0 ? std::uint8_t{0xFF} : ev.xor_mask);
-          append_wire_bytes(common::ByteSpan(&flipped, 1));
-          ++pos;
-          break;
-        }
-        case common::ChaosKind::kBlackout:
-          break;  // time-indexed; meaningless on a byte stream
-      }
-    }
-    chaos_offset_ = base + frame.size();
-  }
+  // ThrottledPipe's walk, except that kStall extends a flush deadline
+  // instead of sleeping, so a stalled connection never freezes its loop's
+  // siblings.
+  chaos_.walk(
+      frame, [this](common::ByteSpan bytes) { append_wire_bytes(bytes); },
+      [this](std::uint64_t stall_ns) {
+        const common::SimTime now = clock_.now();
+        const common::SimTime from = stall_until_ > now ? stall_until_ : now;
+        stall_until_ =
+            from + common::SimTime::ns(static_cast<std::int64_t>(stall_ns));
+        ++stalls_;
+        if (m_stalls_ != nullptr) m_stalls_->add();
+      });
   // Opportunistic flush so small streams move without waiting for a poll.
   pump();
 }
@@ -394,11 +338,11 @@ void AsyncReceiver::on_event(std::uint32_t) {
     }
     wire_bytes_ += static_cast<std::uint64_t>(n);
     if (m_bytes_ != nullptr) m_bytes_->add(static_cast<std::uint64_t>(n));
-    if (error_ != nullptr) continue;  // discard mode: just keep the fd moving
     if (config_.wire_tap) {
       config_.wire_tap(
           common::ByteSpan(span.data(), static_cast<std::size_t>(n)));
     }
+    if (error_ != nullptr) continue;  // discard mode: just keep the fd moving
     pipeline_.commit(static_cast<std::size_t>(n));
     drain();
     if (done_ || paused_ || error_ != nullptr) return;

@@ -5,7 +5,8 @@
 // doing the codec work on either end.
 //
 //   * Send side (AsyncSender): blocks are encoded by a
-//     compress::ParallelBlockPipeline (or inline when workers <= 1); the
+//     compress::ParallelBlockPipeline, which encodes inline on the
+//     sending thread when workers <= 1 (no threads, like decode); the
 //     frame sink appends completed frames into pooled send segments and
 //     the event loop flushes them with vectored writes (sendmsg(2) with
 //     an iovec batch + MSG_NOSIGNAL — writev semantics, SIGPIPE-safe).
@@ -21,11 +22,11 @@
 //     The decode pipeline's sticky serial-equivalent error semantics are
 //     preserved: a damaged stream surfaces the same CodecError, after the
 //     same number of good blocks, as the serial FrameAssembler would.
-//   * Chaos: a common::ChaosSchedule threads through the sender's frame
-//     queue with ThrottledPipe's exact byte-offset semantics (coordinates
-//     count pre-drop attempted bytes), except that kStall is a
-//     non-blocking flush deadline instead of a thread sleep, so one
-//     stalled connection does not freeze its loop's siblings.
+//   * Chaos: the sender walks its frames through the same
+//     common::ChaosWalker as ThrottledPipe (coordinates count pre-drop
+//     attempted bytes), except that kStall is a non-blocking flush
+//     deadline instead of a thread sleep, so one stalled connection does
+//     not freeze its loop's siblings.
 //
 // Threading contract: an endpoint belongs to the one thread driving its
 // EpollLoop; send()/finish()/poll all run there. The pipelines' internal
@@ -40,7 +41,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/buffer_pool.h"
@@ -140,20 +140,15 @@ class AsyncSender {
 
   EpollLoop& loop_;
   TcpConnection conn_;
-  const compress::CodecRegistry& registry_;
   Config config_;
   common::SteadyClock clock_;
 
   std::deque<SendSeg> queue_;
   std::size_t queued_bytes_ = 0;
   common::BufferPool pool_;
-  common::Bytes scratch_;  // inline-encode frame buffer (workers <= 1)
-  std::optional<compress::ParallelBlockPipeline> pipeline_;
+  compress::ParallelBlockPipeline pipeline_;
 
-  // Chaos cursor (ThrottledPipe semantics: offsets count attempted,
-  // pre-drop bytes).
-  std::size_t chaos_idx_ = 0;
-  std::uint64_t chaos_offset_ = 0;
+  common::ChaosWalker chaos_;  // stalls extend stall_until_
   common::SimTime stall_until_{};
 
   bool want_write_armed_ = false;
@@ -197,8 +192,9 @@ class AsyncReceiver {
     /// sibling connections; a sustained overrun fills the kernel buffer
     /// and backpressures the sender. 0 disables the backstop.
     std::size_t max_pending_wire = 16 * 1024 * 1024;
-    /// Test hook: observes every committed wire chunk in arrival order
-    /// (chaos soaks fingerprint the wire with it). Reads in place — the
+    /// Test hook: observes every wire chunk read off the socket, in
+    /// arrival order, including the ones discarded after a stream error
+    /// (chaos tests fingerprint the wire with it). Reads in place — the
     /// zero-copy path is unaffected.
     std::function<void(common::ByteSpan)> wire_tap;
   };

@@ -75,8 +75,8 @@ struct CompressionSpec {
   core::AdaptiveConfig adaptive;
   /// Decision interval t for the adaptive mode (paper: 2 s).
   common::SimTime window = common::SimTime::seconds(2);
-  /// Compression worker threads. 1 (default) compresses serially on the
-  /// writing task's thread; > 1 fans blocks out to a ParallelBlockPipeline.
+  /// Compression worker threads. 1 (default) compresses inline on the
+  /// writing task's thread; > 1 fans blocks out to the pipeline's workers.
   /// The wire format is identical either way.
   std::size_t worker_count = 1;
   /// Reorder-window depth (max blocks in flight); 0 = 2 * worker_count.

@@ -347,8 +347,8 @@ TEST(DecompressingReaderParallel, StatsMatchSerialReader) {
   core::DecompressingReader serial(registry);
   serial.feed(wire);
   common::Bytes serial_out;
-  while (auto b = serial.next_block()) {
-    serial_out.insert(serial_out.end(), b->begin(), b->end());
+  while (auto b = serial.next_block_view()) {
+    serial_out.insert(serial_out.end(), b->data.begin(), b->data.end());
   }
 
   core::DecompressingReader parallel(registry, {4, 0});

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -249,7 +250,7 @@ TEST(ParallelBlockPipeline, SingleWorkerPreservesOrder) {
   const auto blocks = make_blocks(corpus::Compressibility::kHigh, 5, 8192);
   CollectingSink sink;
   ParallelBlockPipeline pipeline(registry, PipelineConfig{1, 0}, sink.fn());
-  EXPECT_EQ(pipeline.worker_count(), 1u);
+  EXPECT_EQ(pipeline.worker_count(), 0u);  // inline: no ThreadPool
   EXPECT_EQ(pipeline.depth(), 2u);  // default 2 * workers
   for (const auto& b : blocks) pipeline.submit(1, b);
   pipeline.flush();
@@ -306,33 +307,59 @@ TEST(ParallelBlockPipeline, WorkerExceptionPropagatesToSubmitter) {
   CodecRegistry registry;
   registry.add_level("NO", std::make_unique<NullCodec>());
   registry.add_level("THROW", std::make_unique<ThrowCodec>());
-  CollectingSink sink;
-  ParallelBlockPipeline pipeline(registry, PipelineConfig{2, 2}, sink.fn());
   const common::Bytes block(256, 0x22);
-  EXPECT_THROW(
-      {
-        pipeline.submit(1, block);
-        pipeline.flush();
-      },
-      CodecError);
-  // The pipeline stays usable for good blocks afterwards.
-  pipeline.submit(0, block);
-  pipeline.flush();
-  ASSERT_EQ(sink.frames.size(), 1u);
-  EXPECT_EQ(decode_block(sink.frames[0], registry), block);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    CollectingSink sink;
+    ParallelBlockPipeline pipeline(registry, PipelineConfig{workers, 2},
+                                   sink.fn());
+    if (workers == 1) {
+      // Inline: the encode error surfaces from submit() itself.
+      EXPECT_THROW(pipeline.submit(1, block), CodecError);
+    } else {
+      EXPECT_THROW(
+          {
+            pipeline.submit(1, block);
+            pipeline.flush();
+          },
+          CodecError);
+    }
+    // The pipeline stays usable for good blocks afterwards.
+    pipeline.submit(0, block);
+    pipeline.flush();
+    ASSERT_EQ(sink.frames.size(), 1u);
+    EXPECT_EQ(decode_block(sink.frames[0], registry), block);
+  }
 }
 
 TEST(ParallelBlockPipeline, RecyclesBuffersAcrossBlocks) {
   const CodecRegistry& registry = CodecRegistry::standard();
-  CollectingSink sink;
-  ParallelBlockPipeline pipeline(registry, PipelineConfig{2, 2}, sink.fn());
   const auto blocks = make_blocks(corpus::Compressibility::kHigh, 32, 4096);
-  for (const auto& b : blocks) pipeline.submit(1, b);
+  {
+    CollectingSink sink;
+    ParallelBlockPipeline pipeline(registry, PipelineConfig{2, 2}, sink.fn());
+    for (const auto& b : blocks) pipeline.submit(1, b);
+    pipeline.flush();
+    const auto stats = pipeline.pool_stats();
+    // 32 blocks × (raw + frame) acquires; only the first few can miss.
+    EXPECT_EQ(stats.acquires, 64u);
+    EXPECT_GT(stats.reuses, 48u);
+  }
+  // Inline (1 worker): each payload is encoded where it lies into one
+  // reused frame buffer, so the pool sees nothing per block after the
+  // first.
+  CollectingSink sink;
+  ParallelBlockPipeline pipeline(registry, PipelineConfig{1, 2}, sink.fn());
+  pipeline.submit(1, blocks[0]);
+  const auto first = pipeline.pool_stats();
+  for (std::size_t i = 1; i < blocks.size(); ++i) pipeline.submit(1, blocks[i]);
   pipeline.flush();
-  const auto stats = pipeline.pool_stats();
-  // 32 blocks × (raw + frame) acquires; only the first few can miss.
-  EXPECT_EQ(stats.acquires, 64u);
-  EXPECT_GT(stats.reuses, 48u);
+  const auto steady = pipeline.pool_stats();
+  EXPECT_EQ(steady.acquires, first.acquires);
+  EXPECT_EQ(steady.reuses, first.reuses);
+  EXPECT_EQ(steady.drops, first.drops);
+  EXPECT_EQ(steady.free_buffers, first.free_buffers);
+  EXPECT_EQ(sink.frames.size(), blocks.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -380,8 +407,9 @@ TEST(CompressingWriterParallel, WireBytesIdenticalToSerial) {
     core::DecompressingReader reader(registry);
     reader.feed(parallel_sink.bytes);
     common::Bytes roundtrip;
-    while (auto block = reader.next_block()) {
-      roundtrip.insert(roundtrip.end(), block->begin(), block->end());
+    while (auto block = reader.next_block_view()) {
+      roundtrip.insert(roundtrip.end(), block->data.begin(),
+                       block->data.end());
     }
     EXPECT_EQ(roundtrip, data);
   }
@@ -401,9 +429,9 @@ TEST(CompressingWriterParallel, FlushEmitsPartialBlockThenSinkFlush) {
   EXPECT_EQ(sink.flushes, 1);
   core::DecompressingReader reader(registry);
   reader.feed(sink.bytes);
-  const auto block = reader.next_block();
+  const auto block = reader.next_block_view();
   ASSERT_TRUE(block.has_value());
-  EXPECT_EQ(*block, small);
+  EXPECT_EQ(common::Bytes(block->data.begin(), block->data.end()), small);
 }
 
 }  // namespace

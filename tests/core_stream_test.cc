@@ -40,8 +40,8 @@ common::Bytes pump_through(CompressionPolicy& policy, common::ByteSpan data,
   DecompressingReader reader(CodecRegistry::standard());
   reader.feed(sink.bytes);
   common::Bytes out;
-  while (auto block = reader.next_block()) {
-    out.insert(out.end(), block->begin(), block->end());
+  while (auto block = reader.next_block_view()) {
+    out.insert(out.end(), block->data.begin(), block->data.end());
   }
   EXPECT_EQ(reader.raw_bytes(), out.size());
   return out;
@@ -106,7 +106,7 @@ TEST(Stream, FlushEmitsPartialBlock) {
   EXPECT_GT(sink.bytes.size(), 0u);
   DecompressingReader reader(CodecRegistry::standard());
   reader.feed(sink.bytes);
-  EXPECT_EQ(common::to_string(*reader.next_block()), "tail");
+  EXPECT_EQ(common::to_string(reader.next_block_view()->data), "tail");
 }
 
 TEST(Stream, PolicyLevelIsReadPerBlock) {
@@ -136,8 +136,8 @@ TEST(Stream, PolicyLevelIsReadPerBlock) {
   DecompressingReader reader(CodecRegistry::standard());
   reader.feed(sink.bytes);
   common::Bytes out;
-  while (auto b = reader.next_block()) {
-    out.insert(out.end(), b->begin(), b->end());
+  while (auto b = reader.next_block_view()) {
+    out.insert(out.end(), b->data.begin(), b->data.end());
   }
   EXPECT_EQ(out, data);
   EXPECT_EQ(reader.blocks_per_level()[0], 4u);
@@ -161,8 +161,8 @@ TEST(Stream, OutOfRangePolicyLevelIsClamped) {
   DecompressingReader reader(CodecRegistry::standard());
   reader.feed(sink.bytes);
   common::Bytes out;
-  while (auto b = reader.next_block()) {
-    out.insert(out.end(), b->begin(), b->end());
+  while (auto b = reader.next_block_view()) {
+    out.insert(out.end(), b->data.begin(), b->data.end());
   }
   EXPECT_EQ(common::to_string(out), common::to_string(data));
 }

@@ -112,9 +112,9 @@ TEST(Tcp, AdaptivePipelineOverRealSockets) {
     const auto chunk = server.read(64 * 1024);
     if (chunk.empty()) break;
     reader.feed(chunk);
-    while (auto block = reader.next_block()) {
-      hash.update(*block);
-      received += block->size();
+    while (auto block = reader.next_block_view()) {
+      hash.update(block->data);
+      received += block->data.size();
     }
   }
   server.shutdown_send();

@@ -16,6 +16,7 @@
 #include "compress/registry.h"
 #include "core/epoll_loop.h"
 #include "core/tcp.h"
+#include "core/throttled_pipe.h"
 #include "core/transport.h"
 #include "corpus/generator.h"
 #include "metrics/registry.h"
@@ -385,6 +386,115 @@ TEST(AsyncTransport, DropChaosNeverPassesForCleanEof) {
   // A 13-byte hole must be detected: either a CodecError once the
   // stream desynchronizes, or a partial frame pending at EOF.
   EXPECT_FALSE(rx.clean_eof());
+}
+
+/// The frames of a serial wire, in order: the chunks the sender's frame
+/// sink walks through its chaos cursor.
+std::vector<common::ByteSpan> split_frames(const common::Bytes& wire) {
+  std::vector<common::ByteSpan> frames;
+  std::size_t off = 0;
+  while (off < wire.size()) {
+    const auto hdr =
+        compress::parse_header(common::ByteSpan(wire).subspan(off));
+    const std::size_t size = compress::kFrameHeaderSize + hdr.comp_size;
+    frames.push_back(common::ByteSpan(wire).subspan(off, size));
+    off += size;
+  }
+  return frames;
+}
+
+/// What a ThrottledPipe with no link delivers for `wire` written frame by
+/// frame under `chaos`.
+common::Bytes pipe_received(const common::Bytes& wire,
+                            const common::ChaosSchedule& chaos) {
+  ThrottledPipe pipe(nullptr, wire.size() + 1);  // writes never block
+  pipe.set_chaos(chaos);
+  for (const common::ByteSpan frame : split_frames(wire)) pipe.write(frame);
+  pipe.close();
+  common::Bytes out;
+  for (common::Bytes chunk = pipe.read(64 * 1024); !chunk.empty();
+       chunk = pipe.read(64 * 1024)) {
+    out.insert(out.end(), chunk.begin(), chunk.end());
+  }
+  return out;
+}
+
+TEST(AsyncTransport, ChaosMatchesThrottledPipe) {
+  // Both byte-stream chaos consumers walk the same ChaosWalker, so for any
+  // schedule the receiver must see exactly the bytes the pipe delivers —
+  // drops, corruptions and all. Only stalls differ (flush deadline vs
+  // sleep), and they never change bytes.
+  const auto& registry = compress::CodecRegistry::standard();
+  const auto payloads = make_payloads(10, 16000, 707);
+  std::vector<int> levels;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    levels.push_back(static_cast<int>(i % registry.level_count()));
+  }
+  const verify::Oracle oracle(registry);
+  const common::Bytes reference = oracle.serial_wire(payloads, levels);
+  const std::vector<common::ByteSpan> frames = split_frames(reference);
+  ASSERT_EQ(frames.size(), payloads.size());
+  const std::size_t second = frames[0].size();  // offset of frame 1
+
+  auto event = [](common::ChaosKind kind, std::uint64_t at) {
+    common::ChaosEvent ev;
+    ev.kind = kind;
+    ev.at = at;
+    ev.stall_ns = 200'000;  // 0.2 ms
+    return ev;
+  };
+  std::vector<common::ChaosEvent> scripted = {
+      event(common::ChaosKind::kStall, 0),
+      event(common::ChaosKind::kCorrupt, 5),
+      event(common::ChaosKind::kStall, second - 3),
+      event(common::ChaosKind::kDrop, second - 3),  // runs into frame 1
+      event(common::ChaosKind::kCorrupt, second + 40),
+      event(common::ChaosKind::kStall, reference.size() / 2),
+      event(common::ChaosKind::kCorrupt, reference.size() / 2),
+      event(common::ChaosKind::kDrop, reference.size() - 20),
+  };
+  scripted[1].xor_mask = 0;  // coerced to 0xFF
+  scripted[3].span = 16;     // clamped at the end of frame 0
+  scripted[7].span = 64;     // clamped at the end of the stream
+  common::ChaosSchedule::RandomSpec spec;
+  spec.range = reference.size();
+  spec.stalls = 3;
+  spec.drops = 4;
+  spec.corruptions = 4;
+  spec.mean_stall_ns = 200'000;
+
+  const std::pair<const char*, common::ChaosSchedule> schedules[] = {
+      {"scripted", common::ChaosSchedule::scripted(scripted)},
+      {"random", common::ChaosSchedule::random(spec, 7)},
+  };
+  for (const auto& [name, chaos] : schedules) {
+    const common::Bytes expected = pipe_received(reference, chaos);
+    EXPECT_NE(expected, reference) << name;
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(std::string(name) + " workers=" + std::to_string(workers));
+      AsyncTransport transport(registry);
+      LoopbackPair pair;
+      common::Bytes wire;
+      AsyncReceiver::Config rx_cfg;
+      rx_cfg.wire_tap = [&wire](common::ByteSpan chunk) {
+        wire.insert(wire.end(), chunk.begin(), chunk.end());
+      };
+      transport.add_receiver(std::move(pair.server), rx_cfg, {});
+      AsyncSender::Config tx_cfg;
+      tx_cfg.workers = workers;
+      tx_cfg.chaos = chaos;
+      AsyncSender& tx = transport.add_sender(std::move(pair.client), tx_cfg);
+      for (std::size_t i = 0; i < payloads.size(); ++i) {
+        tx.send(levels[i], payloads[i]);
+      }
+      tx.finish();
+      transport.run_receivers();
+
+      EXPECT_GT(tx.stalls(), 0u);
+      EXPECT_FALSE(transport.receiver(0).clean_eof());
+      EXPECT_EQ(wire, expected);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ TEST(FaultInjection, WireCorruptionDetectedByReceiver) {
     core::DecompressingReader reader(reg);
     reader.feed(bad);
     try {
-      while (reader.next_block()) {
+      while (reader.next_block_view()) {
       }
     } catch (const compress::CodecError&) {
       ++detected;

@@ -18,3 +18,10 @@ int fixture_allowed_socket() {
   // Diagnostics probe in a standalone CLI tool; sanctioned exception.
   return ::socket(AF_INET, SOCK_DGRAM, 0);  // strato-lint: allow(socket)
 }
+
+void fixture_allowed_encode(const Codec& codec, ByteSpan payload,
+                            Bytes& frame) {
+  // Reference encoder in a standalone verification tool; sanctioned.
+  // strato-lint: allow(encode)
+  encode_block_into(codec, 0, payload, frame);
+}

@@ -48,9 +48,9 @@ TEST(Soak, AdaptivePipelineSurvivesViolentLinkChanges) {
       const auto chunk = pipe.read(128 * 1024);
       if (chunk.empty()) break;
       reader.feed(chunk);
-      while (auto block = reader.next_block()) {
-        hash.update(*block);
-        recv_bytes += block->size();
+      while (auto block = reader.next_block_view()) {
+        hash.update(block->data);
+        recv_bytes += block->data.size();
       }
     }
     recv_digest = hash.digest();
