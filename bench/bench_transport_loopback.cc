@@ -122,8 +122,8 @@ RowResult run_once(const CodecRegistry& registry, int level,
       r.identity = false;
     }
     r.blocks += st.sent.size();
-    r.wire_bytes += transport.sender(c).wire_bytes();
   }
+  r.wire_bytes = transport.metrics().counter("tx.wire_bytes").value();
   return r;
 }
 

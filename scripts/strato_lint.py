@@ -70,6 +70,13 @@ into every presubmit script (check_static.sh runs this first):
                    block pipeline, inline at <= 1 worker) is banned, so
                    no front-end grows a private serial encoder with its
                    own level clamp and frame buffer again.
+  counters         block accounting has one home: in src/core, the layer
+                   of the stream front-ends (stream.*, transport.*), the
+                   per-level name literal (`blocks.level`) and
+                   MetricRegistry name resolution (`.counter(` /
+                   `.gauge(`) are banned — metrics::BlockCounters resolves
+                   every name a front-end publishes, so none grows a
+                   private tally again.
   pragma-once      every header starts with #pragma once.
   using-namespace  `using namespace std` is banned in src/.
   include-path     project includes are "dir/file.h" from the src/ root:
@@ -129,6 +136,10 @@ SOCKET_ALLOWED_PREFIXES = ("core/tcp.", "core/epoll_loop.",
 # The one sanctioned caller of encode_block_into (plus its definition).
 ENCODE_ALLOWED_PREFIXES = ("compress/framing.", "compress/pipeline.")
 
+# The stream front-ends' layer, where metrics::BlockCounters is the one
+# place registry names are resolved.
+COUNTERS_BANNED_PREFIX = "core/"
+
 RULES = {
     "wallclock": [
         (re.compile(r"system_clock"), "std::chrono::system_clock"),
@@ -183,6 +194,13 @@ RULES = {
         (re.compile(r"(?<![A-Za-z0-9_])encode_block_into\s*\("),
          "encode_block_into outside compress/pipeline (submit the block to "
          "a compress::ParallelBlockPipeline)"),
+    ],
+    "counters": [
+        (re.compile(r"blocks\.level"),
+         "per-level counter name outside metrics::BlockCounters"),
+        (re.compile(r"(?:\.|->)\s*(?:counter|gauge)\s*\("),
+         "MetricRegistry name resolution in a stream front-end (count "
+         "through metrics::BlockCounters)"),
     ],
     "using-namespace": [
         (re.compile(r"\busing\s+namespace\s+std\b"), "using namespace std"),
@@ -565,6 +583,8 @@ def lint_file(path: Path, rel: str):
             check("socket", RULES["socket"])
         if not rel.startswith(ENCODE_ALLOWED_PREFIXES):
             check("encode", RULES["encode"])
+        if rel.startswith(COUNTERS_BANNED_PREFIX):
+            check("counters", RULES["counters"])
         check("using-namespace", RULES["using-namespace"])
         check("include-path", RULES["include-path"])
 
@@ -615,6 +635,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("compress/framing.cc", "copy"): 4,
     ("core/bad_socket.cc", "socket"): 4,
     ("core/bad_encode.cc", "encode"): 2,
+    ("core/bad_counters.cc", "counters"): 4,
     ("compress/bad_simd.cc", "simd"): 5,
     ("vsim/fleet.cc", "fleet-alloc"): 3,
     ("compress/bad_lifetime.cc", "lifetime"): 6,

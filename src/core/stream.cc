@@ -16,7 +16,7 @@ CompressingWriter::CompressingWriter(ByteSink& sink,
       clock_(clock),
       block_size_(block_size == 0 ? compress::kDefaultBlockSize : block_size),
       buffer_(block_size_),
-      blocks_per_level_(registry.level_count(), 0),
+      counters_(metrics_, metrics::BlockCounters::kTx, registry.level_count()),
       pipeline_(registry,
                 compress::PipelineConfig{worker_count, pipeline_depth},
                 [this](common::ByteSpan frame, std::size_t raw_size,
@@ -47,12 +47,7 @@ void CompressingWriter::account_frame(common::ByteSpan frame,
   // pipeline runs this on the submitting thread in submission order, so
   // the rate meter aggregates accepted bytes across all workers.
   sink_.write(frame);
-  {
-    common::MutexLock lk(stats_mu_);
-    raw_bytes_ += raw_size;
-    framed_bytes_ += frame.size();
-    ++blocks_per_level_[static_cast<std::size_t>(level)];
-  }
+  counters_.record(raw_size, frame.size(), static_cast<std::size_t>(level));
   policy_.on_block(raw_size, clock_.now());
 }
 

@@ -14,14 +14,13 @@
 #include <cstdint>
 
 #include "common/bytes.h"
-#include "common/mutex.h"
 #include "common/sim_time.h"
-#include "common/thread_annotations.h"
 #include "compress/decode_pipeline.h"
 #include "compress/framing.h"
 #include "compress/pipeline.h"
 #include "compress/registry.h"
 #include "core/policy.h"
+#include "metrics/registry.h"
 
 namespace strato::core {
 
@@ -63,27 +62,20 @@ class CompressingWriter {
   /// Emit any buffered partial block and flush the sink.
   void flush();
 
-  // The counters below are written on the writer thread but polled by
-  // monitoring threads through Channel::stats() mid-run, so they are
-  // mutex-guarded (one uncontended lock per 128 KB block is noise). The
-  // unguarded fields above them (buffer_, buffered_, ...) are writer-
-  // thread-only by contract.
+  // The counters below are relaxed atomics in a private MetricRegistry,
+  // safe to poll mid-run (Channel::stats()); all else is writer-thread-only.
 
   /// Raw application bytes accepted so far.
   [[nodiscard]] std::uint64_t raw_bytes() const {
-    common::MutexLock lk(stats_mu_);
-    return raw_bytes_;
+    return counters_.raw_bytes();
   }
   /// Framed (compressed + header) bytes emitted so far.
   [[nodiscard]] std::uint64_t framed_bytes() const {
-    common::MutexLock lk(stats_mu_);
-    return framed_bytes_;
+    return counters_.framed_bytes();
   }
-  /// Blocks emitted per level (index = level). Returns a snapshot copy —
-  /// a reference would race with the writer thread's increments.
+  /// Blocks emitted per level (index = level).
   [[nodiscard]] std::vector<std::uint64_t> blocks_per_level() const {
-    common::MutexLock lk(stats_mu_);
-    return blocks_per_level_;
+    return counters_.blocks_per_level();
   }
 
  private:
@@ -96,10 +88,8 @@ class CompressingWriter {
   std::size_t block_size_;
   common::Bytes buffer_;
   std::size_t buffered_ = 0;
-  mutable common::Mutex stats_mu_{"CompressingWriter::stats_mu_"};
-  std::uint64_t raw_bytes_ STRATO_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t framed_bytes_ STRATO_GUARDED_BY(stats_mu_) = 0;
-  std::vector<std::uint64_t> blocks_per_level_ STRATO_GUARDED_BY(stats_mu_);
+  metrics::MetricRegistry metrics_;
+  metrics::BlockCounters counters_;           // tx.* in metrics_
   compress::ParallelBlockPipeline pipeline_;  // last: joins before state
 };
 
@@ -125,7 +115,9 @@ class DecompressingReader {
  public:
   explicit DecompressingReader(const compress::CodecRegistry& registry,
                                DecompressionSpec spec = {})
-      : pipeline_(registry, make_config(spec)) {}
+      : counters_(metrics_, metrics::BlockCounters::kRx,
+                  registry.level_count()),
+        pipeline_(registry, make_config(spec)) {}
 
   /// Append bytes received from the I/O layer. Never blocks on workers.
   void feed(common::ByteSpan data) { pipeline_.feed(data); }
@@ -136,21 +128,20 @@ class DecompressingReader {
   [[nodiscard]] std::optional<compress::DecodedBlock> next_block_view() {
     auto block = pipeline_.next_block();
     if (block) {
-      raw_bytes_ += block->data.size();
-      const auto lvl = block->header.level;
-      if (lvl >= blocks_per_level_.size()) {
-        blocks_per_level_.resize(lvl + 1, 0);
-      }
-      ++blocks_per_level_[lvl];
+      counters_.record(block->data.size(),
+                       compress::kFrameHeaderSize + block->header.comp_size,
+                       block->header.level);
     }
     return block;
   }
 
   /// Raw bytes decoded so far.
-  [[nodiscard]] std::uint64_t raw_bytes() const { return raw_bytes_; }
-  /// Blocks received per frame level.
-  [[nodiscard]] const std::vector<std::uint64_t>& blocks_per_level() const {
-    return blocks_per_level_;
+  [[nodiscard]] std::uint64_t raw_bytes() const {
+    return counters_.raw_bytes();
+  }
+  /// Blocks received per ladder rung (index = level).
+  [[nodiscard]] std::vector<std::uint64_t> blocks_per_level() const {
+    return counters_.blocks_per_level();
   }
   /// Decode workers actually running (0 = inline).
   [[nodiscard]] std::size_t worker_count() const {
@@ -169,9 +160,9 @@ class DecompressingReader {
     return cfg;
   }
 
+  metrics::MetricRegistry metrics_;
+  metrics::BlockCounters counters_;  // rx.* in metrics_
   compress::ParallelBlockDecodePipeline pipeline_;
-  std::uint64_t raw_bytes_ = 0;
-  std::vector<std::uint64_t> blocks_per_level_;
 };
 
 }  // namespace strato::core

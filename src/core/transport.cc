@@ -30,10 +30,16 @@ std::exception_ptr errno_error(const char* what, int err) {
 
 AsyncSender::AsyncSender(EpollLoop& loop, TcpConnection conn,
                          const compress::CodecRegistry& registry,
-                         Config config, metrics::MetricRegistry* metrics)
+                         Config config, metrics::MetricRegistry& metrics)
     : loop_(loop),
       conn_(std::move(conn)),
       config_(std::move(config)),
+      counters_(metrics, metrics::BlockCounters::kTx, registry.level_count()),
+      m_wire_bytes_(counters_.counter_named("wire_bytes")),
+      m_sendmsg_(counters_.counter_named("sendmsg_calls")),
+      m_stalls_(counters_.counter_named("chaos_stalls")),
+      m_backpressure_(counters_.counter_named("backpressure")),
+      m_queued_(counters_.gauge_named("queued_bytes")),
       pipeline_(registry,
                 compress::PipelineConfig{config_.workers, config_.depth},
                 [this](common::ByteSpan frame, std::size_t raw_size,
@@ -43,25 +49,13 @@ AsyncSender::AsyncSender(EpollLoop& loop, TcpConnection conn,
   if (config_.low_watermark > config_.high_watermark) {
     config_.low_watermark = config_.high_watermark / 2;
   }
-  if (metrics != nullptr) {
-    m_bytes_ = &metrics->counter("tx.wire_bytes");
-    m_frames_ = &metrics->counter("tx.frames");
-    m_stalls_ = &metrics->counter("tx.chaos_stalls");
-    m_backpressure_ = &metrics->counter("tx.backpressure");
-    m_writev_ = &metrics->counter("tx.sendmsg_calls");
-    m_queued_ = &metrics->gauge("tx.queued_bytes");
-    m_level_blocks_.reserve(registry.level_count());
-    for (std::size_t l = 0; l < registry.level_count(); ++l) {
-      m_level_blocks_.push_back(
-          &metrics->counter("tx.blocks.level" + std::to_string(l)));
-    }
-  }
   conn_.set_nonblocking(true);
   loop_.add(conn_.fd(), 0, [this](std::uint32_t ev) { on_event(ev); });
   watched_ = true;
 }
 
 AsyncSender::~AsyncSender() {
+  m_queued_.add(-static_cast<std::int64_t>(queued_bytes_));  // never sent
   if (watched_) loop_.remove(conn_.fd());
 }
 
@@ -74,7 +68,7 @@ void AsyncSender::send(int level, common::ByteSpan payload) {
     // application (exactly what a blocking socket would do) until the
     // queue drains below the low watermark.
     ++backpressure_events_;
-    if (m_backpressure_ != nullptr) m_backpressure_->add();
+    m_backpressure_.add();
     drive_until(config_.low_watermark);
   }
   throw_if_broken();
@@ -108,13 +102,7 @@ void AsyncSender::on_event(std::uint32_t events) {
 
 void AsyncSender::enqueue_frame(common::ByteSpan frame, std::size_t raw_size,
                                 int level) {
-  raw_bytes_ += raw_size;
-  ++frames_;
-  if (m_frames_ != nullptr) m_frames_->add();
-  if (level >= 0 &&
-      static_cast<std::size_t>(level) < m_level_blocks_.size()) {
-    m_level_blocks_[static_cast<std::size_t>(level)]->add();
-  }
+  counters_.record(raw_size, frame.size(), static_cast<std::size_t>(level));
   // ThrottledPipe's walk, except that kStall extends a flush deadline
   // instead of sleeping, so a stalled connection never freezes its loop's
   // siblings.
@@ -125,8 +113,7 @@ void AsyncSender::enqueue_frame(common::ByteSpan frame, std::size_t raw_size,
         const common::SimTime from = stall_until_ > now ? stall_until_ : now;
         stall_until_ =
             from + common::SimTime::ns(static_cast<std::int64_t>(stall_ns));
-        ++stalls_;
-        if (m_stalls_ != nullptr) m_stalls_->add();
+        m_stalls_.add();
       });
   // Opportunistic flush so small streams move without waiting for a poll.
   pump();
@@ -151,9 +138,7 @@ void AsyncSender::append_wire_bytes(common::ByteSpan bytes) {
     pos += take;
     queued_bytes_ += take;
   }
-  if (m_queued_ != nullptr) {
-    m_queued_->set(static_cast<std::int64_t>(queued_bytes_));
-  }
+  m_queued_.add(static_cast<std::int64_t>(bytes.size()));
 }
 
 void AsyncSender::pump() {
@@ -181,13 +166,10 @@ void AsyncSender::pump() {
         mark_broken(errno_error("sendmsg", errno));
         return;
       }
-      if (m_writev_ != nullptr) m_writev_->add();
-      wire_bytes_ += static_cast<std::uint64_t>(n);
+      m_sendmsg_.add();
+      m_wire_bytes_.add(static_cast<std::uint64_t>(n));
       queued_bytes_ -= static_cast<std::size_t>(n);
-      if (m_bytes_ != nullptr) m_bytes_->add(static_cast<std::uint64_t>(n));
-      if (m_queued_ != nullptr) {
-        m_queued_->set(static_cast<std::int64_t>(queued_bytes_));
-      }
+      m_queued_.add(-static_cast<std::int64_t>(n));
       std::size_t left = static_cast<std::size_t>(n);
       while (left > 0) {
         SendSeg& front = queue_.front();
@@ -248,8 +230,8 @@ void AsyncSender::mark_broken(std::exception_ptr error) {
   broken_ = std::move(error);
   for (SendSeg& seg : queue_) pool_.release(std::move(seg.data));
   queue_.clear();
+  m_queued_.add(-static_cast<std::int64_t>(queued_bytes_));
   queued_bytes_ = 0;
-  if (m_queued_ != nullptr) m_queued_->set(0);
   if (watched_) {
     loop_.remove(conn_.fd());
     watched_ = false;
@@ -262,10 +244,15 @@ void AsyncSender::mark_broken(std::exception_ptr error) {
 AsyncReceiver::AsyncReceiver(EpollLoop& loop, TcpConnection conn,
                              const compress::CodecRegistry& registry,
                              Config config, BlockSink sink,
-                             metrics::MetricRegistry* metrics)
+                             metrics::MetricRegistry& metrics)
     : loop_(loop),
       conn_(std::move(conn)),
       config_(std::move(config)),
+      counters_(metrics, metrics::BlockCounters::kRx, registry.level_count()),
+      m_wire_bytes_(counters_.counter_named("wire_bytes")),
+      m_errors_(counters_.counter_named("errors")),
+      m_eofs_(counters_.counter_named("eofs")),
+      m_backpressure_(counters_.counter_named("backpressure")),
       pipeline_(registry,
                 compress::DecodePipelineConfig{config_.decode_workers,
                                                config_.depth,
@@ -273,18 +260,6 @@ AsyncReceiver::AsyncReceiver(EpollLoop& loop, TcpConnection conn,
       sink_(std::move(sink)) {
   if (config_.read_chunk == 0) config_.read_chunk = 64 * 1024;
   if (config_.max_reads_per_event == 0) config_.max_reads_per_event = 1;
-  if (metrics != nullptr) {
-    m_bytes_ = &metrics->counter("rx.wire_bytes");
-    m_frames_ = &metrics->counter("rx.blocks");
-    m_errors_ = &metrics->counter("rx.errors");
-    m_eofs_ = &metrics->counter("rx.eofs");
-    m_backpressure_ = &metrics->counter("rx.backpressure");
-    m_level_blocks_.reserve(registry.level_count());
-    for (std::size_t l = 0; l < registry.level_count(); ++l) {
-      m_level_blocks_.push_back(
-          &metrics->counter("rx.blocks.level" + std::to_string(l)));
-    }
-  }
   conn_.set_nonblocking(true);
   loop_.add(conn_.fd(), EpollLoop::kRead,
             [this](std::uint32_t ev) { on_event(ev); });
@@ -336,8 +311,7 @@ void AsyncReceiver::on_event(std::uint32_t) {
       finish_stream();
       return;
     }
-    wire_bytes_ += static_cast<std::uint64_t>(n);
-    if (m_bytes_ != nullptr) m_bytes_->add(static_cast<std::uint64_t>(n));
+    m_wire_bytes_.add(static_cast<std::uint64_t>(n));
     if (config_.wire_tap) {
       config_.wire_tap(
           common::ByteSpan(span.data(), static_cast<std::size_t>(n)));
@@ -351,8 +325,7 @@ void AsyncReceiver::on_event(std::uint32_t) {
       // Undelivered wire outran the configured bound: yield this callback
       // (level-triggered readiness re-fires next poll). Sustained overrun
       // fills the kernel buffer and the sender sees EAGAIN backpressure.
-      ++backpressure_events_;
-      if (m_backpressure_ != nullptr) m_backpressure_->add();
+      m_backpressure_.add();
       return;
     }
   }
@@ -364,11 +337,9 @@ void AsyncReceiver::drain() {
       const std::optional<compress::DecodedBlock> block =
           pipeline_.next_block();
       if (!block.has_value()) break;
-      ++blocks_;
-      raw_bytes_ += block->data.size();
-      if (m_frames_ != nullptr) m_frames_->add();
-      const std::size_t lvl = block->header.level;
-      if (lvl < m_level_blocks_.size()) m_level_blocks_[lvl]->add();
+      counters_.record(block->data.size(),
+                       compress::kFrameHeaderSize + block->header.comp_size,
+                       block->header.level);
       if (sink_) sink_(block->data, block->header);
     }
   } catch (...) {
@@ -387,14 +358,14 @@ void AsyncReceiver::finish_stream() {
   }
   pending_at_eof_ = pipeline_.pending();
   done_ = true;
-  if (error_ == nullptr && m_eofs_ != nullptr) m_eofs_->add();
+  if (error_ == nullptr) m_eofs_.add();
   unwatch();
 }
 
 void AsyncReceiver::fail_stream(std::exception_ptr error, bool fatal) {
   if (error_ == nullptr) {
     error_ = std::move(error);
-    if (m_errors_ != nullptr) m_errors_->add();
+    m_errors_.add();
   }
   if (!fatal && !eof_) return;  // stay watched: drain-and-discard to EOF
   pending_at_eof_ = pipeline_.pending();

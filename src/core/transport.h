@@ -32,16 +32,15 @@
 // EpollLoop; send()/finish()/poll all run there. The pipelines' internal
 // worker threads never touch sockets or the loop.
 //
-// Both endpoints export counters/gauges into an optional
-// metrics::MetricRegistry (names below) — bytes, frames, stalls,
-// backpressure events and per-level block counts from either end.
+// Both endpoints count bytes, frames, stalls, backpressure events and
+// per-level blocks into a metrics::MetricRegistry (names in DESIGN.md
+// §13): the caller's, or one AsyncTransport owns when it passes none.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <vector>
 
 #include "common/buffer_pool.h"
 #include "common/bytes.h"
@@ -80,7 +79,7 @@ class AsyncSender {
 
   AsyncSender(EpollLoop& loop, TcpConnection conn,
               const compress::CodecRegistry& registry, Config config,
-              metrics::MetricRegistry* metrics = nullptr);
+              metrics::MetricRegistry& metrics);
   ~AsyncSender();
 
   AsyncSender(const AsyncSender&) = delete;
@@ -102,15 +101,10 @@ class AsyncSender {
   }
   /// Wire bytes accepted but not yet written to the socket.
   [[nodiscard]] std::size_t queued_bytes() const { return queued_bytes_; }
-  [[nodiscard]] std::uint64_t raw_bytes() const { return raw_bytes_; }
-  /// Post-chaos bytes handed to the kernel.
-  [[nodiscard]] std::uint64_t wire_bytes() const { return wire_bytes_; }
-  [[nodiscard]] std::uint64_t frames() const { return frames_; }
   /// Times send() had to drive the loop for queue drain.
   [[nodiscard]] std::uint64_t backpressure_events() const {
     return backpressure_events_;
   }
-  [[nodiscard]] std::uint64_t stalls() const { return stalls_; }
 
  private:
   struct SendSeg {
@@ -146,6 +140,17 @@ class AsyncSender {
   std::deque<SendSeg> queue_;
   std::size_t queued_bytes_ = 0;
   common::BufferPool pool_;
+
+  metrics::BlockCounters counters_;  // tx.frames, tx.blocks.level<N>, ...
+  metrics::Counter& m_wire_bytes_;   // post-chaos bytes handed to the kernel
+  metrics::Counter& m_sendmsg_;
+  metrics::Counter& m_stalls_;
+  metrics::Counter& m_backpressure_;
+  metrics::Gauge& m_queued_;  // sum over senders: moved by deltas only
+  // tx.backpressure sums every sender on the registry; callers that ask
+  // whether one send() drove the loop need this sender's own count.
+  std::uint64_t backpressure_events_ = 0;
+
   compress::ParallelBlockPipeline pipeline_;
 
   common::ChaosWalker chaos_;  // stalls extend stall_until_
@@ -156,20 +161,6 @@ class AsyncSender {
   bool watched_ = false;   // registered with the loop
   bool shut_ = false;      // shutdown_send() already issued
   std::exception_ptr broken_;
-
-  std::uint64_t raw_bytes_ = 0;
-  std::uint64_t wire_bytes_ = 0;
-  std::uint64_t frames_ = 0;
-  std::uint64_t backpressure_events_ = 0;
-  std::uint64_t stalls_ = 0;
-
-  metrics::Counter* m_bytes_ = nullptr;
-  metrics::Counter* m_frames_ = nullptr;
-  metrics::Counter* m_stalls_ = nullptr;
-  metrics::Counter* m_backpressure_ = nullptr;
-  metrics::Counter* m_writev_ = nullptr;
-  std::vector<metrics::Counter*> m_level_blocks_;
-  metrics::Gauge* m_queued_ = nullptr;
 };
 
 /// Receiving endpoint: frames off a non-blocking socket, decoded blocks
@@ -206,7 +197,7 @@ class AsyncReceiver {
 
   AsyncReceiver(EpollLoop& loop, TcpConnection conn,
                 const compress::CodecRegistry& registry, Config config,
-                BlockSink sink, metrics::MetricRegistry* metrics = nullptr);
+                BlockSink sink, metrics::MetricRegistry& metrics);
   ~AsyncReceiver();
 
   AsyncReceiver(const AsyncReceiver&) = delete;
@@ -231,16 +222,10 @@ class AsyncReceiver {
   void resume();
   [[nodiscard]] bool paused() const { return paused_; }
 
-  [[nodiscard]] std::uint64_t wire_bytes() const { return wire_bytes_; }
-  [[nodiscard]] std::uint64_t blocks() const { return blocks_; }
-  [[nodiscard]] std::uint64_t raw_bytes() const { return raw_bytes_; }
   /// Wire bytes buffered but not yet delivered when EOF arrived — > 0
   /// means the peer died mid-frame (or chaos ate bytes).
   [[nodiscard]] std::uint64_t pending_at_eof() const {
     return pending_at_eof_;
-  }
-  [[nodiscard]] std::uint64_t backpressure_events() const {
-    return backpressure_events_;
   }
 
  private:
@@ -260,6 +245,11 @@ class AsyncReceiver {
   EpollLoop& loop_;
   TcpConnection conn_;
   Config config_;
+  metrics::BlockCounters counters_;  // rx.blocks, rx.blocks.level<N>, ...
+  metrics::Counter& m_wire_bytes_;
+  metrics::Counter& m_errors_;
+  metrics::Counter& m_eofs_;
+  metrics::Counter& m_backpressure_;
   compress::ParallelBlockDecodePipeline pipeline_;
   BlockSink sink_;
 
@@ -269,19 +259,7 @@ class AsyncReceiver {
   bool watched_ = false;
   std::exception_ptr error_;
   common::Bytes discard_scratch_;  // recv target once the stream failed
-
-  std::uint64_t wire_bytes_ = 0;
-  std::uint64_t blocks_ = 0;
-  std::uint64_t raw_bytes_ = 0;
   std::uint64_t pending_at_eof_ = 0;
-  std::uint64_t backpressure_events_ = 0;
-
-  metrics::Counter* m_bytes_ = nullptr;
-  metrics::Counter* m_frames_ = nullptr;
-  metrics::Counter* m_errors_ = nullptr;
-  metrics::Counter* m_eofs_ = nullptr;
-  metrics::Counter* m_backpressure_ = nullptr;
-  std::vector<metrics::Counter*> m_level_blocks_;
 };
 
 /// One loop + its endpoints: the convenience facade a soak/bench thread
@@ -291,10 +269,11 @@ class AsyncTransport {
  public:
   explicit AsyncTransport(const compress::CodecRegistry& registry,
                           metrics::MetricRegistry* metrics = nullptr)
-      : registry_(registry), metrics_(metrics) {}
+      : registry_(registry),
+        metrics_(metrics != nullptr ? *metrics : own_metrics_) {}
 
   EpollLoop& loop() { return loop_; }
-  [[nodiscard]] metrics::MetricRegistry* metrics() const { return metrics_; }
+  [[nodiscard]] metrics::MetricRegistry& metrics() { return metrics_; }
 
   AsyncSender& add_sender(TcpConnection conn, AsyncSender::Config config);
   AsyncReceiver& add_receiver(TcpConnection conn, AsyncReceiver::Config config,
@@ -314,7 +293,8 @@ class AsyncTransport {
 
  private:
   const compress::CodecRegistry& registry_;
-  metrics::MetricRegistry* metrics_;
+  metrics::MetricRegistry own_metrics_;
+  metrics::MetricRegistry& metrics_;
   EpollLoop loop_;
   std::deque<AsyncSender> senders_;
   std::deque<AsyncReceiver> receivers_;

@@ -57,4 +57,31 @@ std::string MetricRegistry::to_json() const {
   return json;
 }
 
+BlockCounters::BlockCounters(MetricRegistry& registry, Direction dir,
+                             std::size_t levels)
+    : registry_(registry),
+      prefix_(dir == kTx ? "tx." : "rx."),
+      // The block counts keep the names the transport first published.
+      blocks_(registry.counter(dir == kTx ? "tx.frames" : "rx.blocks")),
+      raw_(counter_named("raw_bytes")),
+      framed_(counter_named("framed_bytes")) {
+  for (std::size_t l = 0; l < levels; ++l) {
+    levels_.push_back(&counter_named("blocks.level" + std::to_string(l)));
+  }
+}
+
+std::vector<std::uint64_t> BlockCounters::blocks_per_level() const {
+  std::vector<std::uint64_t> out;
+  for (const Counter* c : levels_) out.push_back(c->value());
+  return out;
+}
+
+Counter& BlockCounters::counter_named(std::string_view suffix) {
+  return registry_.counter(prefix_ + std::string(suffix));
+}
+
+Gauge& BlockCounters::gauge_named(std::string_view suffix) {
+  return registry_.gauge(prefix_ + std::string(suffix));
+}
+
 }  // namespace strato::metrics

@@ -1,4 +1,4 @@
-// Named counter/gauge registry for transport endpoints.
+// Named counter/gauge registry for stream and transport endpoints.
 //
 // Production log/page services (Socrates, Aurora) hang per-connection
 // observability off exactly this shape: a process-local registry of named
@@ -82,6 +82,43 @@ class MetricRegistry {
   std::map<std::string, Counter, std::less<>> counters_
       STRATO_GUARDED_BY(mu_);
   std::map<std::string, Gauge, std::less<>> gauges_ STRATO_GUARDED_BY(mu_);
+};
+
+/// One stream direction's block accounting, shared by every front-end of
+/// that direction (kTx: CompressingWriter, AsyncSender; kRx:
+/// DecompressingReader, AsyncReceiver). Resolves "tx.frames"/"rx.blocks",
+/// "<dir>.raw_bytes", "<dir>.framed_bytes" and one "<dir>.blocks.level<N>"
+/// per ladder rung once; record() and the reads are relaxed atomics, so
+/// any thread may poll mid-run. A level outside the ladder counts the
+/// block and its bytes but has no per-level entry.
+class BlockCounters {
+ public:
+  enum Direction { kTx, kRx };
+
+  BlockCounters(MetricRegistry& registry, Direction dir, std::size_t levels);
+
+  void record(std::uint64_t raw, std::uint64_t framed, std::size_t level) {
+    blocks_.add();
+    raw_.add(raw);
+    framed_.add(framed);
+    if (level < levels_.size()) levels_[level]->add();
+  }
+  [[nodiscard]] std::uint64_t raw_bytes() const { return raw_.value(); }
+  [[nodiscard]] std::uint64_t framed_bytes() const { return framed_.value(); }
+  /// Blocks per ladder rung (index = level).
+  [[nodiscard]] std::vector<std::uint64_t> blocks_per_level() const;
+
+  /// The endpoint's other metrics, under the same prefix: "<dir>.<suffix>".
+  Counter& counter_named(std::string_view suffix);
+  Gauge& gauge_named(std::string_view suffix);
+
+ private:
+  MetricRegistry& registry_;
+  const char* prefix_;  // "tx." or "rx."
+  Counter& blocks_;
+  Counter& raw_;
+  Counter& framed_;
+  std::vector<Counter*> levels_;  // sized once: reads never race a resize
 };
 
 }  // namespace strato::metrics

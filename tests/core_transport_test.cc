@@ -15,6 +15,7 @@
 #include "compress/framing.h"
 #include "compress/registry.h"
 #include "core/epoll_loop.h"
+#include "core/stream.h"
 #include "core/tcp.h"
 #include "core/throttled_pipe.h"
 #include "core/transport.h"
@@ -140,6 +141,11 @@ AsyncReceiver::BlockSink collect_into(Collected& out) {
   };
 }
 
+/// A counter of the transport's registry.
+std::uint64_t count(AsyncTransport& transport, const char* name) {
+  return transport.metrics().counter(name).value();
+}
+
 std::vector<common::Bytes> make_payloads(std::size_t count, std::size_t size,
                                          std::uint64_t seed) {
   auto gen = corpus::make_generator(corpus::Compressibility::kModerate, seed);
@@ -183,9 +189,10 @@ TEST(AsyncTransport, RoundTripAllLevelsIncludingClamp) {
     EXPECT_EQ(got.headers[i].level, i);
   }
   EXPECT_EQ(got.headers.back().level, registry.level_count() - 1);
-  EXPECT_EQ(tx.frames(), payloads.size());
-  EXPECT_EQ(rx.blocks(), payloads.size());
-  EXPECT_EQ(tx.wire_bytes(), rx.wire_bytes());
+  EXPECT_EQ(count(transport, "tx.frames"), payloads.size());
+  EXPECT_EQ(count(transport, "rx.blocks"), payloads.size());
+  EXPECT_EQ(count(transport, "tx.wire_bytes"),
+            count(transport, "rx.wire_bytes"));
 }
 
 TEST(AsyncTransport, WireIdenticalToSerialOracle) {
@@ -301,7 +308,7 @@ TEST(AsyncTransport, StallChaosDelaysButPreservesWire) {
   tx.finish();
   transport.run_receivers();
 
-  EXPECT_GT(tx.stalls(), 0u);
+  EXPECT_GT(count(transport, "tx.chaos_stalls"), 0u);
   EXPECT_TRUE(transport.receiver(0).clean_eof());
   EXPECT_EQ(wire, reference);  // stalls delay, never mutate
   EXPECT_EQ(got.blocks, payloads);
@@ -353,7 +360,7 @@ TEST(AsyncTransport, CorruptChaosSurfacesSerialEquivalentError) {
   EXPECT_FALSE(rx.clean_eof());
   ASSERT_NE(rx.error(), nullptr);
   EXPECT_THROW(rx.check(), compress::CodecError);
-  EXPECT_EQ(rx.blocks(), kVictim);  // serial position of the failure
+  EXPECT_EQ(count(transport, "rx.blocks"), kVictim);  // serial position
   ASSERT_EQ(got.blocks.size(), kVictim);
   for (std::size_t i = 0; i < kVictim; ++i) {
     EXPECT_EQ(got.blocks[i], payloads[i]);
@@ -490,7 +497,7 @@ TEST(AsyncTransport, ChaosMatchesThrottledPipe) {
       tx.finish();
       transport.run_receivers();
 
-      EXPECT_GT(tx.stalls(), 0u);
+      EXPECT_GT(count(transport, "tx.chaos_stalls"), 0u);
       EXPECT_FALSE(transport.receiver(0).clean_eof());
       EXPECT_EQ(wire, expected);
     }
@@ -546,6 +553,50 @@ TEST(AsyncTransport, SenderWatermarkBackpressureEngages) {
   EXPECT_EQ(rx_hash.digest(), tx_hash.digest());
 }
 
+TEST(AsyncTransport, QueuedBytesGaugeSumsSenders) {
+  // Every sender on a registry moves the one tx.queued_bytes gauge, so it
+  // must read as their sum, not as whichever sender wrote last.
+  const auto& registry = compress::CodecRegistry::standard();
+  metrics::MetricRegistry reg;
+  AsyncTransport transport(registry, &reg);
+  LoopbackPair pairs[2];
+  AsyncSender* tx[2] = {};
+  const int small = 8 * 1024;
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(::setsockopt(pairs[i].client.fd(), SOL_SOCKET, SO_SNDBUF,
+                           &small, sizeof small),
+              0);
+    transport.add_receiver(std::move(pairs[i].server), {}, {});
+    tx[i] = &transport.add_sender(std::move(pairs[i].client), {});
+  }
+
+  // Nothing polls the loop while sending: the receivers read nothing, the
+  // kernel buffers fill, and each queue grows past the low watermark
+  // while staying under the high one, so send() never drains it.
+  const AsyncSender::Config defaults;
+  auto gen = corpus::make_generator(corpus::Compressibility::kLow, 919);
+  common::Bytes block(128 * 1024);
+  for (std::size_t b = 0; b < 16; ++b) {
+    for (AsyncSender* s : tx) {
+      gen->generate(block);
+      s->send(0, block);  // stored: the queue holds every payload byte
+    }
+  }
+  for (const AsyncSender* s : tx) {
+    ASSERT_GT(s->queued_bytes(), defaults.low_watermark);
+    ASSERT_LT(s->queued_bytes(), defaults.high_watermark);
+  }
+  EXPECT_EQ(reg.gauge("tx.queued_bytes").value(),
+            static_cast<std::int64_t>(tx[0]->queued_bytes() +
+                                      tx[1]->queued_bytes()));
+
+  for (AsyncSender* s : tx) s->finish();
+  transport.run_receivers();
+  EXPECT_TRUE(transport.receiver(0).clean_eof());
+  EXPECT_TRUE(transport.receiver(1).clean_eof());
+  EXPECT_EQ(reg.gauge("tx.queued_bytes").value(), 0);
+}
+
 TEST(AsyncTransport, ReceiverPauseHoldsDeliveryUntilResume) {
   const auto& registry = compress::CodecRegistry::standard();
   AsyncTransport transport(registry);
@@ -564,7 +615,7 @@ TEST(AsyncTransport, ReceiverPauseHoldsDeliveryUntilResume) {
 
   for (int i = 0; i < 20; ++i) transport.poll(1);
   EXPECT_EQ(got.blocks.size(), 0u);  // paused = nothing read, nothing decoded
-  EXPECT_EQ(rx.wire_bytes(), 0u);
+  EXPECT_EQ(count(transport, "rx.wire_bytes"), 0u);
 
   rx.resume();
   transport.run_receivers();
@@ -660,6 +711,48 @@ TEST(AsyncTransport, SinkExceptionFailsStreamSticky) {
 
 // ---------------------------------------------------------------------------
 // Metrics surface
+
+TEST(DecodeFrontEnds, OutOfLadderLevelCountsBlockButNoLevel) {
+  // parse_header accepts any level byte (the codec comes from codec_id),
+  // so both decode front-ends apply one rule to a level past the ladder:
+  // the block and its raw bytes count, a per-level entry does not.
+  const auto& registry = compress::CodecRegistry::standard();
+  const auto payload = make_payloads(1, 10000, 313)[0];
+  common::Bytes frame =
+      compress::encode_block(*registry.level(1).codec, 1, payload);
+  frame[4] = 200;  // the level byte; the checksum covers only the payload
+  const std::vector<std::uint64_t> no_levels(registry.level_count(), 0);
+
+  DecompressingReader reader(registry);
+  reader.feed(frame);
+  const auto block = reader.next_block_view();
+  ASSERT_TRUE(block.has_value());
+  EXPECT_EQ(block->header.level, 200);
+  EXPECT_EQ(common::Bytes(block->data.begin(), block->data.end()), payload);
+  EXPECT_EQ(reader.raw_bytes(), payload.size());
+  EXPECT_EQ(reader.blocks_per_level(), no_levels);
+
+  AsyncTransport transport(registry);
+  LoopbackPair pair;
+  Collected got;
+  transport.add_receiver(std::move(pair.server), {}, collect_into(got));
+  pair.client.write(frame);
+  pair.client.close();
+  transport.run_receivers();
+
+  ASSERT_TRUE(transport.receiver(0).clean_eof());
+  ASSERT_EQ(got.blocks.size(), 1u);
+  EXPECT_EQ(got.headers[0].level, 200);
+  EXPECT_EQ(got.blocks[0], payload);
+  EXPECT_EQ(transport.metrics().to_json().find("rx.blocks.level200"),
+            std::string::npos);
+  EXPECT_EQ(count(transport, "rx.blocks"), 1u);
+  EXPECT_EQ(count(transport, "rx.raw_bytes"), payload.size());
+  for (std::size_t l = 0; l < registry.level_count(); ++l) {
+    const std::string name = "rx.blocks.level" + std::to_string(l);
+    EXPECT_EQ(count(transport, name.c_str()), 0u) << name;
+  }
+}
 
 TEST(AsyncTransport, MetricsCoverBothEndpoints) {
   const auto& registry = compress::CodecRegistry::standard();

@@ -2,7 +2,9 @@
 // file (spill + compression).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <numeric>
 #include <thread>
 
 #include "common/rng.h"
@@ -107,6 +109,45 @@ TEST(NetworkChannel, ParallelWireBytesMatchSerial) {
   EXPECT_EQ(parallel->stats().wire_bytes, serial->stats().wire_bytes);
   EXPECT_EQ(parallel->stats().blocks_per_level,
             serial->stats().blocks_per_level);
+}
+
+TEST(NetworkChannel, StatsPollableMidRun) {
+  // A monitor thread polls stats() while the writer task pumps records.
+  // The writer's counters are atomics, so the polls race nothing (the
+  // TSan sweep runs this test) and the final counts still add up.
+  constexpr std::size_t kBlock = 16 * 1024;
+  const auto records =
+      make_records(corpus::Compressibility::kModerate, 200, 3000);
+  auto ch = make_network_channel(nullptr, CompressionSpec::fixed(1),
+                                 compress::CodecRegistry::standard(), kBlock);
+  std::atomic<bool> done{false};
+  std::uint64_t polls = 0;
+  std::thread monitor([&] {
+    std::uint64_t last_raw = 0;
+    while (!done.load(std::memory_order_relaxed)) {
+      const ChannelStats s = ch->stats();
+      EXPECT_GE(s.raw_bytes, last_raw);
+      last_raw = s.raw_bytes;
+      ++polls;
+      std::this_thread::yield();
+    }
+  });
+  pump(*ch, records);
+  done.store(true, std::memory_order_relaxed);
+  monitor.join();
+
+  common::Bytes serialized;
+  for (const auto& r : records) append_record(serialized, r);
+  const ChannelStats stats = ch->stats();
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(stats.records, records.size());
+  EXPECT_EQ(stats.raw_bytes, serialized.size());
+  const std::uint64_t blocks = std::accumulate(
+      stats.blocks_per_level.begin(), stats.blocks_per_level.end(),
+      std::uint64_t{0});
+  EXPECT_EQ(blocks, (serialized.size() + kBlock - 1) / kBlock);
+  EXPECT_EQ(stats.blocks_per_level.at(1), blocks);
+  EXPECT_LT(stats.wire_bytes, stats.raw_bytes);
 }
 
 TEST(NetworkChannel, AdaptiveWithWorkersRoundTrip) {

@@ -25,3 +25,9 @@ void fixture_allowed_encode(const Codec& codec, ByteSpan payload,
   // strato-lint: allow(encode)
   encode_block_into(codec, 0, payload, frame);
 }
+
+void fixture_allowed_counters(MetricRegistry& registry) {
+  // Registry health probe in a standalone diagnostics tool; sanctioned.
+  // strato-lint: allow(counters)
+  registry.counter("probe.blocks.level0").add();
+}
