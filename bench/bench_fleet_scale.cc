@@ -4,20 +4,18 @@
 // argv[1] (the committed BENCH_fleet.json trajectory — see
 // scripts/check_bench.sh).
 //
-// Env knobs (all digest-relevant knobs change `flows_total`, so a
-// mismatched comparison is loud, not silent):
+// Env knob (it changes `flows_total`, so a mismatched comparison is
+// loud, not silent):
 //   * STRATO_FLEET_FLOWS: total transfer-flow target. Unset = 1,000,000.
 //     The special value 100000 selects the legacy pre-incremental-
 //     allocator configuration verbatim (digest 90d1a3b0a8e978bf) — the
 //     compat anchor proving the rewrite left the simulation bit-exact.
 //     Any other value scales the 1M shape (flow_limit = N/4 per tenant).
-//   * STRATO_FLEET_DRAIN_WORKERS: drain worker threads (default 1).
-//     Any value reproduces the same digest; see FleetConfig.
 //
 // Acceptance targets:
 //   * the run completes within kWallBudgetS (60 s) of wall clock on one
-//     core — incremental max-min allocation, cached epoch kernels and
-//     the fused serial drain exist to make this cheap;
+//     core — incremental max-min allocation and cached epoch kernels
+//     exist to make this cheap;
 //   * `metrics_digest` (FNV-1a over the full FleetMetrics JSON) and the
 //     per-tenant flow counts are deterministic and must reproduce
 //     exactly between runs; `wall_s` / `kflows_per_s` carry the usual
@@ -167,10 +165,9 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 int main(int argc, char** argv) {
   const std::uint64_t flows_target =
       env_u64("STRATO_FLEET_FLOWS", 1'000'000);
-  FleetConfig cfg = flows_target == 100'000 ? fleet_compat_100k()
-                                            : fleet_large(flows_target);
-  cfg.drain_workers = static_cast<int>(
-      env_u64("STRATO_FLEET_DRAIN_WORKERS", 1));
+  const FleetConfig cfg = flows_target == 100'000
+                              ? fleet_compat_100k()
+                              : fleet_large(flows_target);
   FleetEngine engine(cfg);
 
   const auto start = std::chrono::steady_clock::now();
@@ -186,7 +183,6 @@ int main(int argc, char** argv) {
   appendf(json, "  \"epoch_ms\": %.0f,\n", cfg.epoch.to_seconds() * 1e3);
   appendf(json, "  \"flows_target\": %llu,\n",
           static_cast<unsigned long long>(flows_target));
-  appendf(json, "  \"drain_workers\": %d,\n", cfg.drain_workers);
   appendf(json, "  \"hardware_concurrency\": %u,\n",
           std::thread::hardware_concurrency());
   appendf(json, "  \"flows_total\": %llu,\n",

@@ -113,10 +113,9 @@ SCHEMAS = {
         "speedup_floor": False,
     },
     "fleet_scale": {
-        "top": ["bench", "seed", "epoch_ms", "flows_target", "drain_workers",
-                "flows_total", "flows_completed", "epochs",
-                "sim_completed_s", "p50_s", "p99_s", "p999_s",
-                "metrics_digest"],
+        "top": ["bench", "seed", "epoch_ms", "flows_target", "flows_total",
+                "flows_completed", "epochs", "sim_completed_s", "p50_s",
+                "p99_s", "p999_s", "metrics_digest"],
         "key": ["name"],
         "det": ["spawned", "admitted", "rejected", "completed", "p99_s"],
         "timing": "kflows_per_s",

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <queue>
 #include <vector>
@@ -19,10 +18,6 @@ namespace strato::vsim {
 class EventQueue {
  public:
   using Callback = std::function<void()>;
-
-  /// Handle to a callback registered once via add_recurring().
-  using RecurringId = std::uint32_t;
-  static constexpr RecurringId kNoRecurring = UINT32_MAX;
 
   /// Schedule `fn` at absolute time `at` (>= now()). A past-time `at` is
   /// clamped to now(): accepting it verbatim would make now_ jump
@@ -39,30 +34,6 @@ class EventQueue {
     schedule(now_ + delay, std::move(fn));
   }
 
-  /// Register a callback once; re-arm it any number of times with
-  /// schedule_recurring(). Each firing enqueues only a POD Event — no
-  /// std::function construction per occurrence, which matters for the
-  /// fleet engine's 50 ms epoch tick (~100k+ reschedules per run).
-  /// Registrations live for the queue's lifetime (deque: stable slots,
-  /// so re-arming from inside the callback itself is safe).
-  RecurringId add_recurring(Callback fn) {
-    recurring_.push_back(std::move(fn));
-    return static_cast<RecurringId>(recurring_.size() - 1);
-  }
-
-  /// Arm a registered recurring callback at absolute time `at` (clamped
-  /// to now(), same rule as schedule()). One registration may be armed
-  /// multiple times concurrently; each arming fires once.
-  void schedule_recurring(RecurringId id, common::SimTime at) {
-    if (at < now_) at = now_;
-    events_.push(Event{at, seq_++, Callback{}, id});
-  }
-
-  /// Arm a registered recurring callback after a delay relative to now().
-  void schedule_recurring_in(RecurringId id, common::SimTime delay) {
-    schedule_recurring(id, now_ + delay);
-  }
-
   /// Pop and run the earliest event; returns false when empty.
   bool step() {
     if (events_.empty()) return false;
@@ -71,11 +42,7 @@ class EventQueue {
     Event ev = std::move(const_cast<Event&>(events_.top()));
     events_.pop();
     now_ = ev.at;
-    if (ev.recurring != kNoRecurring) {
-      recurring_[ev.recurring]();
-    } else {
-      ev.fn();
-    }
+    ev.fn();
     return true;
   }
 
@@ -87,35 +54,20 @@ class EventQueue {
     return n;
   }
 
-  /// Run every event with `at <= horizon`, leaving later events queued
-  /// and now() unchanged past the last fired event — advance the
-  /// calendar in bounded virtual-time slices without draining it.
-  /// @returns number of events processed.
-  std::uint64_t run_until(common::SimTime horizon) {
-    std::uint64_t n = 0;
-    while (!events_.empty() && events_.top().at <= horizon && step()) ++n;
-    return n;
-  }
-
   [[nodiscard]] common::SimTime now() const { return now_; }
   [[nodiscard]] bool empty() const { return events_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return events_.size(); }
 
  private:
   struct Event {
     common::SimTime at;
     std::uint64_t seq;
-    Callback fn;  // empty for recurring events
-    RecurringId recurring = kNoRecurring;
+    Callback fn;
     bool operator>(const Event& o) const {
       return at != o.at ? at > o.at : seq > o.seq;
     }
   };
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
-  // deque, not vector: push_back during dispatch (a callback registering
-  // another recurring event) must not invalidate the callback being run.
-  std::deque<Callback> recurring_;
   std::uint64_t seq_ = 0;
   common::SimTime now_;
 };

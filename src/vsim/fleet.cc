@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "compress/framing.h"
 #include "vsim/profile.h"
@@ -60,11 +59,6 @@ FleetEngine::FleetEngine(FleetConfig config)
       hard_stop_(SimTime::seconds(cfg_.horizon.to_seconds() *
                                   std::max(1.0, cfg_.drain_factor))) {
   if (cfg_.expected_flows > 0) flows_.reserve(cfg_.expected_flows);
-  if (const char* env = std::getenv("STRATO_FLEET_FULL_ALLOC");
-      env != nullptr && *env != '\0' && *env != '0') {
-    cfg_.full_alloc = true;
-  }
-  full_alloc_ = cfg_.full_alloc;
   runs_.resize(cfg_.tenants.size());
   metrics_.tenants.resize(cfg_.tenants.size());
   metrics_.goodput_all_mbit_s = common::Histogram(
@@ -102,10 +96,6 @@ FleetEngine::FleetEngine(FleetConfig config)
       behaviour_[static_cast<std::size_t>(l) * CodecModel::kNumClasses +
                  c] = cfg_.model.get(l, classes[c]);
     }
-  }
-  epoch_ev_ = queue_.add_recurring([this] { epoch_tick(); });
-  if (cfg_.drain_workers > 1) {
-    pool_.emplace(static_cast<std::size_t>(cfg_.drain_workers));
   }
 }
 
@@ -189,10 +179,20 @@ void FleetEngine::generate_arrivals(SimTime now) {
   for (std::size_t t = 0; t < cfg_.tenants.size(); ++t) {
     const TenantSpec& spec = cfg_.tenants[t];
     TenantRun& run = runs_[t];
+    // `spawned` includes initial_flows, so the limit may already be met
+    // before the first arrival; the post-spawn check marks the tenant
+    // exhausted as soon as an arrival reaches the limit.
+    const auto at_limit = [&] {
+      return spec.flow_limit > 0 && run.spawned >= spec.flow_limit;
+    };
     while (!run.exhausted && run.next_arrival <= now) {
+      if (at_limit()) {
+        run.exhausted = true;
+        break;
+      }
       const SimTime at = run.next_arrival;
       spawn_flow(static_cast<std::uint16_t>(t), at);
-      if (spec.flow_limit > 0 && run.spawned >= spec.flow_limit) {
+      if (at_limit()) {
         run.exhausted = true;
         break;
       }
@@ -225,13 +225,7 @@ void FleetEngine::admit(SimTime now) {
       // value now so a count-stable epoch can skip the rewrite pass (the
       // pass overwrites this when the count did change).
       if (tenant_per_tenant_[t]) flows_.weight[id] = tenant_flow_w_[t];
-      if (full_alloc_) {
-        // The combined interleaved list: the full allocator's weight-sum
-        // fold order follows it, so it must match pre-partition layout.
-        active_.push_back(id);
-      } else {
-        alloc_.add_flow(id, flows_.path[id]);
-      }
+      alloc_.add_flow(id, flows_.path[id]);
       if (flows_.kind[id] == FlowKind::kTransfer) {
         active_transfer_.push_back(id);
       } else {
@@ -285,13 +279,8 @@ void FleetEngine::recompute_rates(SimTime now) {
     alloc_.invalidate_weights();
   }
 
-  if (full_alloc_) {
-    alloc_.allocate(link_cap_, flows_.path, flows_.weight, active_,
-                    flows_.alloc_rate);
-  } else {
-    alloc_.allocate_incremental(link_cap_, caps_changed, flows_.path,
-                                flows_.weight, flows_.alloc_rate);
-  }
+  alloc_.allocate_incremental(link_cap_, caps_changed, flows_.path,
+                              flows_.weight, flows_.alloc_rate);
 
   // Sender-CPU bound: a flow cannot push wire bytes faster than its one
   // vCPU can compress them — wire rate <= comp_speed * wire_factor (the
@@ -306,59 +295,12 @@ void FleetEngine::recompute_rates(SimTime now) {
   }
 }
 
-void FleetEngine::drain_shard(std::size_t lo, std::size_t hi, SimTime from,
-                              SimTime epoch_end, double dt_s) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    const FlowTable::Id id = active_transfer_[i];
-    const TenantSpec& spec = cfg_.tenants[flows_.tenant[id]];
-    const double wf = flows_.wf[id];
-    const double raw_rate = std::max(1e-9, flows_.rate[id] / wf);
-    const double need_s = flows_.raw_remaining[id] / raw_rate;
-    const double adv_s = std::min(need_s, dt_s);
-    const double raw_moved =
-        std::min(flows_.raw_remaining[id], raw_rate * adv_s);
-    const double wire_moved = raw_moved * wf;
-    const double cpu = raw_moved / flows_.comp_speed[id] +
-                       wire_moved * io_cpu_s_per_byte_;
-
-    flows_.raw_remaining[id] -= raw_moved;
-    flows_.wire_bytes[id] += wire_moved;
-    flows_.cpu_s[id] += cpu;
-    flows_.meter[id].bytes += raw_moved;
-    d_raw_[i] = raw_moved;
-    d_wire_[i] = wire_moved;
-    d_cpu_[i] = cpu;
-    d_level_[i] = flows_.level[id];
-
-    if (flows_.raw_remaining[id] <= 1e-6) {
-      d_fin_[i] = from + SimTime::seconds(adv_s);
-      continue;
-    }
-    d_fin_[i] = SimTime::max();
-
-    // Close the decision window at epoch boundaries once >= t has
-    // elapsed — the paper's application-data-rate signal, per flow.
-    if (spec.policy.kind == TenantPolicy::Kind::kAdaptive) {
-      FlowMeter& m = flows_.meter[id];
-      if (epoch_end - m.window_start >= spec.policy.window) {
-        const double win_s =
-            std::max(1e-9, (epoch_end - m.window_start).to_seconds());
-        const core::Decision d = core::controller_step(
-            spec.policy.adaptive, flows_.ctrl[id], m.bytes / win_s);
-        if (static_cast<std::int8_t>(d.level) != flows_.level[id]) {
-          flows_.level[id] = static_cast<std::int8_t>(d.level);
-          refresh_flow_kernel(id);
-        }
-        m = FlowMeter{epoch_end, 0.0, true};
-      }
-    }
-  }
-}
-
-void FleetEngine::drain_serial(std::size_t lo, std::size_t hi, SimTime from,
-                               SimTime epoch_end, double dt_s) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    const FlowTable::Id id = active_transfer_[i];
+void FleetEngine::drain(SimTime from, SimTime dt) {
+  const SimTime epoch_end = from + dt;
+  const double dt_s = dt.to_seconds();
+  // Finishing flows mid-pass is safe: finish_flow leaves active_transfer_
+  // intact, and epoch_tick compacts it after the drain.
+  for (const FlowTable::Id id : active_transfer_) {
     const std::uint16_t t = flows_.tenant[id];
     const TenantSpec& spec = cfg_.tenants[t];
     TenantMetrics& tm = metrics_.tenants[t];
@@ -387,6 +329,8 @@ void FleetEngine::drain_serial(std::size_t lo, std::size_t hi, SimTime from,
       continue;
     }
 
+    // Close the decision window at epoch boundaries once >= t has
+    // elapsed — the paper's application-data-rate signal, per flow.
     if (spec.policy.kind == TenantPolicy::Kind::kAdaptive) {
       FlowMeter& m = flows_.meter[id];
       if (epoch_end - m.window_start >= spec.policy.window) {
@@ -401,58 +345,6 @@ void FleetEngine::drain_serial(std::size_t lo, std::size_t hi, SimTime from,
         m = FlowMeter{epoch_end, 0.0, true};
       }
     }
-  }
-}
-
-void FleetEngine::drain(SimTime from, SimTime dt) {
-  const SimTime epoch_end = from + dt;
-  const double dt_s = dt.to_seconds();
-
-  // Phase A — per-flow transfer math. Each iteration touches only its
-  // own flow's columns plus the index-parallel d_* scratch, so shards
-  // over contiguous index ranges are data-race free and the result is
-  // independent of the shard layout by construction.
-  const std::size_t n = active_transfer_.size();
-  constexpr std::size_t kMinShard = 64;  // below this, threads cost more
-  const std::size_t workers = pool_ ? pool_->size() : 1;
-  if (workers > 1 && n >= 2 * kMinShard) {
-    d_raw_.resize(n);
-    d_wire_.resize(n);
-    d_cpu_.resize(n);
-    d_level_.resize(n);
-    d_fin_.resize(n);
-    const std::size_t shards = std::min(workers, n / kMinShard);
-    shard_futs_.clear();
-    const std::size_t chunk = (n + shards - 1) / shards;
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::size_t lo = s * chunk;
-      const std::size_t hi = std::min(n, lo + chunk);
-      shard_futs_.push_back(pool_->submit(
-          [this, lo, hi, from, epoch_end, dt_s] {
-            drain_shard(lo, hi, from, epoch_end, dt_s);
-          }));
-    }
-    for (auto& f : shard_futs_) f.get();
-
-    // Phase B — serial accumulation in admission order: tenant byte/CPU
-    // sums are left folds over the same sequence the serial engine used,
-    // so the metrics digest is byte-identical for any worker count.
-    for (std::size_t i = 0; i < n; ++i) {
-      const FlowTable::Id id = active_transfer_[i];
-      TenantMetrics& tm = metrics_.tenants[flows_.tenant[id]];
-      tm.raw_bytes += d_raw_[i];
-      tm.wire_bytes += d_wire_[i];
-      tm.cpu_s += d_cpu_[i];
-      tm.raw_bytes_per_level[static_cast<std::size_t>(d_level_[i])] +=
-          d_raw_[i];
-      if (d_fin_[i] != SimTime::max()) finish_flow(id, d_fin_[i]);
-    }
-  } else {
-    // Serial: fuse both phases in one pass over the flows. Per-flow math
-    // is independent and finish_flow touches nothing a later flow's
-    // phase-A computation reads, so fusing is bitwise-equivalent to the
-    // sharded two-phase form — same addends folded in the same order.
-    drain_serial(0, n, from, epoch_end, dt_s);
   }
 
   // Dwell flows last: they contribute only integer counters and a max()
@@ -474,7 +366,7 @@ void FleetEngine::finish_flow(FlowTable::Id f, SimTime at) {
   flows_.alloc_rate[f] = 0.0;
   const std::uint16_t t = flows_.tenant[f];
   --tenant_active_[t];
-  if (!full_alloc_) alloc_.remove_flow(f, flows_.path[f]);
+  alloc_.remove_flow(f, flows_.path[f]);
   TenantMetrics& tm = metrics_.tenants[t];
   ++tm.completed;
   --runs_[t].in_flight;
@@ -497,8 +389,7 @@ bool FleetEngine::work_remains() const {
   return false;
 }
 
-void FleetEngine::epoch_tick() {
-  const SimTime now = queue_.now();
+void FleetEngine::epoch_tick(SimTime now) {
   ++metrics_.epochs;
   generate_arrivals(now);
   admit(now);
@@ -516,16 +407,6 @@ void FleetEngine::epoch_tick() {
   active_dwell_.erase(
       std::remove_if(active_dwell_.begin(), active_dwell_.end(), done),
       active_dwell_.end());
-  if (full_alloc_) {
-    active_.erase(std::remove_if(active_.begin(), active_.end(), done),
-                  active_.end());
-  }
-
-  if (work_remains() && now + cfg_.epoch <= hard_stop_) {
-    // Pre-bound recurring event: re-arming pushes a POD entry, no
-    // per-epoch std::function allocation.
-    queue_.schedule_recurring_in(epoch_ev_, cfg_.epoch);
-  }
 }
 
 FleetMetrics FleetEngine::run() {
@@ -534,8 +415,12 @@ FleetMetrics FleetEngine::run() {
       spawn_flow(static_cast<std::uint16_t>(t), SimTime());
     }
   }
-  queue_.schedule_recurring(epoch_ev_, SimTime());
-  queue_.run();
+  // Another epoch runs only while work remains and it starts no later
+  // than the hard stop.
+  for (SimTime now;; now = now + cfg_.epoch) {
+    epoch_tick(now);
+    if (!work_remains() || now + cfg_.epoch > hard_stop_) break;
+  }
 
   for (const TenantMetrics& tm : metrics_.tenants) {
     metrics_.completion_all_s.merge(tm.completion_s);
@@ -545,12 +430,6 @@ FleetMetrics FleetEngine::run() {
   }
   metrics_.flows_total = flows_.size();
   return metrics_;
-}
-
-TransferResult FleetEngine::run_degenerate(const TransferConfig& config,
-                                           core::CompressionPolicy& policy) {
-  SimMetricsProvider metrics;
-  return run_transfer_blocks(config, policy, metrics);
 }
 
 std::string FleetMetrics::to_json() const {

@@ -8,17 +8,17 @@
 // max-min across tenants, and admission control bounds each tenant's
 // in-flight flow count.
 //
-// Advancement is *batched*: instead of one event-queue closure per flow
-// step, the engine schedules one epoch event (default 50 ms of virtual
-// time). Each epoch it
+// Advancement is *batched*: instead of one event per flow step, run()
+// steps a plain loop over epoch times (default 50 ms of virtual time).
+// Each epoch it
 //
 //   1. materializes newly arrived flows (per-tenant Poisson processes,
 //      drawn lazily — no per-arrival events),
 //   2. admits pending flows FIFO up to each tenant's in-flight cap
 //      (rejecting beyond the queue bound),
 //   3. recomputes every link's fluctuating capacity and all flow rates in
-//      one weighted max-min pass (MaxMinAllocator), clamps each flow by
-//      its sender-CPU compression-throughput bound,
+//      one incremental weighted max-min pass (MaxMinAllocator), clamps
+//      each flow by its sender-CPU compression-throughput bound,
 //   4. drains bytes, charges CPU, closes controller decision windows
 //      (application-data-rate only, exactly the paper's signal), and
 //   5. retires finished flows into FleetMetrics.
@@ -27,29 +27,28 @@
 // byte-identical FleetMetrics JSON. A 100k-flow day takes seconds of
 // wall clock (see bench_fleet_scale).
 //
-// The degenerate case — one transfer on a single-link topology — does
-// not go through the fluid epochs at all: run_degenerate() executes the
-// identical per-block recurrence as TransferExperiment (shared
-// run_transfer_blocks), so the Table II calibration is untouched.
+// The degenerate case — one transfer on a single link — is not a fleet
+// run: TransferExperiment (run_transfer_blocks in transfer.h) executes
+// the calibrated per-block recurrence behind Table II. On the
+// single-link topology this engine's max-min shares reproduce
+// SharedLink's contention formula (vsim_fleet_test).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/sim_time.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "core/controller.h"
 #include "vsim/bgtraffic.h"
 #include "vsim/codec_model.h"
-#include "vsim/event_queue.h"
 #include "vsim/flow_table.h"
+#include "vsim/link.h"
+#include "vsim/profile.h"
 #include "vsim/topology.h"
-#include "vsim/transfer.h"
 
 namespace strato::vsim {
 
@@ -130,7 +129,7 @@ struct FleetConfig {
   common::SimTime epoch = common::SimTime::ms(50);
   /// Arrivals stop at the horizon; the run then drains in-flight flows.
   common::SimTime horizon = common::SimTime::seconds(600);
-  /// Safety stop: no epoch is scheduled past horizon * drain_factor.
+  /// Safety stop: no epoch runs past horizon * drain_factor.
   double drain_factor = 20.0;
   std::uint64_t seed = 1;
   std::size_t block_size = 128 * 1024;  ///< framing-overhead granularity
@@ -140,13 +139,6 @@ struct FleetConfig {
   double goodput_hist_max_mbit_s = 1000.0;
   std::size_t goodput_hist_buckets = 50;
   std::size_t expected_flows = 0;  ///< FlowTable reserve hint
-  /// Drain worker threads (1 = serial). Any count produces byte-identical
-  /// FleetMetrics: the parallel phase writes only per-flow columns, and
-  /// all cross-flow accumulation stays serial in admission order.
-  int drain_workers = 1;
-  /// Force the full-rebuild MaxMinAllocator path every epoch (reference
-  /// behaviour; also enabled by STRATO_FLEET_FULL_ALLOC=1 in env).
-  bool full_alloc = false;
 };
 
 /// Aggregates for one tenant.
@@ -191,13 +183,6 @@ class FleetEngine {
   /// Run the fleet to completion (or the drain-factor safety stop).
   FleetMetrics run();
 
-  /// The degenerate single-link configuration: executes the identical
-  /// per-block recurrence as TransferExperiment::run (shared
-  /// run_transfer_blocks), bypassing the fluid epochs entirely — the
-  /// Table II calibration scenarios reproduce exactly.
-  static TransferResult run_degenerate(const TransferConfig& config,
-                                       core::CompressionPolicy& policy);
-
   [[nodiscard]] const FleetConfig& config() const { return cfg_; }
 
  private:
@@ -216,32 +201,19 @@ class FleetEngine {
   void admit(common::SimTime now);
   void recompute_rates(common::SimTime now);
   void drain(common::SimTime from, common::SimTime dt);
-  /// Phase A of the drain: per-flow byte/CPU/controller math for
-  /// active_transfer_[lo, hi). Writes only per-flow columns and the
-  /// index-parallel d_* scratch — safe to run on concurrent shards.
-  void drain_shard(std::size_t lo, std::size_t hi, common::SimTime from,
-                   common::SimTime epoch_end, double dt_s);
-  /// Fused serial form of phase A + phase B (bitwise-equivalent; see
-  /// drain()) — the fast path when no pool is sharding the epoch.
-  void drain_serial(std::size_t lo, std::size_t hi, common::SimTime from,
-                    common::SimTime epoch_end, double dt_s);
   /// Re-derive the cached (wf, comp_speed, cpu_bound) triple for one
   /// flow from its current level — at spawn and on level switches only.
   void refresh_flow_kernel(std::uint32_t f);
   void finish_flow(std::uint32_t f, common::SimTime at);
   [[nodiscard]] bool work_remains() const;
-  void epoch_tick();
+  void epoch_tick(common::SimTime now);
 
   FleetConfig cfg_;
   FlowTable flows_;
   LinkBank bank_;
   MaxMinAllocator alloc_;
-  EventQueue queue_;
   std::vector<TenantRun> runs_;
-  /// Active ids partitioned by kind (each in admission order); the
-  /// combined interleaved list survives only for the full-alloc path,
-  /// whose weight-sum fold order follows it.
-  std::vector<std::uint32_t> active_;           ///< full-alloc mode only
+  /// Active ids partitioned by kind, each in admission order.
   std::vector<std::uint32_t> active_transfer_;
   std::vector<std::uint32_t> active_dwell_;
   std::vector<double> link_cap_;
@@ -253,20 +225,9 @@ class FleetEngine {
   /// Flat per-(level, class) behaviour copies (CodecModel::get without
   /// the bounds-checked map walk) feeding refresh_flow_kernel.
   std::vector<LevelBehaviour> behaviour_;
-  // Drain scratch, index-parallel with active_transfer_ (phase A writes,
-  // phase B folds serially in admission order).
-  std::vector<double> d_raw_;
-  std::vector<double> d_wire_;
-  std::vector<double> d_cpu_;
-  std::vector<std::int8_t> d_level_;
-  std::vector<common::SimTime> d_fin_;  ///< SimTime::max() = not finished
-  std::optional<common::ThreadPool> pool_;
-  std::vector<std::future<void>> shard_futs_;
-  EventQueue::RecurringId epoch_ev_ = EventQueue::kNoRecurring;
   FleetMetrics metrics_;
   double io_cpu_s_per_byte_ = 0.0;
   common::SimTime hard_stop_;
-  bool full_alloc_ = false;
 };
 
 }  // namespace strato::vsim

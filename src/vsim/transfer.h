@@ -119,9 +119,8 @@ class SimMetricsProvider final : public core::SystemMetricsProvider {
 
 /// The per-block recurrence of Section IV as a free function: streams
 /// config.total_bytes through `policy` and returns the result. This is
-/// THE calibrated code path — TransferExperiment::run and
-/// FleetEngine::run_degenerate both delegate here, so the single-link
-/// degenerate fleet reproduces Table II bit-for-bit.
+/// THE calibrated code path behind Table II; TransferExperiment::run
+/// delegates here.
 TransferResult run_transfer_blocks(const TransferConfig& config,
                                    core::CompressionPolicy& policy,
                                    SimMetricsProvider& metrics);

@@ -1,6 +1,6 @@
 // EventQueue invariants: ordering, FIFO tie-breaking, the past-time
 // clamp (regression: a `schedule(at < now())` used to make now() jump
-// backward in step()), and the bounded-horizon runner.
+// backward in step()), and the bounded run().
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -63,21 +63,6 @@ TEST(EventQueue, ClampedEventsKeepFifoOrderAtNow) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(EventQueue, RunUntilLeavesLaterEventsQueued) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(SimTime::ms(1), [&] { ++fired; });
-  q.schedule(SimTime::ms(2), [&] { ++fired; });
-  q.schedule(SimTime::ms(50), [&] { ++fired; });
-  EXPECT_EQ(q.run_until(SimTime::ms(10)), 2u);
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_EQ(q.now(), SimTime::ms(2));
-  EXPECT_EQ(q.run_until(SimTime::ms(100)), 1u);
-  EXPECT_EQ(fired, 3);
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(EventQueue, RunCountsAndBounds) {
   EventQueue q;
   int fired = 0;
@@ -88,66 +73,6 @@ TEST(EventQueue, RunCountsAndBounds) {
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(q.run(), 2u);
   EXPECT_EQ(fired, 5);
-}
-
-// ---------------------------------------------------------------------------
-// Recurring events: the callback is bound once at registration; each
-// re-arm pushes only a POD heap entry (the fleet engine's per-epoch
-// tick relies on this to avoid a std::function allocation per epoch).
-// ---------------------------------------------------------------------------
-
-TEST(EventQueueRecurring, RearmsFromInsideItsOwnCallback) {
-  EventQueue q;
-  std::vector<SimTime> fired_at;
-  EventQueue::RecurringId id = EventQueue::kNoRecurring;
-  id = q.add_recurring([&] {
-    fired_at.push_back(q.now());
-    if (fired_at.size() < 3) {
-      q.schedule_recurring_in(id, SimTime::ms(10));
-    }
-  });
-  q.schedule_recurring(id, SimTime::ms(5));
-  q.run();
-  EXPECT_EQ(fired_at, (std::vector<SimTime>{SimTime::ms(5), SimTime::ms(15),
-                                            SimTime::ms(25)}));
-}
-
-TEST(EventQueueRecurring, PastTimeScheduleClampsToNow) {
-  EventQueue q;
-  std::vector<SimTime> fired_at;
-  const auto id = q.add_recurring([&] { fired_at.push_back(q.now()); });
-  q.schedule(SimTime::ms(10), [&] {
-    q.schedule_recurring(id, SimTime::ms(3));  // past: clamps to 10ms
-  });
-  q.run();
-  ASSERT_EQ(fired_at.size(), 1u);
-  EXPECT_EQ(fired_at[0], SimTime::ms(10));
-  EXPECT_EQ(q.now(), SimTime::ms(10));
-}
-
-TEST(EventQueueRecurring, InterleavesWithOneShotEventsInFifoOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  const auto id = q.add_recurring([&] { order.push_back(1); });
-  q.schedule(SimTime::ms(10), [&] { order.push_back(0); });
-  q.schedule_recurring(id, SimTime::ms(10));  // same time, scheduled later
-  q.schedule(SimTime::ms(10), [&] { order.push_back(2); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(EventQueueRecurring, MultipleRegistrationsStayIndependent) {
-  EventQueue q;
-  int a = 0;
-  int b = 0;
-  const auto ia = q.add_recurring([&] { ++a; });
-  const auto ib = q.add_recurring([&] { ++b; });
-  q.schedule_recurring(ia, SimTime::ms(1));
-  q.schedule_recurring(ib, SimTime::ms(2));
-  q.schedule_recurring(ib, SimTime::ms(3));  // same id armed twice: fires twice
-  q.run();
-  EXPECT_EQ(a, 1);
-  EXPECT_EQ(b, 2);
 }
 
 }  // namespace

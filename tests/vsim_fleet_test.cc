@@ -1,69 +1,21 @@
-// Fleet-engine invariants: deterministic replay, the degenerate
-// single-link identity with TransferExperiment, weighted max-min shares,
-// per-tenant fairness, and admission control.
+// Fleet-engine invariants: deterministic replay, weighted max-min shares
+// (the single-link case against SharedLink's formula), per-tenant
+// fairness, admission control, the flow limit and the hard stop.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/policy.h"
 #include "vsim/fleet.h"
 #include "vsim/link.h"
+#include "vsim/profile.h"
 #include "vsim/topology.h"
-#include "vsim/transfer.h"
 
 namespace strato::vsim {
 namespace {
 
 using common::SimTime;
-
-// ---------------------------------------------------------------------------
-// Degenerate identity: the single-transfer path must be THE calibrated
-// TransferExperiment code path, not a fluid approximation of it.
-// ---------------------------------------------------------------------------
-
-TEST(FleetDegenerate, MatchesTransferExperimentExactly) {
-  for (const auto cls :
-       {corpus::Compressibility::kHigh, corpus::Compressibility::kModerate,
-        corpus::Compressibility::kLow}) {
-    for (const int bg : {0, 4}) {
-      TransferConfig cfg;
-      cfg.data = cls;
-      cfg.bg_flows = bg;
-      cfg.total_bytes = 200'000'000ULL;
-      cfg.seed = 17;
-
-      core::StaticPolicy a(0, "NO");
-      core::StaticPolicy b(0, "NO");
-      const TransferResult want = TransferExperiment(cfg).run(a);
-      const TransferResult got = FleetEngine::run_degenerate(cfg, b);
-      EXPECT_DOUBLE_EQ(got.completion_s, want.completion_s)
-          << corpus::to_string(cls) << " bg=" << bg;
-      EXPECT_EQ(got.raw_bytes, want.raw_bytes);
-      EXPECT_EQ(got.wire_bytes, want.wire_bytes);
-    }
-  }
-}
-
-TEST(FleetDegenerate, MatchesTransferExperimentUnderDynamicPolicy) {
-  TransferConfig cfg;
-  cfg.data = corpus::Compressibility::kHigh;
-  cfg.bg_flows = 6;
-  cfg.total_bytes = 500'000'000ULL;
-  cfg.seed = 3;
-
-  core::AdaptivePolicy a({}, SimTime::seconds(2));
-  core::AdaptivePolicy b({}, SimTime::seconds(2));
-  const TransferResult want = TransferExperiment(cfg).run(a);
-  const TransferResult got = FleetEngine::run_degenerate(cfg, b);
-  EXPECT_DOUBLE_EQ(got.completion_s, want.completion_s);
-  EXPECT_EQ(got.wire_bytes, want.wire_bytes);
-  ASSERT_EQ(got.blocks_per_level.size(), want.blocks_per_level.size());
-  for (std::size_t l = 0; l < want.blocks_per_level.size(); ++l) {
-    EXPECT_EQ(got.blocks_per_level[l], want.blocks_per_level[l]) << l;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Max-min allocation.
@@ -274,6 +226,47 @@ TEST(Fleet, AdmissionControlRejectsBeyondQueueBound) {
   EXPECT_EQ(tm.completed, tm.admitted);
 }
 
+TEST(Fleet, FlowLimitCountsInitialFlows) {
+  // initial_flows already reach flow_limit, so the arrival process must
+  // not spawn another flow.
+  FleetConfig cfg;
+  cfg.topology = Topology::single(profile(VirtTech::kKvmPara));
+  cfg.horizon = SimTime::seconds(2);
+
+  TenantSpec t;
+  t.policy = TenantPolicy::fixed(0);
+  t.initial_flows = 3;
+  t.flow_limit = 3;
+  t.arrival_per_s = 100.0;
+  cfg.tenants.push_back(t);
+
+  const FleetMetrics m = FleetEngine(cfg).run();
+  EXPECT_EQ(m.tenants[0].spawned, 3u);
+}
+
+TEST(Fleet, HardStopEndsRunWithFlowsInFlight) {
+  // One flow far too large to finish: the run ends at horizon *
+  // drain_factor, and the epoch that starts exactly at the stop still
+  // runs.
+  FleetConfig cfg;
+  cfg.topology = Topology::single(profile(VirtTech::kKvmPara));
+  cfg.horizon = SimTime::seconds(1);
+  cfg.drain_factor = 1.0;
+
+  TenantSpec t;
+  t.policy = TenantPolicy::fixed(0);
+  t.arrival_per_s = 0.0;
+  t.initial_flows = 1;
+  t.mean_flow_bytes = 1ull << 40;
+  t.min_flow_bytes = 1ull << 40;
+  cfg.tenants.push_back(t);
+
+  const FleetMetrics m = FleetEngine(cfg).run();
+  EXPECT_EQ(m.epochs, 21u);  // epochs at 0, 50, ..., 1000 ms
+  EXPECT_EQ(m.tenants[0].admitted, 1u);
+  EXPECT_EQ(m.flows_completed, 0u);
+}
+
 TEST(Fleet, BackgroundTenantIsJustAnotherTenant) {
   const FleetMetrics m = FleetEngine(small_fleet(31)).run();
   const TenantMetrics& bg = m.tenants[2];
@@ -337,34 +330,6 @@ TEST(FleetGolden, PreOptimizationDigestsReproduce) {
             0xb88751d8cf3c405cULL);
   EXPECT_EQ(fnv1a(FleetEngine(medium_fleet(5)).run().to_json()),
             0xa641e245520e92fbULL);
-}
-
-// The config-flag route to the reference allocator (the env var
-// STRATO_FLEET_FULL_ALLOC=1 sets the same flag) agrees with the
-// incremental default.
-TEST(FleetGolden, FullAllocFlagIsBitIdentical) {
-  FleetConfig cfg = medium_fleet(5);
-  cfg.full_alloc = true;
-  EXPECT_EQ(fnv1a(FleetEngine(cfg).run().to_json()),
-            0xa641e245520e92fbULL);
-}
-
-// ---------------------------------------------------------------------------
-// Sharded drain: any worker count must be byte-identical to serial —
-// the parallel phase writes only per-flow state, and all cross-flow
-// accumulation happens serially in admission order.
-// ---------------------------------------------------------------------------
-
-TEST(FleetShardedDrain, DigestInvariantAcrossWorkerCounts) {
-  FleetConfig base = medium_fleet(5);
-  const std::string serial = FleetEngine(base).run().to_json();
-  EXPECT_EQ(fnv1a(serial), 0xa641e245520e92fbULL);
-  for (const int workers : {2, 4, 8}) {
-    FleetConfig cfg = medium_fleet(5);
-    cfg.drain_workers = workers;
-    EXPECT_EQ(FleetEngine(cfg).run().to_json(), serial)
-        << "drain_workers=" << workers;
-  }
 }
 
 }  // namespace
