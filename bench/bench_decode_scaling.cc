@@ -30,7 +30,6 @@ using strato::bench::appendf;
 using strato::common::Bytes;
 using strato::common::ByteSpan;
 using strato::compress::CodecRegistry;
-using strato::compress::DecodePipelineConfig;
 using strato::compress::ParallelBlockDecodePipeline;
 
 constexpr std::size_t kBlockSize = 128 * 1024;
@@ -67,8 +66,7 @@ struct RunResult {
 RunResult run_once(const CodecRegistry& registry, const Bytes& wire,
                    std::size_t workers) {
   RunResult r;
-  ParallelBlockDecodePipeline pipeline(
-      registry, DecodePipelineConfig{workers, /*depth=*/0, /*segment=*/0});
+  ParallelBlockDecodePipeline pipeline(registry, {.worker_count = workers});
   strato::common::Xxh64State hash;
   const auto start = std::chrono::steady_clock::now();
   std::size_t off = 0;
@@ -101,8 +99,7 @@ bool identity_check(const CodecRegistry& registry, const Bytes& wire) {
   std::vector<Bytes> expect;
   while (auto b = serial.next_block()) expect.push_back(std::move(*b));
 
-  ParallelBlockDecodePipeline pipeline(registry,
-                                       DecodePipelineConfig{4, 0, 0});
+  ParallelBlockDecodePipeline pipeline(registry, {.worker_count = 4});
   pipeline.feed(wire);
   std::size_t i = 0;
   while (const auto block = pipeline.next_block()) {

@@ -29,7 +29,6 @@ using strato::bench::appendf;
 using strato::common::Bytes;
 using strato::compress::CodecRegistry;
 using strato::compress::ParallelBlockPipeline;
-using strato::compress::PipelineConfig;
 
 constexpr std::size_t kBlockSize = 128 * 1024;
 constexpr int kLevel = 2;  // MEDIUM: enough codec work for scaling to show
@@ -54,7 +53,7 @@ RunResult run_once(const CodecRegistry& registry,
                    const std::vector<Bytes>& blocks, std::size_t workers) {
   RunResult r;
   ParallelBlockPipeline pipeline(
-      registry, PipelineConfig{workers, /*depth=*/0},
+      registry, workers,
       [&](strato::common::ByteSpan frame, std::size_t, int) {
         r.wire_bytes += frame.size();
       });
@@ -86,7 +85,7 @@ bool identity_check(const CodecRegistry& registry) {
     }
     std::vector<Bytes> parallel;
     ParallelBlockPipeline pipeline(
-        registry, PipelineConfig{4, 0},
+        registry, 4,
         [&](strato::common::ByteSpan frame, std::size_t, int) {
           parallel.emplace_back(frame.begin(), frame.end());
         });

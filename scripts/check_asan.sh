@@ -35,9 +35,11 @@ TESTS=(
   fault_injection_test
   core_transport_test
   transport_soak_test
+  # The event queue under the packet-level DES (vsim/packet_sim): heap
+  # bookkeeping under ASan.
+  vsim_event_queue_test
   # ctest -L fleet slice: SoA column indexing under ASan guards against
   # any phase/id bookkeeping bug turning into out-of-bounds column reads.
-  vsim_event_queue_test
   vsim_alloc_test
   vsim_fleet_test
 )

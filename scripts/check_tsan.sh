@@ -24,9 +24,10 @@ TESTS=(
   dataflow_channel_test
   verify_oracle_test
   verify_chaos_test
+  # The event queue under the packet-level DES (vsim/packet_sim).
+  vsim_event_queue_test
   # ctest -L fleet slice: single-threaded by design, but the fleet engine
   # shares codecs/stats with concurrent layers — keep it sanitizer-clean.
-  vsim_event_queue_test
   vsim_alloc_test
   vsim_fleet_test
 )

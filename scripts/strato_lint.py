@@ -77,6 +77,11 @@ into every presubmit script (check_static.sh runs this first):
                    `.gauge(`) are banned — metrics::BlockCounters resolves
                    every name a front-end publishes, so none grows a
                    private tally again.
+  env              environment reads have two homes: std::getenv (and
+                   secure_getenv) is banned in src/ outside
+                   common/simd.h (the STRATO_SIMD dispatch override) and
+                   verify/seed.h (the replayable test seeds), so a new
+                   env knob needs an explicit review.
   pragma-once      every header starts with #pragma once.
   using-namespace  `using namespace std` is banned in src/.
   include-path     project includes are "dir/file.h" from the src/ root:
@@ -140,6 +145,9 @@ ENCODE_ALLOWED_PREFIXES = ("compress/framing.", "compress/pipeline.")
 # place registry names are resolved.
 COUNTERS_BANNED_PREFIX = "core/"
 
+# The sanctioned readers of the environment.
+ENV_ALLOWED = {"common/simd.h", "verify/seed.h"}
+
 RULES = {
     "wallclock": [
         (re.compile(r"system_clock"), "std::chrono::system_clock"),
@@ -201,6 +209,11 @@ RULES = {
         (re.compile(r"(?:\.|->)\s*(?:counter|gauge)\s*\("),
          "MetricRegistry name resolution in a stream front-end (count "
          "through metrics::BlockCounters)"),
+    ],
+    "env": [
+        (re.compile(r"(?<![A-Za-z0-9_])(?:std::)?(?:secure_)?getenv\s*\("),
+         "environment read outside common/simd.h and verify/seed.h (a new "
+         "env knob needs review)"),
     ],
     "using-namespace": [
         (re.compile(r"\busing\s+namespace\s+std\b"), "using namespace std"),
@@ -585,6 +598,8 @@ def lint_file(path: Path, rel: str):
             check("encode", RULES["encode"])
         if rel.startswith(COUNTERS_BANNED_PREFIX):
             check("counters", RULES["counters"])
+        if rel not in ENV_ALLOWED:
+            check("env", RULES["env"])
         check("using-namespace", RULES["using-namespace"])
         check("include-path", RULES["include-path"])
 
@@ -636,6 +651,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("core/bad_socket.cc", "socket"): 4,
     ("core/bad_encode.cc", "encode"): 2,
     ("core/bad_counters.cc", "counters"): 4,
+    ("core/bad_env.cc", "env"): 3,
     ("compress/bad_simd.cc", "simd"): 5,
     ("vsim/fleet.cc", "fleet-alloc"): 3,
     ("compress/bad_lifetime.cc", "lifetime"): 6,

@@ -1,6 +1,5 @@
 #include "common/buffer_pool.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -44,33 +43,18 @@ void asan_unpoison_region(const Bytes& buf) {
 #endif
 }
 
-/// Build default (STRATO_POOL_POISON_DEFAULT_ON in Debug/sanitizer
-/// builds), overridden by STRATO_POOL_POISON=0/1 in the environment.
-bool default_poison() {
+/// Build default: on in Debug/sanitizer builds.
 #if defined(STRATO_POOL_POISON_DEFAULT_ON)
-  bool on = true;
+constexpr bool kDefaultPoison = true;
 #else
-  bool on = false;
+constexpr bool kDefaultPoison = false;
 #endif
-  if (const char* env = std::getenv("STRATO_POOL_POISON")) {
-    on = !(env[0] == '0' && env[1] == '\0');
-  }
-  return on;
-}
-
-std::size_t default_quarantine() {
-  if (const char* env = std::getenv("STRATO_POOL_QUARANTINE")) {
-    return static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
-  }
-  return 0;
-}
 
 }  // namespace
 
 BufferPool::BufferPool(std::size_t max_buffers)
     : max_buffers_(max_buffers == 0 ? 1 : max_buffers),
-      poison_(default_poison()),
-      quarantine_depth_(default_quarantine()) {
+      poison_(kDefaultPoison) {
   // Locked even though the pool is not yet shared: the analysis (and the
   // guarded_by contract) make no constructor exception.
   MutexLock lk(mu_);

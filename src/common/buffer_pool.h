@@ -13,11 +13,11 @@
 // is machine-checked at three layers — STRATO_LIFETIME_BOUND annotations
 // (compile time, Clang), the strato-lint `lifetime` flow rule (lint time),
 // and this pool's debug mode (run time): when poisoning is enabled
-// (default-on in Debug and sanitizer builds, STRATO_POOL_POISON=0/1
-// overrides), release() stamps the buffer with kPoisonByte, bumps its
-// generation tag, optionally parks it in a quarantine FIFO to delay reuse,
-// and — under AddressSanitizer — poisons the memory region so any stale
-// span dereference aborts deterministically instead of shipping a corrupt
+// (default-on in Debug and sanitizer builds, set_poison() overrides),
+// release() stamps the buffer with kPoisonByte, bumps its generation
+// tag, optionally parks it in a quarantine FIFO to delay reuse, and —
+// under AddressSanitizer — poisons the memory region so any stale span
+// dereference aborts deterministically instead of shipping a corrupt
 // frame. acquire() unpoisons before handing the buffer back out.
 //
 // Thread-safe: the parallel pipeline's workers acquire/release frames
@@ -63,17 +63,15 @@ class BufferPool {
   void release(Bytes buf);
 
   /// Poison-on-release debug mode. Defaults to the build-wide setting
-  /// (STRATO_POOL_POISON_DEFAULT_ON in Debug/sanitizer builds) overridden
-  /// by the STRATO_POOL_POISON=0/1 environment variable; this call
-  /// overrides both for this pool.
+  /// (STRATO_POOL_POISON_DEFAULT_ON in Debug/sanitizer builds); this call
+  /// overrides it for this pool.
   void set_poison(bool enabled);
   [[nodiscard]] bool poison_enabled() const;
 
   /// Quarantine FIFO depth: released buffers pass through a FIFO of this
   /// many buffers before re-entering the free list, so a stale span keeps
   /// pointing at poisoned (ASan: inaccessible) memory for longer instead
-  /// of silently aliasing the next acquire. 0 disables (default; the
-  /// STRATO_POOL_QUARANTINE environment variable sets the initial depth).
+  /// of silently aliasing the next acquire. 0 disables (default).
   void set_quarantine(std::size_t depth);
 
   /// Generation tag of the pooled allocation starting at `data`: bumped on
@@ -114,7 +112,7 @@ class BufferPool {
   std::vector<Bytes> free_ STRATO_GUARDED_BY(mu_);
   std::size_t max_buffers_;
   bool poison_ STRATO_GUARDED_BY(mu_);
-  std::size_t quarantine_depth_ STRATO_GUARDED_BY(mu_);
+  std::size_t quarantine_depth_ STRATO_GUARDED_BY(mu_) = 0;
   std::deque<Bytes> quarantine_ STRATO_GUARDED_BY(mu_);
   /// data() pointer -> generation tag. Populated only in poison mode;
   /// entries die when their buffer is dropped from the pool.

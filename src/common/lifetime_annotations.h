@@ -20,7 +20,8 @@
 //                 not be stored to members/globals or used across a
 //                 release()/commit() point without an allow())
 //   run time      BufferPool poison-on-release + generation tags
-//                 (STRATO_POOL_POISON), fatal under the ASan gate
+//                 (STRATO_POOL_POISON_DEFAULT_ON), fatal under the ASan
+//                 gate
 //
 // Usage:
 //   ByteSpan span() const STRATO_LIFETIME_BOUND;          // borrows *this

@@ -25,6 +25,7 @@ class TokenBucket {
   /// Update the sustained rate (bytes/second) without losing credit.
   void set_rate(double rate_bytes_per_sec) { rate_ = rate_bytes_per_sec; }
   [[nodiscard]] double rate() const { return rate_; }
+  [[nodiscard]] double burst() const { return burst_; }
 
   /// Try to consume `n` bytes at time `now`. Returns true on success.
   [[nodiscard]] bool try_consume(std::uint64_t n, SimTime now) {

@@ -7,19 +7,10 @@
 
 namespace strato::compress {
 
-namespace {
-
-std::size_t coerce_depth(const DecodePipelineConfig& cfg) {
-  if (cfg.depth != 0) return cfg.depth;
-  return 2 * std::max<std::size_t>(std::size_t{1}, cfg.worker_count);
-}
-
-}  // namespace
-
 ParallelBlockDecodePipeline::ParallelBlockDecodePipeline(
     const CodecRegistry& registry, DecodePipelineConfig config)
     : registry_(registry),
-      depth_(coerce_depth(config)),
+      depth_(2 * std::max<std::size_t>(1, config.worker_count)),
       segment_size_(config.segment_size == 0 ? kDefaultDecodeSegmentSize
                                              : config.segment_size),
       slots_(depth_),

@@ -57,13 +57,12 @@
 
 namespace strato::compress {
 
-/// Sizing knobs (surfaced as DecompressionSpec::worker_count on streams).
+/// Sizing knobs. The reorder window holds 2 × max(1, worker_count)
+/// blocks decoding at once.
 struct DecodePipelineConfig {
   /// Decode worker threads. <= 1 decodes inline on the feeding thread
   /// (no threads are created) — the serial baseline.
   std::size_t worker_count = 1;
-  /// Reorder-window depth = max blocks decoding at once; 0 = 2 * workers.
-  std::size_t depth = 0;
   /// Receive-segment reserve size; 0 = kDefaultDecodeSegmentSize. Frames
   /// larger than a segment get a dedicated segment sized to fit.
   std::size_t segment_size = 0;

@@ -8,27 +8,18 @@
 
 namespace strato::compress {
 
-namespace {
-
-std::size_t coerce_depth(const PipelineConfig& cfg) {
-  if (cfg.depth != 0) return cfg.depth;
-  return 2 * std::max<std::size_t>(std::size_t{1}, cfg.worker_count);
-}
-
-}  // namespace
-
 ParallelBlockPipeline::ParallelBlockPipeline(const CodecRegistry& registry,
-                                             PipelineConfig config,
+                                             std::size_t worker_count,
                                              FrameSink sink)
     : registry_(registry),
       sink_(std::move(sink)),
-      depth_(coerce_depth(config)),
+      depth_(2 * std::max<std::size_t>(1, worker_count)),
       slots_(depth_),
       // raw + frame per in-flight block, both usually back in the free
       // list while a block is between acquire points.
       pool_(2 * depth_ + 2),
-      workers_(config.worker_count > 1
-                   ? std::make_unique<common::ThreadPool>(config.worker_count)
+      workers_(worker_count > 1
+                   ? std::make_unique<common::ThreadPool>(worker_count)
                    : nullptr) {}
 
 ParallelBlockPipeline::~ParallelBlockPipeline() {

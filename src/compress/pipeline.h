@@ -19,10 +19,10 @@
 //     the decision model stays app-data-rate-only, per the paper;
 //   * workers only compress; they never touch the sink.
 //
-// Memory is bounded by the reorder window: at most `depth` blocks are
-// in flight (raw copy + frame each), all recycled through a BufferPool.
-// submit() blocks when the window is full — that backpressure is exactly
-// what the application data rate measurement needs to see.
+// Memory is bounded by the reorder window: at most 2 × workers blocks
+// are in flight (raw copy + frame each), all recycled through a
+// BufferPool. submit() blocks when the window is full — that backpressure
+// is exactly what the application data rate measurement needs to see.
 //
 // worker_count <= 1 runs no threads at all, like the decode pipeline:
 // submit() encodes straight from the caller's payload into one reused
@@ -46,16 +46,6 @@
 
 namespace strato::compress {
 
-/// Pipeline sizing knobs (surfaced as CompressionSpec::worker_count /
-/// pipeline_depth on channels).
-struct PipelineConfig {
-  /// Compression worker threads; <= 1 encodes inline on the submitting
-  /// thread (no threads are created).
-  std::size_t worker_count = 1;
-  /// Reorder-window depth = max blocks in flight; 0 = 2 * worker_count.
-  std::size_t depth = 0;
-};
-
 class ParallelBlockPipeline {
  public:
   /// Receives each completed frame in submission order, on the submitting
@@ -63,8 +53,12 @@ class ParallelBlockPipeline {
   using FrameSink = std::function<void(
       common::ByteSpan frame, std::size_t raw_size, int level)>;
 
-  ParallelBlockPipeline(const CodecRegistry& registry, PipelineConfig config,
-                        FrameSink sink);
+  /// @param worker_count compression threads; <= 1 encodes inline on the
+  ///                     submitting thread (no threads are created). The
+  ///                     reorder window holds 2 × max(1, worker_count)
+  ///                     blocks.
+  ParallelBlockPipeline(const CodecRegistry& registry,
+                        std::size_t worker_count, FrameSink sink);
   ~ParallelBlockPipeline();
 
   ParallelBlockPipeline(const ParallelBlockPipeline&) = delete;

@@ -9,16 +9,14 @@ CompressingWriter::CompressingWriter(ByteSink& sink,
                                      CompressionPolicy& policy,
                                      const common::Clock& clock,
                                      std::size_t block_size,
-                                     std::size_t worker_count,
-                                     std::size_t pipeline_depth)
+                                     std::size_t worker_count)
     : sink_(sink),
       policy_(policy),
       clock_(clock),
       block_size_(block_size == 0 ? compress::kDefaultBlockSize : block_size),
       buffer_(block_size_),
       counters_(metrics_, metrics::BlockCounters::kTx, registry.level_count()),
-      pipeline_(registry,
-                compress::PipelineConfig{worker_count, pipeline_depth},
+      pipeline_(registry, worker_count,
                 [this](common::ByteSpan frame, std::size_t raw_size,
                        int level) { account_frame(frame, raw_size, level); }) {}
 

@@ -49,12 +49,10 @@ class CompressingWriter {
   /// @param clock          time source for the policy (wall or simulated)
   /// @param block_size     channel block size (paper: 128 KB)
   /// @param worker_count   compression threads; <= 1 = inline on the caller
-  /// @param pipeline_depth reorder-window depth; 0 = 2 * worker_count
   CompressingWriter(ByteSink& sink, const compress::CodecRegistry& registry,
                     CompressionPolicy& policy, const common::Clock& clock,
                     std::size_t block_size = compress::kDefaultBlockSize,
-                    std::size_t worker_count = 1,
-                    std::size_t pipeline_depth = 0);
+                    std::size_t worker_count = 1);
 
   /// Accept application data; emits framed blocks as they fill.
   void write(common::ByteSpan data);
@@ -93,16 +91,6 @@ class CompressingWriter {
   compress::ParallelBlockPipeline pipeline_;  // last: joins before state
 };
 
-/// Receive-side parallelism knobs (the decode mirror of worker_count /
-/// pipeline_depth on the compressing side).
-struct DecompressionSpec {
-  /// Decode worker threads; <= 1 decodes inline on the reading thread
-  /// (no threads are created).
-  std::size_t worker_count = 1;
-  /// Reorder-window depth (max blocks decoding at once); 0 = 2 * workers.
-  std::size_t pipeline_depth = 0;
-};
-
 /// Receiving side: feed framed bytes, pop decompressed blocks.
 ///
 /// Runs on a ParallelBlockDecodePipeline at every worker count (1 worker =
@@ -113,11 +101,12 @@ struct DecompressionSpec {
 /// identical to the serial path.
 class DecompressingReader {
  public:
+  /// @param worker_count decode threads; <= 1 = inline on the reader
   explicit DecompressingReader(const compress::CodecRegistry& registry,
-                               DecompressionSpec spec = {})
+                               std::size_t worker_count = 1)
       : counters_(metrics_, metrics::BlockCounters::kRx,
                   registry.level_count()),
-        pipeline_(registry, make_config(spec)) {}
+        pipeline_(registry, {.worker_count = worker_count}) {}
 
   /// Append bytes received from the I/O layer. Never blocks on workers.
   void feed(common::ByteSpan data) { pipeline_.feed(data); }
@@ -153,13 +142,6 @@ class DecompressingReader {
   }
 
  private:
-  static compress::DecodePipelineConfig make_config(DecompressionSpec spec) {
-    compress::DecodePipelineConfig cfg;
-    cfg.worker_count = spec.worker_count;
-    cfg.depth = spec.pipeline_depth;
-    return cfg;
-  }
-
   metrics::MetricRegistry metrics_;
   metrics::BlockCounters counters_;  // rx.* in metrics_
   compress::ParallelBlockDecodePipeline pipeline_;

@@ -11,13 +11,23 @@ void LinkShare::acquire(std::uint64_t n) {
   // are granted in lock-acquisition order, which approximates per-flow
   // fairness at block granularity. The lock is dropped around the sleep
   // (one scoped acquisition per probe) so other flows can claim meanwhile.
+  // The bucket never holds more than its burst, so a larger grant waits
+  // for a full bucket and takes the rest on credit: the next claim waits
+  // out the deficit, and the long-run rate still holds.
   for (;;) {
     common::SimTime wait;
     {
       common::MutexLock lk(mu_);
       const common::SimTime now = clock_.now();
-      if (bucket_.try_consume(n, now)) return;
-      wait = bucket_.ready_at(n, now) - now;
+      const double burst = std::max(0.0, bucket_.burst());
+      const std::uint64_t fit = static_cast<double>(n) <= burst
+                                    ? n
+                                    : static_cast<std::uint64_t>(burst);
+      if (bucket_.try_consume(fit, now)) {
+        if (fit < n) bucket_.consume(n - fit, now);
+        return;
+      }
+      wait = bucket_.ready_at(fit, now) - now;
     }
     std::this_thread::sleep_for(
         std::chrono::nanoseconds(std::max<std::int64_t>(wait.nanos(), 1000)));

@@ -14,9 +14,25 @@ namespace strato::core {
 
 namespace {
 
-/// iovec batch per sendmsg call. 64 segments x 256 KB default segments is
-/// far past any kernel buffer; one call always empties or fills.
+/// Pooled send-segment size: frames are batched into segments so one
+/// sendmsg covers many frames.
+constexpr std::size_t kSendSegmentBytes = 256 * 1024;
+
+/// iovec batch per sendmsg call. 64 segments x kSendSegmentBytes is far
+/// past any kernel buffer; one call always empties or fills.
 constexpr std::size_t kMaxIov = 64;
+
+/// Minimum contiguous recv_span requested per read.
+constexpr std::size_t kReadChunk = 128 * 1024;
+
+/// Reads per readiness callback before yielding to siblings.
+constexpr std::size_t kMaxReadsPerEvent = 4;
+
+/// A receiver stops reading for the rest of a readiness callback once
+/// this many wire bytes sit buffered but undelivered: it yields the loop
+/// to sibling connections, and a sustained overrun fills the kernel
+/// buffer and backpressures the sender.
+constexpr std::size_t kMaxPendingWire = 16 * 1024 * 1024;
 
 std::exception_ptr errno_error(const char* what, int err) {
   return std::make_exception_ptr(std::runtime_error(
@@ -40,12 +56,10 @@ AsyncSender::AsyncSender(EpollLoop& loop, TcpConnection conn,
       m_stalls_(counters_.counter_named("chaos_stalls")),
       m_backpressure_(counters_.counter_named("backpressure")),
       m_queued_(counters_.gauge_named("queued_bytes")),
-      pipeline_(registry,
-                compress::PipelineConfig{config_.workers, config_.depth},
+      pipeline_(registry, config_.workers,
                 [this](common::ByteSpan frame, std::size_t raw_size,
                        int level) { enqueue_frame(frame, raw_size, level); }),
       chaos_(config_.chaos) {
-  if (config_.segment_bytes == 0) config_.segment_bytes = 64 * 1024;
   if (config_.low_watermark > config_.high_watermark) {
     config_.low_watermark = config_.high_watermark / 2;
   }
@@ -126,7 +140,7 @@ void AsyncSender::append_wire_bytes(common::ByteSpan bytes) {
     if (queue_.empty() ||
         queue_.back().data.size() == queue_.back().data.capacity()) {
       SendSeg seg;
-      seg.data = pool_.acquire(config_.segment_bytes);
+      seg.data = pool_.acquire(kSendSegmentBytes);
       queue_.push_back(std::move(seg));
     }
     common::Bytes& tail = queue_.back().data;
@@ -253,13 +267,8 @@ AsyncReceiver::AsyncReceiver(EpollLoop& loop, TcpConnection conn,
       m_errors_(counters_.counter_named("errors")),
       m_eofs_(counters_.counter_named("eofs")),
       m_backpressure_(counters_.counter_named("backpressure")),
-      pipeline_(registry,
-                compress::DecodePipelineConfig{config_.decode_workers,
-                                               config_.depth,
-                                               config_.segment_size}),
+      pipeline_(registry, {.worker_count = config_.decode_workers}),
       sink_(std::move(sink)) {
-  if (config_.read_chunk == 0) config_.read_chunk = 64 * 1024;
-  if (config_.max_reads_per_event == 0) config_.max_reads_per_event = 1;
   conn_.set_nonblocking(true);
   loop_.add(conn_.fd(), EpollLoop::kRead,
             [this](std::uint32_t ev) { on_event(ev); });
@@ -286,19 +295,16 @@ void AsyncReceiver::on_event(std::uint32_t) {
   // EPOLLERR/EPOLLHUP fall through to recv(), which reports the precise
   // condition (0 = orderly EOF, ECONNRESET = abort) — no separate path.
   if (done_ || paused_) return;
-  for (std::size_t i = 0; i < config_.max_reads_per_event; ++i) {
+  for (std::size_t i = 0; i < kMaxReadsPerEvent; ++i) {
     common::MutableByteSpan span;
     if (error_ == nullptr) {
-      span = pipeline_.recv_span(config_.read_chunk);
+      span = pipeline_.recv_span(kReadChunk);
     } else {
       // The stream already failed (sticky), but the peer must not wedge
       // behind a full kernel buffer: keep reading into private scratch
       // until EOF, bypassing the pipeline entirely.
-      if (discard_scratch_.size() < config_.read_chunk) {
-        discard_scratch_.resize(config_.read_chunk);
-      }
-      span = common::MutableByteSpan(discard_scratch_.data(),
-                                     config_.read_chunk);
+      discard_scratch_.resize(kReadChunk);
+      span = common::MutableByteSpan(discard_scratch_.data(), kReadChunk);
     }
     const ssize_t n = ::recv(conn_.fd(), span.data(), span.size(), 0);
     if (n < 0) {
@@ -320,9 +326,8 @@ void AsyncReceiver::on_event(std::uint32_t) {
     pipeline_.commit(static_cast<std::size_t>(n));
     drain();
     if (done_ || paused_ || error_ != nullptr) return;
-    if (config_.max_pending_wire != 0 &&
-        pipeline_.pending() > config_.max_pending_wire) {
-      // Undelivered wire outran the configured bound: yield this callback
+    if (pipeline_.pending() > kMaxPendingWire) {
+      // Undelivered wire outran the bound: yield this callback
       // (level-triggered readiness re-fires next poll). Sustained overrun
       // fills the kernel buffer and the sender sees EAGAIN backpressure.
       m_backpressure_.add();

@@ -64,11 +64,6 @@ class AsyncSender {
   struct Config {
     /// Compression workers; <= 1 encodes inline on the sending thread.
     std::size_t workers = 1;
-    /// Pipeline reorder-window depth; 0 = 2 * workers.
-    std::size_t depth = 0;
-    /// Pooled send-segment size; frames are batched into segments so one
-    /// writev covers many frames.
-    std::size_t segment_bytes = 256 * 1024;
     /// send() drives the loop once more than this many wire bytes queue.
     std::size_t high_watermark = 4 * 1024 * 1024;
     /// ... until the queue drains below this.
@@ -170,19 +165,6 @@ class AsyncReceiver {
   struct Config {
     /// Decode workers; <= 1 decodes inline on the loop thread.
     std::size_t decode_workers = 1;
-    /// Decode reorder-window depth; 0 = 2 * workers.
-    std::size_t depth = 0;
-    /// Receive-segment size; 0 = compress::kDefaultDecodeSegmentSize.
-    std::size_t segment_size = 0;
-    /// Minimum contiguous recv_span requested per read.
-    std::size_t read_chunk = 128 * 1024;
-    /// Reads per readiness callback before yielding to siblings.
-    std::size_t max_reads_per_event = 4;
-    /// Stop reading for the rest of the readiness callback once this many
-    /// wire bytes sit buffered but undelivered — yields the loop to
-    /// sibling connections; a sustained overrun fills the kernel buffer
-    /// and backpressures the sender. 0 disables the backstop.
-    std::size_t max_pending_wire = 16 * 1024 * 1024;
     /// Test hook: observes every wire chunk read off the socket, in
     /// arrival order, including the ones discarded after a stream error
     /// (chaos tests fingerprint the wire with it). Reads in place — the

@@ -79,31 +79,24 @@ struct CompressionSpec {
   /// writing task's thread; > 1 fans blocks out to the pipeline's workers.
   /// The wire format is identical either way.
   std::size_t worker_count = 1;
-  /// Reorder-window depth (max blocks in flight); 0 = 2 * worker_count.
-  std::size_t pipeline_depth = 0;
   /// Decode worker threads on the receiving side. 1 (default) decodes
   /// inline on the reading task's thread; > 1 fans frames out to a
   /// ParallelBlockDecodePipeline. The delivered records are identical
   /// either way.
   std::size_t decode_worker_count = 1;
-  /// Decode reorder-window depth; 0 = 2 * decode_worker_count.
-  std::size_t decode_depth = 0;
 
   /// Builder: enable parallel block compression on this channel.
-  [[nodiscard]] CompressionSpec with_workers(std::size_t workers,
-                                             std::size_t depth = 0) const {
+  [[nodiscard]] CompressionSpec with_workers(std::size_t workers) const {
     CompressionSpec s = *this;
     s.worker_count = workers;
-    s.pipeline_depth = depth;
     return s;
   }
 
   /// Builder: enable parallel receive-side decompression on this channel.
   [[nodiscard]] CompressionSpec with_decode_workers(
-      std::size_t workers, std::size_t depth = 0) const {
+      std::size_t workers) const {
     CompressionSpec s = *this;
     s.decode_worker_count = workers;
-    s.decode_depth = depth;
     return s;
   }
 

@@ -176,10 +176,8 @@ void Oracle::check_pipeline_identity(
     const std::string where = "workers=" + std::to_string(workers);
     common::Bytes wire;
     {
-      compress::PipelineConfig cfg;
-      cfg.worker_count = workers;
       compress::ParallelBlockPipeline pipeline(
-          registry_, cfg,
+          registry_, workers,
           [&wire](common::ByteSpan frame, std::size_t, int) {
             wire.insert(wire.end(), frame.begin(), frame.end());
           });

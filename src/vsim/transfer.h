@@ -67,7 +67,7 @@ struct TransferConfig {
   double speed_jitter = 0.04;
   std::size_t send_queue_blocks = 8;
   std::size_t recv_queue_blocks = 8;
-  /// Receive-side decode workers (the DecompressionSpec analogue): blocks
+  /// Receive-side decode workers (the DecompressingReader analogue): blocks
   /// start decompressing when they have arrived AND a worker is free;
   /// delivery stays in arrival order. 1 reproduces the paper's serial
   /// receiver exactly (the recurrence below is unchanged).

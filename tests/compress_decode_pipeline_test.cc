@@ -49,11 +49,11 @@ common::Bytes make_wire(const CodecRegistry& registry,
 /// Drive one pipeline over `wire` in `chunk`-sized feeds, draining after
 /// every feed. Returns delivered blocks; error (if any) in *error.
 std::vector<common::Bytes> run_pipeline(const CodecRegistry& registry,
-                                        DecodePipelineConfig cfg,
+                                        std::size_t workers,
                                         common::ByteSpan wire,
                                         std::size_t chunk,
                                         std::string* error = nullptr) {
-  ParallelBlockDecodePipeline pipeline(registry, cfg);
+  ParallelBlockDecodePipeline pipeline(registry, {.worker_count = workers});
   std::vector<common::Bytes> out;
   try {
     std::size_t off = 0;
@@ -88,8 +88,7 @@ TEST(ParallelBlockDecodePipeline, MatchesSerialAcrossWorkersAndChunkings) {
       for (const std::size_t chunk :
            {std::size_t{7}, std::size_t{4096}, wire.size()}) {
         std::string error;
-        const auto got = run_pipeline(registry, {workers, 0, 0}, wire, chunk,
-                                      &error);
+        const auto got = run_pipeline(registry, workers, wire, chunk, &error);
         EXPECT_EQ(error, "") << "workers=" << workers << " chunk=" << chunk;
         ASSERT_EQ(got.size(), blocks.size())
             << "workers=" << workers << " chunk=" << chunk;
@@ -107,9 +106,9 @@ TEST(ParallelBlockDecodePipeline, ReportsHeadersAndCounters) {
   const CodecRegistry& registry = CodecRegistry::standard();
   const auto blocks = make_blocks(corpus::Compressibility::kModerate, 6, 8192);
   const common::Bytes wire = make_wire(registry, blocks);
-  ParallelBlockDecodePipeline pipeline(registry, {2, 0, 0});
+  ParallelBlockDecodePipeline pipeline(registry, {.worker_count = 2});
   EXPECT_EQ(pipeline.worker_count(), 2u);
-  EXPECT_EQ(pipeline.depth(), 4u);  // default 2 * workers
+  EXPECT_EQ(pipeline.depth(), 4u);  // 2 * workers
   pipeline.feed(wire);
   std::size_t i = 0;
   while (auto block = pipeline.next_block()) {
@@ -126,7 +125,7 @@ TEST(ParallelBlockDecodePipeline, ReportsHeadersAndCounters) {
 
 TEST(ParallelBlockDecodePipeline, InlineModeRunsNoThreads) {
   const CodecRegistry& registry = CodecRegistry::standard();
-  ParallelBlockDecodePipeline pipeline(registry, {1, 0, 0});
+  ParallelBlockDecodePipeline pipeline(registry, {.worker_count = 1});
   EXPECT_EQ(pipeline.worker_count(), 0u);  // inline: no ThreadPool at all
   const auto blocks = make_blocks(corpus::Compressibility::kHigh, 3, 4096);
   pipeline.feed(make_wire(registry, blocks));
@@ -191,8 +190,7 @@ TEST(ParallelBlockDecodePipeline, DeliversInOrderUnderOutOfOrderCompletion) {
   }
 
   std::string error;
-  const auto got = run_pipeline(registry, {4, 8, 0}, wire, wire.size(),
-                                &error);
+  const auto got = run_pipeline(registry, 4, wire, wire.size(), &error);
   EXPECT_EQ(error, "");
   ASSERT_EQ(got.size(), blocks.size());
   for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -221,7 +219,7 @@ TEST(ParallelBlockDecodePipeline, ChecksumErrorSurfacesAtExactBlockSticky) {
 
   for (const std::size_t workers :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    ParallelBlockDecodePipeline pipeline(registry, {workers, 0, 0});
+    ParallelBlockDecodePipeline pipeline(registry, {.worker_count = workers});
     pipeline.feed(wire);
     for (std::size_t i = 0; i < 3; ++i) {
       auto block = pipeline.next_block();
@@ -255,8 +253,7 @@ TEST(ParallelBlockDecodePipeline, MalformedHeaderPoisonsAfterGoodBlocks) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     for (const std::size_t chunk : {std::size_t{13}, wire.size()}) {
       std::string error;
-      const auto got =
-          run_pipeline(registry, {workers, 0, 0}, wire, chunk, &error);
+      const auto got = run_pipeline(registry, workers, wire, chunk, &error);
       EXPECT_EQ(got.size(), blocks.size())
           << "workers=" << workers << " chunk=" << chunk;
       EXPECT_EQ(error, "frame: bad magic")
@@ -271,7 +268,7 @@ TEST(ParallelBlockDecodePipeline, TruncatedWireIsJustStarvation) {
   common::Bytes wire = make_wire(registry, blocks);
   wire.resize(wire.size() - 10);  // last frame incomplete
 
-  ParallelBlockDecodePipeline pipeline(registry, {2, 0, 0});
+  ParallelBlockDecodePipeline pipeline(registry, {.worker_count = 2});
   pipeline.feed(wire);
   std::size_t delivered = 0;
   while (auto block = pipeline.next_block()) ++delivered;
@@ -323,7 +320,7 @@ TEST(ParallelBlockDecodePipeline, WraparoundCopiesOnlyPartialFrameTails) {
 TEST(ParallelBlockDecodePipeline, LeaseIsInvalidatedByNextCall) {
   const CodecRegistry& registry = CodecRegistry::standard();
   const auto blocks = make_blocks(corpus::Compressibility::kHigh, 2, 1024);
-  ParallelBlockDecodePipeline pipeline(registry, {1, 0, 0});
+  ParallelBlockDecodePipeline pipeline(registry, {.worker_count = 1});
   pipeline.feed(make_wire(registry, blocks));
   auto first = pipeline.next_block();
   ASSERT_TRUE(first.has_value());
@@ -351,7 +348,7 @@ TEST(DecompressingReaderParallel, StatsMatchSerialReader) {
     serial_out.insert(serial_out.end(), b->data.begin(), b->data.end());
   }
 
-  core::DecompressingReader parallel(registry, {4, 0});
+  core::DecompressingReader parallel(registry, 4);
   EXPECT_EQ(parallel.worker_count(), 4u);
   parallel.feed(wire);
   common::Bytes parallel_out;

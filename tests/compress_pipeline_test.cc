@@ -170,25 +170,20 @@ TEST(ParallelBlockPipeline, MatchesSerialOutputAcrossConfigurations) {
       }
       for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                         std::size_t{4}}) {
-        for (const std::size_t depth : {std::size_t{0}, std::size_t{1}}) {
-          CollectingSink sink;
-          ParallelBlockPipeline pipeline(
-              registry, PipelineConfig{workers, depth}, sink.fn());
-          for (const auto& b : blocks) pipeline.submit(level, b);
-          pipeline.flush();
-          ASSERT_EQ(sink.frames.size(), blocks.size())
-              << "workers=" << workers << " depth=" << depth;
-          for (std::size_t i = 0; i < blocks.size(); ++i) {
-            EXPECT_EQ(sink.frames[i], expected[i])
-                << "corpus=" << corpus::to_string(c) << " level=" << level
-                << " workers=" << workers << " depth=" << depth
-                << " block=" << i;
-            EXPECT_EQ(sink.raw_sizes[i], blocks[i].size());
-            EXPECT_EQ(sink.levels[i], level);
-          }
-          EXPECT_EQ(pipeline.blocks_submitted(), blocks.size());
-          EXPECT_EQ(pipeline.blocks_delivered(), blocks.size());
+        CollectingSink sink;
+        ParallelBlockPipeline pipeline(registry, workers, sink.fn());
+        for (const auto& b : blocks) pipeline.submit(level, b);
+        pipeline.flush();
+        ASSERT_EQ(sink.frames.size(), blocks.size()) << "workers=" << workers;
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+          EXPECT_EQ(sink.frames[i], expected[i])
+              << "corpus=" << corpus::to_string(c) << " level=" << level
+              << " workers=" << workers << " block=" << i;
+          EXPECT_EQ(sink.raw_sizes[i], blocks[i].size());
+          EXPECT_EQ(sink.levels[i], level);
         }
+        EXPECT_EQ(pipeline.blocks_submitted(), blocks.size());
+        EXPECT_EQ(pipeline.blocks_delivered(), blocks.size());
       }
     }
   }
@@ -213,8 +208,7 @@ TEST(ParallelBlockPipeline, ReordersOutOfOrderCompletions) {
   }
 
   CollectingSink sink;
-  ParallelBlockPipeline pipeline(
-      registry, PipelineConfig{/*worker_count=*/4, /*depth=*/8}, sink.fn());
+  ParallelBlockPipeline pipeline(registry, /*worker_count=*/4, sink.fn());
   for (const auto& b : blocks) pipeline.submit(1, b);
   pipeline.flush();
 
@@ -228,30 +222,13 @@ TEST(ParallelBlockPipeline, ReordersOutOfOrderCompletions) {
   }
 }
 
-TEST(ParallelBlockPipeline, DepthOneSerializesButStaysCorrect) {
-  // depth=1 means at most one block in flight: every submit waits for the
-  // previous frame, continuously exhausting and refilling the window.
-  const CodecRegistry& registry = CodecRegistry::standard();
-  const auto blocks = make_blocks(corpus::Compressibility::kModerate, 6, 4096);
-  CollectingSink sink;
-  ParallelBlockPipeline pipeline(
-      registry, PipelineConfig{/*worker_count=*/2, /*depth=*/1}, sink.fn());
-  EXPECT_EQ(pipeline.depth(), 1u);
-  for (const auto& b : blocks) pipeline.submit(2, b);
-  pipeline.flush();
-  ASSERT_EQ(sink.frames.size(), blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    EXPECT_EQ(decode_block(sink.frames[i], registry), blocks[i]);
-  }
-}
-
 TEST(ParallelBlockPipeline, SingleWorkerPreservesOrder) {
   const CodecRegistry& registry = CodecRegistry::standard();
   const auto blocks = make_blocks(corpus::Compressibility::kHigh, 5, 8192);
   CollectingSink sink;
-  ParallelBlockPipeline pipeline(registry, PipelineConfig{1, 0}, sink.fn());
+  ParallelBlockPipeline pipeline(registry, 1, sink.fn());
   EXPECT_EQ(pipeline.worker_count(), 0u);  // inline: no ThreadPool
-  EXPECT_EQ(pipeline.depth(), 2u);  // default 2 * workers
+  EXPECT_EQ(pipeline.depth(), 2u);  // 2 * max(1, workers)
   for (const auto& b : blocks) pipeline.submit(1, b);
   pipeline.flush();
   ASSERT_EQ(sink.frames.size(), blocks.size());
@@ -264,7 +241,7 @@ TEST(ParallelBlockPipeline, MixedLevelsDeliverInSubmissionOrder) {
   const CodecRegistry& registry = CodecRegistry::standard();
   const auto blocks = make_blocks(corpus::Compressibility::kModerate, 8, 4096);
   CollectingSink sink;
-  ParallelBlockPipeline pipeline(registry, PipelineConfig{4, 0}, sink.fn());
+  ParallelBlockPipeline pipeline(registry, 4, sink.fn());
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     pipeline.submit(static_cast<int>(i % registry.level_count()), blocks[i]);
   }
@@ -281,7 +258,7 @@ TEST(ParallelBlockPipeline, MixedLevelsDeliverInSubmissionOrder) {
 TEST(ParallelBlockPipeline, LevelOutOfRangeIsClamped) {
   const CodecRegistry& registry = CodecRegistry::standard();
   CollectingSink sink;
-  ParallelBlockPipeline pipeline(registry, PipelineConfig{2, 0}, sink.fn());
+  ParallelBlockPipeline pipeline(registry, 2, sink.fn());
   const common::Bytes block(1024, 0x5A);
   pipeline.submit(-3, block);
   pipeline.submit(99, block);
@@ -294,7 +271,7 @@ TEST(ParallelBlockPipeline, LevelOutOfRangeIsClamped) {
 TEST(ParallelBlockPipeline, FlushIsIdempotentAndSafeWhenEmpty) {
   const CodecRegistry& registry = CodecRegistry::standard();
   CollectingSink sink;
-  ParallelBlockPipeline pipeline(registry, PipelineConfig{2, 0}, sink.fn());
+  ParallelBlockPipeline pipeline(registry, 2, sink.fn());
   pipeline.flush();  // nothing submitted
   EXPECT_TRUE(sink.frames.empty());
   pipeline.submit(1, common::Bytes(512, 0x11));
@@ -311,8 +288,7 @@ TEST(ParallelBlockPipeline, WorkerExceptionPropagatesToSubmitter) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     CollectingSink sink;
-    ParallelBlockPipeline pipeline(registry, PipelineConfig{workers, 2},
-                                   sink.fn());
+    ParallelBlockPipeline pipeline(registry, workers, sink.fn());
     if (workers == 1) {
       // Inline: the encode error surfaces from submit() itself.
       EXPECT_THROW(pipeline.submit(1, block), CodecError);
@@ -337,7 +313,7 @@ TEST(ParallelBlockPipeline, RecyclesBuffersAcrossBlocks) {
   const auto blocks = make_blocks(corpus::Compressibility::kHigh, 32, 4096);
   {
     CollectingSink sink;
-    ParallelBlockPipeline pipeline(registry, PipelineConfig{2, 2}, sink.fn());
+    ParallelBlockPipeline pipeline(registry, 2, sink.fn());
     for (const auto& b : blocks) pipeline.submit(1, b);
     pipeline.flush();
     const auto stats = pipeline.pool_stats();
@@ -349,7 +325,7 @@ TEST(ParallelBlockPipeline, RecyclesBuffersAcrossBlocks) {
   // reused frame buffer, so the pool sees nothing per block after the
   // first.
   CollectingSink sink;
-  ParallelBlockPipeline pipeline(registry, PipelineConfig{1, 2}, sink.fn());
+  ParallelBlockPipeline pipeline(registry, 1, sink.fn());
   pipeline.submit(1, blocks[0]);
   const auto first = pipeline.pool_stats();
   for (std::size_t i = 1; i < blocks.size(); ++i) pipeline.submit(1, blocks[i]);

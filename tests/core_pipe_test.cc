@@ -1,8 +1,14 @@
 // ThrottledPipe / LinkShare: the real-time shared-link stand-in.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <csignal>
+#include <cstdlib>
+#include <memory>
 #include <thread>
 
 #include "common/rng.h"
@@ -139,6 +145,47 @@ TEST(ThrottledPipe, BoundedBufferBackpressure) {
   const auto received = drain(pipe);
   writer.join();
   EXPECT_EQ(received.size(), 64u * 1024u);
+}
+
+TEST(ThrottledPipe, GrainAboveBurstStillFlowsAtRate) {
+  // 200 kB/s gives a 10 kB burst (rate / 20), below the pipe's 16 KiB
+  // grain, so every grant is larger than the bucket can hold. The write
+  // runs in a child process: a grant that never fits fails this test by
+  // timeout instead of hanging the suite.
+  constexpr double kRate = 200e3;
+  constexpr std::size_t kBytes = 64 * 1024;
+  const double nominal_s = static_cast<double>(kBytes) / kRate;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto elapsed = [&t0] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ThrottledPipe pipe(std::make_shared<LinkShare>(kRate));
+    pipe.write(common::Bytes(kBytes, 0x5A));
+    std::_Exit(pipe.transferred() == kBytes ? 0 : 1);
+  }
+  int status = 0;
+  while (::waitpid(child, &status, WNOHANG) == 0) {
+    if (elapsed() > 2 * nominal_s) {
+      ::kill(child, SIGKILL);
+      ::waitpid(child, &status, 0);
+      FAIL() << "64 KiB write at 200 kB/s still blocked after "
+             << elapsed() << " s";
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const double secs = elapsed();
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  // Only the first burst is free: the rest is paid for at the link rate
+  // (0.75 × nominal for three 16 KiB grains), which a grant that skipped
+  // its credit (0.46 ×) would undercut.
+  EXPECT_GT(secs, 0.6 * nominal_s);
+  EXPECT_LT(secs, 2 * nominal_s);
 }
 
 TEST(LinkShare, AcquireConsumesCredit) {

@@ -553,6 +553,37 @@ TEST(AsyncTransport, SenderWatermarkBackpressureEngages) {
   EXPECT_EQ(rx_hash.digest(), tx_hash.digest());
 }
 
+TEST(AsyncTransport, ReceiverPendingWireBackstopYields) {
+  // One stored block larger than the receiver's 16 MiB bound on buffered,
+  // undelivered wire: the partial frame outgrows it, so readiness
+  // callbacks are cut short, and the block still arrives whole.
+  const auto& registry = compress::CodecRegistry::standard();
+  AsyncTransport transport(registry);
+  LoopbackPair pair;
+
+  // A small receive buffer keeps every recv() far below the 4 MiB between
+  // the bound and the end of the frame, so some read must leave more than
+  // the bound pending while the frame is still incomplete.
+  const int rcvbuf = 256 * 1024;
+  ASSERT_EQ(::setsockopt(pair.server.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof rcvbuf),
+            0);
+
+  Collected got;
+  transport.add_receiver(std::move(pair.server), {}, collect_into(got));
+  AsyncSender& tx = transport.add_sender(std::move(pair.client), {});
+
+  const common::Bytes block = make_payloads(1, 20 * 1024 * 1024, 909)[0];
+  tx.send(0, block);  // stored: the frame is the block plus a header
+  tx.finish();
+  transport.run_receivers();
+
+  EXPECT_TRUE(transport.receiver(0).clean_eof());
+  ASSERT_EQ(got.blocks.size(), 1u);
+  EXPECT_EQ(got.blocks[0], block);
+  EXPECT_GT(count(transport, "rx.backpressure"), 0u);
+}
+
 TEST(AsyncTransport, QueuedBytesGaugeSumsSenders) {
   // Every sender on a registry moves the one tx.queued_bytes gauge, so it
   // must read as their sum, not as whichever sender wrote last.

@@ -104,7 +104,7 @@ TEST(NetworkChannel, ParallelWireBytesMatchSerial) {
   auto serial = make_network_channel(nullptr, CompressionSpec::fixed(1));
   pump(*serial, records);
   auto parallel = make_network_channel(
-      nullptr, CompressionSpec::fixed(1).with_workers(3, /*depth=*/4));
+      nullptr, CompressionSpec::fixed(1).with_workers(3));
   pump(*parallel, records);
   EXPECT_EQ(parallel->stats().wire_bytes, serial->stats().wire_bytes);
   EXPECT_EQ(parallel->stats().blocks_per_level,

@@ -31,3 +31,9 @@ void fixture_allowed_counters(MetricRegistry& registry) {
   // strato-lint: allow(counters)
   registry.counter("probe.blocks.level0").add();
 }
+
+const char* fixture_allowed_env() {
+  // Locale probe in a standalone diagnostics tool; sanctioned.
+  // strato-lint: allow(env)
+  return std::getenv("LANG");
+}
