@@ -77,6 +77,12 @@ into every presubmit script (check_static.sh runs this first):
                    `.gauge(`) are banned — metrics::BlockCounters resolves
                    every name a front-end publishes, so none grows a
                    private tally again.
+  decision         Algorithm 1 decides in one place: a call to
+                   controller_step() outside src/core/controller.* (its
+                   definition and core::window_step, the decision-window
+                   kernel) is banned, so every host — AdaptivePolicy, the
+                   fleet — measures cdr and decides through window_step,
+                   the one hook for a decision recorder.
   env              environment reads have two homes: std::getenv (and
                    secure_getenv) is banned in src/ outside
                    common/simd.h (the STRATO_SIMD dispatch override) and
@@ -141,6 +147,10 @@ SOCKET_ALLOWED_PREFIXES = ("core/tcp.", "core/epoll_loop.",
 # The one sanctioned caller of encode_block_into (plus its definition).
 ENCODE_ALLOWED_PREFIXES = ("compress/framing.", "compress/pipeline.")
 
+# The one sanctioned caller of controller_step: window_step, beside its
+# definition.
+DECISION_ALLOWED_PREFIX = "core/controller."
+
 # The stream front-ends' layer, where metrics::BlockCounters is the one
 # place registry names are resolved.
 COUNTERS_BANNED_PREFIX = "core/"
@@ -202,6 +212,11 @@ RULES = {
         (re.compile(r"(?<![A-Za-z0-9_])encode_block_into\s*\("),
          "encode_block_into outside compress/pipeline (submit the block to "
          "a compress::ParallelBlockPipeline)"),
+    ],
+    "decision": [
+        (re.compile(r"(?<![A-Za-z0-9_])controller_step\s*\("),
+         "controller_step outside core/controller (decide through "
+         "core::window_step)"),
     ],
     "counters": [
         (re.compile(r"blocks\.level"),
@@ -596,6 +611,8 @@ def lint_file(path: Path, rel: str):
             check("socket", RULES["socket"])
         if not rel.startswith(ENCODE_ALLOWED_PREFIXES):
             check("encode", RULES["encode"])
+        if not rel.startswith(DECISION_ALLOWED_PREFIX):
+            check("decision", RULES["decision"])
         if rel.startswith(COUNTERS_BANNED_PREFIX):
             check("counters", RULES["counters"])
         if rel not in ENV_ALLOWED:
@@ -650,6 +667,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("compress/framing.cc", "copy"): 4,
     ("core/bad_socket.cc", "socket"): 4,
     ("core/bad_encode.cc", "encode"): 2,
+    ("vsim/bad_decision.cc", "decision"): 2,
     ("core/bad_counters.cc", "counters"): 4,
     ("core/bad_env.cc", "env"): 3,
     ("compress/bad_simd.cc", "simd"): 5,

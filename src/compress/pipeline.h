@@ -14,7 +14,7 @@
 // Threading contract:
 //   * submit()/flush() are called from ONE thread (the channel writer);
 //   * the frame sink and the policy callbacks behind it run on that same
-//     submitting thread, in submission order — so the adaptive rate meter
+//     submitting thread, in submission order — so the decision window
 //     observes the AGGREGATE accepted byte rate across all workers while
 //     the decision model stays app-data-rate-only, per the paper;
 //   * workers only compress; they never touch the sink.

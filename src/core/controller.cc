@@ -21,6 +21,8 @@ int clamp_probe(const AdaptiveConfig& config, int ncl) {
 
 Decision controller_step(const AdaptiveConfig& config, ControllerState& st,
                          double cdr) {
+  Decision dec;
+  dec.cdr = cdr;
   // A rate can only be a finite non-negative number; a NaN/inf/negative
   // input (e.g. a zero-length measurement window) must not poison pdr, or
   // every later comparison would silently misfire. Treat it as "rate
@@ -35,14 +37,13 @@ Decision controller_step(const AdaptiveConfig& config, ControllerState& st,
   const double d = cdr - st.pdr;     // line 1
   st.c += 1;                         // line 2
   int ncl = ccl;                     // line 3
-  Decision dec;
 
   if (std::fabs(d) <= config.alpha * st.pdr) {
     // Lines 4-14: no (significant) change in application data rate.
     const std::int64_t threshold =
         config.backoff_enabled
-            ? (std::int64_t{1} << std::min<int>(st.bck[ccl],
-                                                config.max_backoff_exponent))
+            ? (std::int64_t{1}
+               << std::min<int>(st.bck[ccl], kMaxBackoffExponent))
             : 1;
     if (st.c >= threshold) {
       // Backoff over: optimistically try the neighbouring level.
@@ -55,7 +56,7 @@ Decision controller_step(const AdaptiveConfig& config, ControllerState& st,
     // level with a longer backoff; stay.
     if (config.backoff_enabled) {
       st.bck[ccl] = static_cast<std::int8_t>(
-          std::min<int>(st.bck[ccl] + 1, config.max_backoff_exponent));
+          std::min<int>(st.bck[ccl] + 1, kMaxBackoffExponent));
     }
     st.c = 0;
   } else {
@@ -78,25 +79,6 @@ Decision controller_step(const AdaptiveConfig& config, ControllerState& st,
   st.ccl = static_cast<std::int8_t>(ncl);
   dec.level = ncl;
   return dec;
-}
-
-AdaptiveController::AdaptiveController(AdaptiveConfig config)
-    : config_(config) {
-  if (config_.num_levels < 1) config_.num_levels = 1;
-  if (config_.num_levels > kMaxControllerLevels) {
-    config_.num_levels = kMaxControllerLevels;
-  }
-  reset();
-}
-
-void AdaptiveController::reset() { st_ = ControllerState{}; }
-
-int AdaptiveController::backoff(int level) const {
-  return level >= 0 && level < config_.num_levels ? st_.bck[level] : 0;
-}
-
-Decision AdaptiveController::on_window(double cdr) {
-  return controller_step(config_, st_, cdr);
 }
 
 }  // namespace strato::core

@@ -24,6 +24,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
+
+#include "common/sim_time.h"
 
 namespace strato::core {
 
@@ -37,9 +41,6 @@ struct AdaptiveConfig {
   /// Disable the exponential backoff (probe every window) — ablation knob;
   /// the paper's scheme always has it on.
   bool backoff_enabled = true;
-  /// Cap on bck[] exponents to keep 2^bck in range. Large enough that it
-  /// is never hit in realistic runs (2^30 windows of 2 s = 68 years).
-  int max_backoff_exponent = 30;
 };
 
 /// Decision record returned by each controller step (for tracing).
@@ -47,68 +48,74 @@ struct Decision {
   int level = 0;        ///< ncl: level for the next window
   bool probed = false;  ///< this step was an optimistic probe
   bool reverted = false;///< this step reverted a degradation
+  double cdr = 0.0;     ///< the window's rate as measured (step input)
 };
 
 /// Ladder sizes the POD controller state can represent. Every ladder in
 /// the repository (standard 4, extended 5, test ladders up to 6) fits
-/// with room to spare; AdaptiveController clamps num_levels to this.
+/// with room to spare; hosts clamp num_levels to this.
 inline constexpr int kMaxControllerLevels = 16;
+
+/// Cap on bck[] exponents, so 2^bck stays in range. Never hit in
+/// realistic runs (2^30 windows of 2 s = 68 years).
+inline constexpr int kMaxBackoffExponent = 30;
+static_assert(kMaxBackoffExponent <= std::numeric_limits<std::int8_t>::max(),
+              "bck[] stores exponents as int8");
+static_assert(kMaxBackoffExponent < 63,
+              "1 << bck must stay a positive int64");
 
 /// The complete Algorithm 1 state as plain old data — 40 bytes, no heap.
 ///
 /// The fleet simulator (vsim::FlowTable) embeds one of these per flow in
 /// a structs-of-arrays store, so a million controllers are a million
-/// array slots rather than a million heap objects. AdaptiveController is
-/// a thin wrapper over the same state and the same step function; the
-/// two cannot diverge.
+/// array slots rather than a million heap objects. AdaptivePolicy holds
+/// one as well; both step it through window_step().
 struct ControllerState {
   std::int64_t c = 0;    ///< windows since the last level change
   double pdr = -1.0;     ///< previous-window rate; <0 = none seen yet
   std::int8_t ccl = 0;   ///< current compression level
   bool inc = true;       ///< last change direction was an increase
-  /// Per-level exponential-backoff exponents (bck). Capped at
-  /// max_backoff_exponent <= 30, so int8 storage is exact.
+  /// Per-level exponential-backoff exponents (bck), <= kMaxBackoffExponent.
   std::int8_t bck[kMaxControllerLevels] = {};
 };
 
-/// One decision step of Algorithm 1 over externally-held state. Exactly
-/// the body AdaptiveController::on_window runs; see the class comment for
-/// semantics. `config.num_levels` must be in [1, kMaxControllerLevels].
+/// One decision step of Algorithm 1: feed the application data rate cdr
+/// (bytes/second or any consistent unit) of the window that just closed;
+/// returns the level to apply next. Non-finite or negative inputs are
+/// treated as "rate unchanged". `config.num_levels` must be in
+/// [1, kMaxControllerLevels].
 Decision controller_step(const AdaptiveConfig& config, ControllerState& st,
                          double cdr);
 
-/// The adaptive controller. Call on_window() once per decision interval t
-/// with the application data rate observed during that interval.
-class AdaptiveController {
- public:
-  explicit AdaptiveController(AdaptiveConfig config = {});
-
-  /// Feed the application data rate (bytes/second or any consistent unit)
-  /// of the window that just closed; returns the level to apply next.
-  /// With parallel block compression this is still the single aggregate
-  /// rate at which the writer's sink accepted data — the decision model
-  /// stays application-data-rate-only regardless of worker count.
-  /// Non-finite or negative inputs are treated as "rate unchanged".
-  Decision on_window(double cdr);
-
-  /// Current compression level (ccl).
-  [[nodiscard]] int level() const { return st_.ccl; }
-  /// Probe direction: true if the last level change was an increase.
-  [[nodiscard]] bool increasing() const { return st_.inc; }
-  /// Backoff exponent of a level (bck[level]).
-  [[nodiscard]] int backoff(int level) const;
-  /// Windows since the last level change (c).
-  [[nodiscard]] std::int64_t window_count() const { return st_.c; }
-  [[nodiscard]] const AdaptiveConfig& config() const { return config_; }
-  /// The embedded POD state (read-only snapshot).
-  [[nodiscard]] const ControllerState& state() const { return st_; }
-
-  /// Reset to the initial state (level 0, all backoffs 0, inc = true).
-  void reset();
-
- private:
-  AdaptiveConfig config_;
-  ControllerState st_;
+/// The decision window as plain old data. cdr is "the data rate
+/// experienced by the application before compressing the data" (Section
+/// III): the raw bytes the application handed to the compression module
+/// since `start`. The window runs on SimTime, so the same code serves the
+/// wall-clock transports and the simulators. A window that is not open
+/// starts at the first window_step() call.
+struct DecisionWindow {
+  common::SimTime start;
+  double bytes = 0.0;  ///< raw bytes this window (fluid hosts: fractional)
+  bool open = false;
 };
+
+/// The one place Algorithm 1 hosts decide: record `bytes` of raw
+/// application data accepted at `now`; once `now - start >= t`, close the
+/// window, run controller_step() on cdr = bytes / elapsed (the true span,
+/// not the nominal t), reopen the window at `now` and return the decision.
+/// Inline because the fleet calls it once per adaptive flow per epoch;
+/// only a closing window reaches the out-of-line step.
+[[nodiscard]] inline std::optional<Decision> window_step(
+    const AdaptiveConfig& config, common::SimTime t, ControllerState& st,
+    DecisionWindow& w, double bytes, common::SimTime now) {
+  if (!w.open) w = DecisionWindow{now, 0.0, true};
+  w.bytes += bytes;
+  const common::SimTime elapsed = now - w.start;
+  if (elapsed < t) return std::nullopt;
+  const Decision dec =
+      controller_step(config, st, w.bytes / elapsed.to_seconds());
+  w = DecisionWindow{now, 0.0, true};
+  return dec;
+}
 
 }  // namespace strato::core

@@ -8,13 +8,13 @@
 // adaptive one (DYNAMIC); related-work baselines live in baselines.h.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
 
 #include "common/sim_time.h"
 #include "core/controller.h"
-#include "core/rate_meter.h"
 
 namespace strato::core {
 
@@ -49,28 +49,29 @@ class StaticPolicy final : public CompressionPolicy {
   std::string name_;
 };
 
-/// The paper's scheme (DYNAMIC): RateMeter feeding Algorithm 1 every t
-/// seconds.
+/// The paper's scheme (DYNAMIC): Algorithm 1 over the application data
+/// rate, one decision every t seconds (window_step).
 class AdaptivePolicy final : public CompressionPolicy {
  public:
   /// Trace hook fired on every closed decision window.
   using TraceFn =
       std::function<void(common::SimTime now, double cdr, const Decision&)>;
 
-  /// @param config  Algorithm 1 tunables (alpha, levels, backoff)
+  /// @param config  Algorithm 1 tunables (alpha, levels, backoff);
+  ///                num_levels is clamped to [1, kMaxControllerLevels]
   /// @param window  decision interval t (paper: 2 s)
   AdaptivePolicy(AdaptiveConfig config, common::SimTime window)
-      : controller_(config), meter_(window) {}
+      : config_(config), t_(window) {
+    config_.num_levels =
+        std::clamp(config_.num_levels, 1, kMaxControllerLevels);
+  }
 
-  [[nodiscard]] int level() const override { return level_; }
+  [[nodiscard]] int level() const override { return st_.ccl; }
 
   void on_block(std::size_t raw_bytes, common::SimTime now) override {
-    meter_.on_bytes(raw_bytes, now);
-    if (const auto rate = meter_.poll(now)) {
-      const Decision dec = controller_.on_window(*rate);
-      level_ = dec.level;
-      if (trace_) trace_(now, *rate, dec);
-    }
+    const auto dec = window_step(config_, t_, st_, window_,
+                                 static_cast<double>(raw_bytes), now);
+    if (dec && trace_) trace_(now, dec->cdr, *dec);
   }
 
   [[nodiscard]] std::string name() const override { return "DYNAMIC"; }
@@ -78,15 +79,14 @@ class AdaptivePolicy final : public CompressionPolicy {
   /// Observe decisions (used by the timeline benches).
   void set_trace(TraceFn fn) { trace_ = std::move(fn); }
 
-  [[nodiscard]] const AdaptiveController& controller() const {
-    return controller_;
-  }
-  [[nodiscard]] const RateMeter& meter() const { return meter_; }
+  /// The controller state (read-only snapshot).
+  [[nodiscard]] const ControllerState& state() const { return st_; }
 
  private:
-  AdaptiveController controller_;
-  RateMeter meter_;
-  int level_ = 0;
+  AdaptiveConfig config_;
+  common::SimTime t_;  ///< decision interval
+  ControllerState st_;
+  DecisionWindow window_;
   TraceFn trace_;
 };
 

@@ -43,7 +43,7 @@ void CompressingWriter::account_frame(common::ByteSpan frame,
   // The sink write may have blocked (backpressure); sample time after it
   // returns so the policy sees the achievable application data rate. The
   // pipeline runs this on the submitting thread in submission order, so
-  // the rate meter aggregates accepted bytes across all workers.
+  // the decision window aggregates accepted bytes across all workers.
   sink_.write(frame);
   counters_.record(raw_size, frame.size(), static_cast<std::size_t>(level));
   policy_.on_block(raw_size, clock_.now());

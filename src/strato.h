@@ -25,7 +25,6 @@
 #include "core/baselines.h"      // related-work decision models
 #include "core/controller.h"     // Algorithm 1
 #include "core/policy.h"         // StaticPolicy / AdaptivePolicy
-#include "core/rate_meter.h"     // application data rate over window t
 #include "core/stream.h"         // compressing/decompressing streams
 #include "core/tcp.h"            // real TCP transport
 #include "core/throttled_pipe.h" // in-process rate-limited transport

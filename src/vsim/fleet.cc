@@ -68,7 +68,11 @@ FleetEngine::FleetEngine(FleetConfig config)
   tenant_flow_w_.assign(cfg_.tenants.size(), 0.0);
   tenant_per_tenant_.assign(cfg_.tenants.size(), 0);
   for (std::size_t t = 0; t < cfg_.tenants.size(); ++t) {
-    const TenantSpec& spec = cfg_.tenants[t];
+    TenantSpec& spec = cfg_.tenants[t];
+    // The controller's ladder is the model's: levels index behaviour_
+    // and raw_bytes_per_level.
+    spec.policy.adaptive.num_levels =
+        std::clamp(spec.policy.adaptive.num_levels, 1, CodecModel::kNumLevels);
     tenant_per_tenant_[t] = spec.share == ShareMode::kPerTenant ? 1 : 0;
     TenantRun& run = runs_[t];
     run.rng = common::Xoshiro256(cfg_.seed ^
@@ -216,7 +220,7 @@ void FleetEngine::admit(SimTime now) {
       run.pending.pop_front();
       flows_.phase[id] = FlowPhase::kActive;
       flows_.admitted[id] = now;
-      flows_.meter[id] = FlowMeter{now, 0.0, true};
+      flows_.window[id] = core::DecisionWindow{now, 0.0, true};
       tm.queue_wait_s_total += (now - flows_.arrival[id]).to_seconds();
       ++tm.admitted;
       ++run.in_flight;
@@ -317,7 +321,6 @@ void FleetEngine::drain(SimTime from, SimTime dt) {
     flows_.raw_remaining[id] -= raw_moved;
     flows_.wire_bytes[id] += wire_moved;
     flows_.cpu_s[id] += cpu;
-    flows_.meter[id].bytes += raw_moved;
     tm.raw_bytes += raw_moved;
     tm.wire_bytes += wire_moved;
     tm.cpu_s += cpu;
@@ -329,21 +332,16 @@ void FleetEngine::drain(SimTime from, SimTime dt) {
       continue;
     }
 
-    // Close the decision window at epoch boundaries once >= t has
-    // elapsed — the paper's application-data-rate signal, per flow.
-    if (spec.policy.kind == TenantPolicy::Kind::kAdaptive) {
-      FlowMeter& m = flows_.meter[id];
-      if (epoch_end - m.window_start >= spec.policy.window) {
-        const double win_s =
-            std::max(1e-9, (epoch_end - m.window_start).to_seconds());
-        const core::Decision d = core::controller_step(
-            spec.policy.adaptive, flows_.ctrl[id], m.bytes / win_s);
-        if (static_cast<std::int8_t>(d.level) != flows_.level[id]) {
-          flows_.level[id] = static_cast<std::int8_t>(d.level);
-          refresh_flow_kernel(id);
-        }
-        m = FlowMeter{epoch_end, 0.0, true};
-      }
+    // Decision windows close at epoch boundaries once >= t has elapsed —
+    // the paper's application-data-rate signal, per flow.
+    if (spec.policy.kind != TenantPolicy::Kind::kAdaptive) continue;
+    const auto d =
+        core::window_step(spec.policy.adaptive, spec.policy.window,
+                          flows_.ctrl[id], flows_.window[id], raw_moved,
+                          epoch_end);
+    if (d && static_cast<std::int8_t>(d->level) != flows_.level[id]) {
+      flows_.level[id] = static_cast<std::int8_t>(d->level);
+      refresh_flow_kernel(id);
     }
   }
 

@@ -23,7 +23,7 @@ void FlowTable::reserve(std::size_t n) {
   ratio_jitter.reserve(n);
   speed_jitter.reserve(n);
   ctrl.reserve(n);
-  meter.reserve(n);
+  window.reserve(n);
   wf.reserve(n);
   comp_speed.reserve(n);
   cpu_bound.reserve(n);
@@ -56,7 +56,7 @@ FlowTable::Id FlowTable::add_transfer(std::uint16_t tenant_id,
   ratio_jitter.push_back(ratio_jit);
   speed_jitter.push_back(speed_jit);
   ctrl.push_back(core::ControllerState{});
-  meter.push_back(FlowMeter{});
+  window.push_back(core::DecisionWindow{});
   wf.push_back(1.0);
   comp_speed.push_back(0.0);
   cpu_bound.push_back(0.0);

@@ -1,15 +1,15 @@
 // Structs-of-arrays flow store for the fleet simulator.
 //
 // The original TransferExperiment keeps one heap object per transfer
-// (policy, meter, link, timeline). At fleet scale — 10^5..10^6 concurrent
+// (policy, link, timeline). At fleet scale — 10^5..10^6 concurrent
 // flows — that layout dies by pointer chasing and allocator pressure:
 // every epoch touches every active flow, so the state an epoch reads
 // (phase, remaining bytes, rate, level) must be contiguous. FlowTable
 // stores each field as its own parallel vector; a flow is an index, not
 // an object. The adaptive controller rides along as embedded POD
-// (core::ControllerState, 40 bytes) and the rate meter as FlowMeter, so
-// one million DYNAMIC flows are two flat arrays rather than two million
-// heap objects.
+// (core::ControllerState, 40 bytes) and its decision window as
+// core::DecisionWindow, so one million DYNAMIC flows are two flat arrays
+// rather than two million heap objects.
 //
 // The fleet-alloc lint rule bans `new` / make_unique / make_shared in
 // this layer; growth happens only through the column vectors.
@@ -36,14 +36,6 @@ enum class FlowKind : std::uint8_t {
   kTransfer,  ///< fixed raw byte count through the compression module
   kDwell,     ///< background TCP connection occupying its share for a
               ///< fixed duration (the bgtraffic tenant class)
-};
-
-/// core::RateMeter's state as bare data: the application-data-rate window
-/// that feeds Algorithm 1, one per flow, no heap.
-struct FlowMeter {
-  common::SimTime window_start;
-  double bytes = 0.0;  ///< raw bytes this window (fluid drain = fractional)
-  bool started = false;
 };
 
 /// Structs-of-arrays store. All columns are index-parallel; FlowTable
@@ -88,7 +80,7 @@ class FlowTable {
   std::vector<double> ratio_jitter;       ///< per-flow multiplicative jitter
   std::vector<double> speed_jitter;
   std::vector<core::ControllerState> ctrl;  ///< Algorithm 1 state (POD)
-  std::vector<FlowMeter> meter;             ///< decision-window meter
+  std::vector<core::DecisionWindow> window; ///< Algorithm 1 window t (POD)
 
   // Cached epoch kernel (transfers): derived from (level, cls) + jitters,
   // refreshed only at spawn and on a controller level switch so the hot

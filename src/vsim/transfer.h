@@ -23,10 +23,10 @@
 // ParallelBlockDecodePipeline); k = 1 reduces to the recurrence above.
 //
 // The policy under test is driven exactly as on the real transport: its
-// level is read at comp_start and on_block(raw, comp_end) feeds the rate
-// meter, so backpressure from any stage shows up in the application data
-// rate — the paper's sole decision signal. A 9000-second HEAVY run
-// (Table II) completes in a few milliseconds of wall time.
+// level is read at comp_start and on_block(raw, comp_end) feeds the
+// decision window, so backpressure from any stage shows up in the
+// application data rate — the paper's sole decision signal. A 9000-second
+// HEAVY run (Table II) completes in a few milliseconds of wall time.
 #pragma once
 
 #include <cstdint>

@@ -1,57 +1,82 @@
-// RateMeter and the policy layer (static + adaptive).
+// The decision window (window_step) and the policy layer (static +
+// adaptive).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
+#include "core/controller.h"
 #include "core/policy.h"
-#include "core/rate_meter.h"
 
 namespace strato::core {
 namespace {
 
 using common::SimTime;
 
-TEST(RateMeter, NoWindowBeforeFirstBytes) {
-  RateMeter m(SimTime::seconds(2));
-  EXPECT_FALSE(m.poll(SimTime::seconds(100)).has_value());
+// window_step over an interval t = `t_s` seconds and the default config.
+std::optional<Decision> step(ControllerState& st, DecisionWindow& w,
+                             double t_s, double bytes, double now_s) {
+  return window_step(AdaptiveConfig{}, SimTime::seconds(t_s), st, w, bytes,
+                     SimTime::seconds(now_s));
 }
 
-TEST(RateMeter, ClosesWindowAfterT) {
-  RateMeter m(SimTime::seconds(2));
-  m.on_bytes(1000, SimTime::seconds(0));
-  m.on_bytes(1000, SimTime::seconds(1));
-  EXPECT_FALSE(m.poll(SimTime::seconds(1.5)).has_value());
-  const auto rate = m.poll(SimTime::seconds(2));
-  ASSERT_TRUE(rate.has_value());
-  EXPECT_NEAR(*rate, 1000.0, 1e-9);  // 2000 bytes over 2 s
+TEST(WindowStep, FirstCallOpensWindow) {
+  ControllerState st;
+  DecisionWindow w;
+  EXPECT_FALSE(step(st, w, 2, 1000, 100).has_value());
+  EXPECT_TRUE(w.open);
+  EXPECT_EQ(w.start, SimTime::seconds(100));
+  EXPECT_EQ(w.bytes, 1000.0);
+  EXPECT_EQ(st.c, 0);  // the controller has not stepped
 }
 
-TEST(RateMeter, UsesActualElapsedTime) {
-  // A late poll divides by the true elapsed span, not the nominal t.
-  RateMeter m(SimTime::seconds(2));
-  m.on_bytes(4000, SimTime::seconds(0));
-  const auto rate = m.poll(SimTime::seconds(4));
-  ASSERT_TRUE(rate.has_value());
-  EXPECT_NEAR(*rate, 1000.0, 1e-9);
+TEST(WindowStep, ClosesWindowAfterT) {
+  ControllerState st;
+  DecisionWindow w;
+  EXPECT_FALSE(step(st, w, 2, 1000, 0).has_value());
+  EXPECT_FALSE(step(st, w, 2, 1000, 1).has_value());
+  EXPECT_FALSE(step(st, w, 2, 0, 1.5).has_value());
+  const auto dec = step(st, w, 2, 0, 2);
+  ASSERT_TRUE(dec.has_value());
+  EXPECT_NEAR(dec->cdr, 1000.0, 1e-9);  // 2000 bytes over 2 s
+  EXPECT_EQ(dec->level, st.ccl);
 }
 
-TEST(RateMeter, WindowsAreConsecutive) {
-  // The first window starts at the first on_bytes() call.
-  RateMeter m(SimTime::seconds(1));
-  m.on_bytes(100, SimTime::seconds(0.5));
-  EXPECT_FALSE(m.poll(SimTime::seconds(1)).has_value());  // only 0.5 s in
-  ASSERT_TRUE(m.poll(SimTime::seconds(1.5)).has_value());
-  m.on_bytes(500, SimTime::seconds(2.0));
-  const auto rate = m.poll(SimTime::seconds(2.5));
-  ASSERT_TRUE(rate.has_value());
-  EXPECT_NEAR(*rate, 500.0, 1e-9);  // only the second window's bytes
-  EXPECT_EQ(m.total_bytes(), 600u);
+TEST(WindowStep, UsesActualElapsedTime) {
+  // A late close divides by the true elapsed span, not the nominal t.
+  ControllerState st;
+  DecisionWindow w;
+  EXPECT_FALSE(step(st, w, 2, 4000, 0).has_value());
+  const auto dec = step(st, w, 2, 0, 4);
+  ASSERT_TRUE(dec.has_value());
+  EXPECT_NEAR(dec->cdr, 1000.0, 1e-9);
 }
 
-TEST(RateMeter, ResetClearsEverything) {
-  RateMeter m(SimTime::seconds(1));
-  m.on_bytes(100, SimTime::seconds(0));
-  m.reset();
-  EXPECT_EQ(m.total_bytes(), 0u);
-  EXPECT_FALSE(m.poll(SimTime::seconds(10)).has_value());
+TEST(WindowStep, WindowsAreConsecutive) {
+  // The first window starts at the first call; each close reopens the
+  // window at the closing time with no bytes carried over.
+  ControllerState st;
+  DecisionWindow w;
+  EXPECT_FALSE(step(st, w, 1, 100, 0.5).has_value());
+  EXPECT_FALSE(step(st, w, 1, 0, 1).has_value());  // only 0.5 s in
+  ASSERT_TRUE(step(st, w, 1, 0, 1.5).has_value());
+  EXPECT_EQ(w.start, SimTime::seconds(1.5));
+  EXPECT_EQ(w.bytes, 0.0);
+  EXPECT_FALSE(step(st, w, 1, 500, 2.0).has_value());
+  const auto dec = step(st, w, 1, 0, 2.5);
+  ASSERT_TRUE(dec.has_value());
+  EXPECT_NEAR(dec->cdr, 500.0, 1e-9);  // only the second window's bytes
+}
+
+TEST(WindowStep, PreOpenedWindowCountsFromItsStart) {
+  // The fleet opens a flow's window at admission; the first close spans
+  // from there, not from the first bytes.
+  ControllerState st;
+  DecisionWindow w{SimTime::seconds(1), 0.0, true};
+  EXPECT_FALSE(step(st, w, 2, 3000, 2).has_value());
+  const auto dec = step(st, w, 2, 3000, 3);
+  ASSERT_TRUE(dec.has_value());
+  EXPECT_NEAR(dec->cdr, 3000.0, 1e-9);  // 6000 bytes over 2 s
 }
 
 TEST(StaticPolicy, FixedLevelAndName) {
@@ -95,9 +120,29 @@ TEST(AdaptivePolicy, ProbesFromLevelZeroOnStableRate) {
   }
   // With a perfectly stable rate the controller keeps probing; the level
   // must have moved off 0 at some point (and stays within the ladder).
-  EXPECT_GE(p.controller().level(), 0);
-  EXPECT_LT(p.controller().level(), 4);
-  EXPECT_GT(p.meter().total_bytes(), 0u);
+  EXPECT_GE(p.level(), 0);
+  EXPECT_LT(p.level(), 4);
+  EXPECT_EQ(p.level(), p.state().ccl);
+}
+
+TEST(AdaptivePolicy, ClampsLadderToControllerState) {
+  // num_levels outside [1, kMaxControllerLevels] is clamped: 0 becomes a
+  // one-rung ladder, 40 the largest ladder ControllerState can hold.
+  for (const int n : {0, 40}) {
+    AdaptiveConfig cfg;
+    cfg.num_levels = n;
+    const int rungs = n < 1 ? 1 : kMaxControllerLevels;
+    AdaptivePolicy p(cfg, SimTime::seconds(1));
+    int top = 0;
+    // A stable rate probes upward every window, across the whole ladder.
+    for (int i = 0; i <= 400; ++i) {
+      p.on_block(100000, SimTime::seconds(0.25 * i));
+      ASSERT_GE(p.level(), 0) << "num_levels " << n;
+      ASSERT_LT(p.level(), rungs) << "num_levels " << n;
+      top = std::max(top, p.level());
+    }
+    EXPECT_EQ(top, rungs - 1) << "num_levels " << n;
+  }
 }
 
 TEST(AdaptivePolicy, LevelRespondsToRateCollapse) {

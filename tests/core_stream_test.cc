@@ -169,8 +169,8 @@ TEST(Stream, OutOfRangePolicyLevelIsClamped) {
 
 TEST(Stream, AdaptivePolicySeesBackpressureTiming) {
   // The writer samples the clock after the sink accepts a block; with a
-  // manual clock advanced inside a slow sink, the policy's rate meter
-  // sees the (lower) achievable rate.
+  // manual clock advanced inside a slow sink, the policy's decision
+  // window sees the (lower) achievable rate.
   class SlowSink final : public ByteSink {
    public:
     explicit SlowSink(common::ManualClock& clk) : clk_(clk) {}

@@ -26,6 +26,13 @@ void fixture_allowed_encode(const Codec& codec, ByteSpan payload,
   encode_block_into(codec, 0, payload, frame);
 }
 
+int fixture_allowed_decision(const AdaptiveConfig& config,
+                             ControllerState& st) {
+  // Replays a recorded cdr in a standalone verification tool; sanctioned.
+  // strato-lint: allow(decision)
+  return controller_step(config, st, 1.0).level;
+}
+
 void fixture_allowed_counters(MetricRegistry& registry) {
   // Registry health probe in a standalone diagnostics tool; sanctioned.
   // strato-lint: allow(counters)

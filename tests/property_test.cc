@@ -149,12 +149,12 @@ TEST(ControllerInvariants, HoldUnderRandomRateWalks) {
     core::AdaptiveConfig cfg;
     cfg.num_levels = 2 + static_cast<int>(rng.below(5));
     cfg.alpha = rng.uniform(0.05, 0.4);
-    core::AdaptiveController ctl(cfg);
+    core::ControllerState st;
     int prev_level = 0;
     double rate = 1e6;
     for (int w = 0; w < 2000; ++w) {
       rate = std::max(1.0, rate * rng.uniform(0.7, 1.4));
-      const auto dec = ctl.on_window(rate);
+      const auto dec = core::controller_step(cfg, st, rate);
       // 1. Levels always valid.
       ASSERT_GE(dec.level, 0);
       ASSERT_LT(dec.level, cfg.num_levels);
@@ -164,8 +164,8 @@ TEST(ControllerInvariants, HoldUnderRandomRateWalks) {
       ASSERT_FALSE(dec.probed && dec.reverted);
       // 4. Backoffs stay within the cap.
       for (int l = 0; l < cfg.num_levels; ++l) {
-        ASSERT_GE(ctl.backoff(l), 0);
-        ASSERT_LE(ctl.backoff(l), cfg.max_backoff_exponent);
+        ASSERT_GE(st.bck[l], 0);
+        ASSERT_LE(st.bck[l], core::kMaxBackoffExponent);
       }
       prev_level = dec.level;
     }
@@ -176,10 +176,10 @@ TEST(ControllerInvariants, ConstantRateConvergesToPeriodicProbing) {
   // Under a perfectly constant rate every decision is a probe (the rate
   // never "improves"), so bck never grows and probing is periodic with
   // period 1 — the documented no-signal behaviour.
-  core::AdaptiveController ctl(core::AdaptiveConfig{});
+  core::ControllerState st;
   int probes = 0;
   for (int w = 0; w < 100; ++w) {
-    if (ctl.on_window(1000.0).probed) ++probes;
+    if (core::controller_step({}, st, 1000.0).probed) ++probes;
   }
   EXPECT_GT(probes, 90);
 }
@@ -187,15 +187,15 @@ TEST(ControllerInvariants, ConstantRateConvergesToPeriodicProbing) {
 TEST(ControllerInvariants, RewardedLevelKeepsLongerBackoffs) {
   // A level that repeatedly improves the rate must end with a strictly
   // larger backoff than its neighbours.
-  core::AdaptiveController ctl(core::AdaptiveConfig{});
+  core::ControllerState st;
   double rate = 100.0;
-  ctl.on_window(rate);  // -> level 1
+  core::controller_step({}, st, rate);  // -> level 1
   for (int i = 0; i < 6; ++i) {
     rate *= 1.5;
-    ctl.on_window(rate);  // improvements at level 1
+    core::controller_step({}, st, rate);  // improvements at level 1
   }
-  EXPECT_GT(ctl.backoff(1), ctl.backoff(0));
-  EXPECT_GT(ctl.backoff(1), ctl.backoff(2));
+  EXPECT_GT(st.bck[1], st.bck[0]);
+  EXPECT_GT(st.bck[1], st.bck[2]);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Fleet-engine invariants: deterministic replay, weighted max-min shares
 // (the single-link case against SharedLink's formula), per-tenant
-// fairness, admission control, the flow limit and the hard stop.
+// fairness, admission control, the flow limit, the hard stop and the
+// adaptive ladder bound.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -265,6 +267,58 @@ TEST(Fleet, HardStopEndsRunWithFlowsInFlight) {
   EXPECT_EQ(m.epochs, 21u);  // epochs at 0, 50, ..., 1000 ms
   EXPECT_EQ(m.tenants[0].admitted, 1u);
   EXPECT_EQ(m.flows_completed, 0u);
+}
+
+// Two 2 GiB adaptive flows on the single-link topology whose tenant asks
+// for a `num_levels` ladder; the model has CodecModel::kNumLevels rungs.
+FleetConfig ladder_fleet(int num_levels, std::array<double, 3> class_mix) {
+  FleetConfig cfg;
+  cfg.topology = Topology::single(profile(VirtTech::kKvmPara));
+  cfg.seed = 3;
+  cfg.horizon = SimTime::seconds(10);
+  cfg.codec_speed_factor = 100.0;  // compression is cheap: probe upward
+
+  TenantSpec t;
+  t.policy = TenantPolicy::dynamic();
+  t.policy.adaptive.num_levels = num_levels;
+  t.arrival_per_s = 0.0;
+  t.initial_flows = 2;
+  t.mean_flow_bytes = 2ull << 30;
+  t.min_flow_bytes = 2ull << 30;
+  t.class_mix = class_mix;
+  cfg.tenants.push_back(t);
+  return cfg;
+}
+
+double per_level_sum(const TenantMetrics& tm) {
+  double sum = 0.0;
+  for (const double b : tm.raw_bytes_per_level) sum += b;
+  return sum;
+}
+
+TEST(Fleet, EmptyAdaptiveLadderStaysAtLevelZero) {
+  // num_levels = 0 clamps to a one-rung ladder; unclamped, the first
+  // window close probed to level -2.
+  const FleetMetrics m = FleetEngine(ladder_fleet(0, {1.0, 0.0, 0.0})).run();
+  const TenantMetrics& tm = m.tenants[0];
+  EXPECT_EQ(m.flows_completed, 2u);
+  EXPECT_NEAR(tm.raw_bytes, 2.0 * static_cast<double>(2ull << 30), 1.0);
+  EXPECT_EQ(per_level_sum(tm), tm.raw_bytes);  // all of it at level 0
+}
+
+TEST(Fleet, AdaptiveLadderLongerThanModelIsClamped) {
+  // num_levels = 5 (the extended registry ladder) clamps to the model's
+  // four rungs; unclamped, the controller probed to level 4 and wrote
+  // past raw_bytes_per_level.
+  const std::array<double, 3> moderate = {0.0, 1.0, 0.0};
+  const std::array<double, 3> low = {0.0, 0.0, 1.0};
+  for (const auto& mix : {moderate, low}) {
+    const FleetMetrics m = FleetEngine(ladder_fleet(5, mix)).run();
+    const TenantMetrics& tm = m.tenants[0];
+    EXPECT_EQ(m.flows_completed, 2u);
+    EXPECT_NEAR(per_level_sum(tm), tm.raw_bytes, 1e-9 * tm.raw_bytes);
+    EXPECT_GT(tm.raw_bytes_per_level[CodecModel::kNumLevels - 1], 0.0);
+  }
 }
 
 TEST(Fleet, BackgroundTenantIsJustAnotherTenant) {
