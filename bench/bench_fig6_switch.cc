@@ -17,9 +17,8 @@ int main(int argc, char** argv) {
       "Fig. 6: adaptive compression under alternating compressibility\n"
       "(HIGH <-> LOW every 10 GB, 50 GB total, no background traffic).\n\n");
   vsim::TransferConfig cfg;
-  cfg.data = corpus::Compressibility::kHigh;
-  cfg.data_b = corpus::Compressibility::kLow;
-  cfg.segment_bytes = 10'000'000'000ULL;
+  cfg.schedule = {{corpus::Compressibility::kHigh, 10'000'000'000ULL},
+                  {corpus::Compressibility::kLow, 10'000'000'000ULL}};
   cfg.bg_flows = 0;
   cfg.total_bytes = 50'000'000'000ULL;
   cfg.seed = 6;

@@ -15,6 +15,13 @@ if ! "$SCRIPT_DIR/check_static.sh" --lint-only; then
   exit 1
 fi
 
+# Reach audit: library code that no bench or example links is either
+# allowlisted with a reason or deleted (scripts/reach_allowlist.txt).
+if ! "$SCRIPT_DIR/check_reach.sh"; then
+  echo "reach audit failed — delete or allowlist the unreached functions" >&2
+  exit 1
+fi
+
 mkdir -p "$OUT"
 
 if [ ! -d "$BUILD/bench" ]; then

@@ -16,8 +16,8 @@ into every presubmit script (check_static.sh runs this first):
                    outside the wrapper and the detector it feeds.
   stdout           the library must not write to stdout (bench/example
                    output is parsed by scripts); std::cout / printf / puts
-                   are banned in src/ outside common/logging.cc. stderr
-                   (fprintf(stderr, ...), std::cerr in logging) is fine.
+                   are banned everywhere in src/. stderr (fprintf(stderr,
+                   ...), std::cerr) is fine.
   nodiscard        status-returning APIs (bool try_*(), std::optional<T>
                    returners) must be [[nodiscard]] — dropping a failed
                    try_push is exactly how metrics silently lie.
@@ -120,11 +120,6 @@ RAW_MUTEX_ALLOWED = {
     "common/lock_graph.h",
     "common/lock_graph.cc",
     "common/thread_annotations.h",
-}
-
-STDOUT_ALLOWED = {
-    "common/logging.cc",
-    "common/logging.h",
 }
 
 WALLCLOCK_DIRS = ("vsim/", "verify/")
@@ -599,8 +594,7 @@ def lint_file(path: Path, rel: str):
             check("wallclock", RULES["wallclock"])
         if rel not in RAW_MUTEX_ALLOWED:
             check("raw-mutex", RULES["raw-mutex"])
-        if rel not in STDOUT_ALLOWED:
-            check("stdout", RULES["stdout"])
+        check("stdout", RULES["stdout"])
         if rel.startswith(COPY_BANNED_PREFIX):
             check("copy", RULES["copy"])
         if rel.startswith(FLEET_ALLOC_PREFIXES):

@@ -6,7 +6,7 @@
 // blackouts — triggered by a monotone coordinate. Byte-oriented consumers
 // (core::ThrottledPipe, core::AsyncSender) walk their stream through a
 // ChaosWalker keyed by cumulative writer offset; time-oriented consumers
-// (vsim::SharedLink) index blackouts by virtual-time nanoseconds.
+// (vsim::LinkBank) index blackouts by virtual-time nanoseconds.
 // Schedules are either scripted explicitly or generated from a seed, so
 // every injected fault is replayable.
 #pragma once

@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <cmath>
-#include <sstream>
 
 namespace strato::common {
 
@@ -93,25 +92,6 @@ bool Histogram::merge(const Histogram& other) {
   }
   total_ += other.total_;
   return true;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    os << "[" << bucket_lo(i) << ", " << bucket_lo(i + 1) << ") "
-       << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace strato::common

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace strato::common {
@@ -107,12 +106,7 @@ class Histogram {
 
   [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
   [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  /// Lower edge of bucket i.
-  [[nodiscard]] double bucket_lo(std::size_t i) const;
   [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  /// Render a compact ASCII bar chart (for bench output).
-  [[nodiscard]] std::string ascii(std::size_t width = 40) const;
 
   /// Add `other`'s counts bucket-by-bucket. Requires identical layout
   /// (same lo, hi, bucket count) — per-tenant goodput histograms share

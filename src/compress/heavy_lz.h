@@ -16,22 +16,9 @@
 
 namespace strato::compress {
 
-/// Match-finder selection for HeavyLz. Both produce the same wire format
-/// (one decoder serves both); they differ in how the encoder parses.
-enum class HeavyFinder {
-  /// Deep hash chains (default): fast, probe-depth-limited heuristic.
-  kHashChain,
-  /// Suffix-array longest-previous-factor parse (see suffix_match.h):
-  /// slower to index, but every match is the true longest available.
-  kSuffixArray,
-};
-
 /// Level 3, HEAVY: see file comment.
 class HeavyLz final : public Codec {
  public:
-  HeavyLz() = default;
-  explicit HeavyLz(HeavyFinder finder) : finder_(finder) {}
-
   [[nodiscard]] std::uint8_t id() const override { return kCodecHeavyLz; }
   [[nodiscard]] std::string name() const override { return "heavylz"; }
   [[nodiscard]] std::size_t max_compressed_size(std::size_t n) const override {
@@ -43,9 +30,6 @@ class HeavyLz final : public Codec {
                          common::MutableByteSpan dst) const override;
   using Codec::compress;
   using Codec::decompress;
-
- private:
-  HeavyFinder finder_ = HeavyFinder::kHashChain;
 };
 
 }  // namespace strato::compress

@@ -59,7 +59,6 @@ void ThrottledPipe::write_clean(common::ByteSpan data) {
       if (closed_) return;  // reader gone; drop silently like a RST socket
       buf_.insert(buf_.end(), data.begin() + static_cast<std::ptrdiff_t>(off),
                   data.begin() + static_cast<std::ptrdiff_t>(off + grain));
-      transferred_ += grain;
       off += grain;
     }
     readable_.notify_one();
@@ -86,11 +85,6 @@ common::Bytes ThrottledPipe::read(std::size_t max_bytes) {
   }
   writable_.notify_all();
   return out;
-}
-
-std::uint64_t ThrottledPipe::transferred() const {
-  common::MutexLock lk(mu_);
-  return transferred_;
 }
 
 }  // namespace strato::core

@@ -81,21 +81,17 @@ class ThrottledPipe final : public ByteSink {
   /// Reader side: pop up to `max_bytes`; empty result means EOF.
   common::Bytes read(std::size_t max_bytes);
 
-  /// Bytes moved through the pipe so far.
-  [[nodiscard]] std::uint64_t transferred() const;
-
  private:
   /// Move bytes that survived the chaos walk through the link.
   void write_clean(common::ByteSpan data);
 
   std::shared_ptr<LinkShare> link_;
   common::ChaosWalker chaos_;  // writer-side fault script; stalls sleep
-  mutable common::Mutex mu_{"ThrottledPipe::mu_"};
+  common::Mutex mu_{"ThrottledPipe::mu_"};
   common::CondVar readable_;
   common::CondVar writable_;
   std::deque<std::uint8_t> buf_ STRATO_GUARDED_BY(mu_);
   std::size_t capacity_;
-  std::uint64_t transferred_ STRATO_GUARDED_BY(mu_) = 0;
   bool closed_ STRATO_GUARDED_BY(mu_) = false;
 };
 

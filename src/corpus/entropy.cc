@@ -3,7 +3,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 namespace strato::corpus {
 
@@ -19,27 +18,6 @@ double shannon_entropy(common::ByteSpan data) {
     h -= p * std::log2(p);
   }
   return h;
-}
-
-double lz_repetitiveness(common::ByteSpan data) {
-  if (data.size() < 8) return 0.0;
-  constexpr std::size_t kTableBits = 16;
-  constexpr std::size_t kWindow = 64 * 1024;
-  std::vector<std::int64_t> table(1u << kTableBits, -1);
-  std::size_t hits = 0;
-  const std::size_t end = data.size() - 4;
-  for (std::size_t i = 0; i < end; ++i) {
-    const std::uint32_t v = common::load_u32(data.data() + i);
-    const std::uint32_t h = (v * 2654435761u) >> (32 - kTableBits);
-    const std::int64_t prev = table[h];
-    table[h] = static_cast<std::int64_t>(i);
-    if (prev >= 0 &&
-        static_cast<std::size_t>(i - prev) <= kWindow &&
-        common::load_u32(data.data() + prev) == v) {
-      ++hits;
-    }
-  }
-  return static_cast<double>(hits) / static_cast<double>(end);
 }
 
 }  // namespace strato::corpus

@@ -1,9 +1,8 @@
-// Compressibility probes.
+// Compressibility probe.
 //
-// A cheap Shannon byte-entropy estimate plus a tiny LZ probe. Not used by
-// the paper's decision model (which deliberately avoids data inspection),
-// but used by tests to validate the corpus generators and by the
-// metric-driven baseline policy from related work.
+// A cheap Shannon byte-entropy estimate. The paper's decision model
+// deliberately avoids data inspection, so no policy calls it; tests use it
+// as the oracle that validates the corpus generators.
 #pragma once
 
 #include <cstddef>
@@ -14,10 +13,5 @@ namespace strato::corpus {
 
 /// Shannon entropy of the byte distribution, in bits per byte (0..8).
 double shannon_entropy(common::ByteSpan data);
-
-/// Fraction of positions whose 4-byte group reoccurs earlier within a
-/// 64 KiB window — a fast proxy for LZ-compressibility in [0,1]
-/// (1 = highly repetitive).
-double lz_repetitiveness(common::ByteSpan data);
 
 }  // namespace strato::corpus

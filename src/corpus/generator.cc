@@ -350,44 +350,6 @@ void ColumnarGenerator::generate(common::MutableByteSpan out) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// SegmentedGenerator
-// ---------------------------------------------------------------------------
-
-SegmentedGenerator::SegmentedGenerator(std::unique_ptr<Generator> a,
-                                       std::unique_ptr<Generator> b,
-                                       std::uint64_t segment_bytes)
-    : segment_bytes_(segment_bytes == 0 ? 1 : segment_bytes) {
-  gens_[0] = std::move(a);
-  gens_[1] = std::move(b);
-}
-
-void SegmentedGenerator::generate(common::MutableByteSpan out) {
-  std::size_t done = 0;
-  while (done < out.size()) {
-    if (emitted_in_segment_ >= segment_bytes_) {
-      emitted_in_segment_ = 0;
-      active_ = 1 - active_;
-    }
-    const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
-        out.size() - done, segment_bytes_ - emitted_in_segment_));
-    gens_[active_]->generate(out.subspan(done, n));
-    done += n;
-    emitted_in_segment_ += n;
-  }
-}
-
-void SegmentedGenerator::reset(std::uint64_t seed) {
-  gens_[0]->reset(seed);
-  gens_[1]->reset(seed ^ 0x5E65ULL);
-  emitted_in_segment_ = 0;
-  active_ = 0;
-}
-
-std::string SegmentedGenerator::name() const {
-  return "segmented(" + gens_[0]->name() + "<->" + gens_[1]->name() + ")";
-}
-
 std::unique_ptr<Generator> make_generator(Compressibility c,
                                           std::uint64_t seed) {
   switch (c) {

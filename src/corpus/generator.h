@@ -157,26 +157,6 @@ class ColumnarGenerator final : public Generator {
   std::uint64_t seed_;
 };
 
-/// Alternates between two generators every `segment_bytes` — the Fig. 6
-/// workload (HIGH <-> LOW every 10 GB).
-class SegmentedGenerator final : public Generator {
- public:
-  SegmentedGenerator(std::unique_ptr<Generator> a, std::unique_ptr<Generator> b,
-                     std::uint64_t segment_bytes);
-  void generate(common::MutableByteSpan out) override;
-  void reset(std::uint64_t seed) override;
-  [[nodiscard]] std::string name() const override;
-
-  /// Which underlying generator is currently active (0 or 1).
-  [[nodiscard]] int active() const { return active_; }
-
- private:
-  std::unique_ptr<Generator> gens_[2];
-  std::uint64_t segment_bytes_;
-  std::uint64_t emitted_in_segment_ = 0;
-  int active_ = 0;
-};
-
 /// Factory for the paper's three workloads.
 std::unique_ptr<Generator> make_generator(Compressibility c,
                                           std::uint64_t seed = 1);

@@ -1,6 +1,7 @@
 #include "corpus/schedule.h"
 
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -36,14 +37,22 @@ std::uint64_t parse_size(std::string_view token) {
       break;
   }
   if (token.empty()) throw std::invalid_argument("schedule: empty size");
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t value = 0;
   for (const char c : token) {
     if (c < '0' || c > '9') {
       throw std::invalid_argument("schedule: bad size digit");
     }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (kMax - digit) / 10) {
+      throw std::invalid_argument("schedule: size overflows 64 bits");
+    }
+    value = value * 10 + digit;
   }
   if (value == 0) throw std::invalid_argument("schedule: zero-length segment");
+  if (value > kMax / scale) {
+    throw std::invalid_argument("schedule: size overflows 64 bits");
+  }
   return value * scale;
 }
 
@@ -79,12 +88,18 @@ std::vector<Segment> parse_schedule(std::string_view spec) {
     pos = comma + 1;
   }
   if (out.empty()) throw std::invalid_argument("schedule: empty spec");
+  schedule_length(out);  // rejects a total that overflows
   return out;
 }
 
 std::uint64_t schedule_length(const std::vector<Segment>& schedule) {
   std::uint64_t total = 0;
-  for (const auto& s : schedule) total += s.bytes;
+  for (const auto& s : schedule) {
+    if (s.bytes > std::numeric_limits<std::uint64_t>::max() - total) {
+      throw std::invalid_argument("schedule: total length overflows 64 bits");
+    }
+    total += s.bytes;
+  }
   return total;
 }
 

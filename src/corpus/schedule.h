@@ -26,7 +26,8 @@ struct Segment {
 
 /// Parse "CLASS:SIZE[,CLASS:SIZE...]" where CLASS is HIGH/MODERATE/LOW
 /// and SIZE takes K/M/G suffixes (powers of ten, like the paper's GB).
-/// @throws std::invalid_argument on malformed specs.
+/// @throws std::invalid_argument on malformed specs, and on a size or a
+/// total length that overflows 64 bits.
 std::vector<Segment> parse_schedule(std::string_view spec);
 
 /// Class at `offset` bytes into the schedule; the schedule repeats
@@ -36,6 +37,7 @@ Compressibility class_at(const std::vector<Segment>& schedule,
                          Compressibility fallback = Compressibility::kHigh);
 
 /// Total bytes of one schedule pass (0 for an empty schedule).
+/// @throws std::invalid_argument when the total overflows 64 bits.
 std::uint64_t schedule_length(const std::vector<Segment>& schedule);
 
 /// Byte stream walking a schedule (cyclically), backed by one generator

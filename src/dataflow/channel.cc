@@ -96,7 +96,7 @@ class CompressedChannelBase : public Channel {
         policy_(make_policy(spec, registry)),
         compressing_writer_(sink, registry, *policy_, clock_, block_size,
                             spec.worker_count),
-        decompressing_reader_(registry, spec.decode_worker_count) {}
+        decompressing_reader_(registry) {}
 
   ChannelStats stats() const override {
     ChannelStats s;

@@ -79,24 +79,11 @@ struct CompressionSpec {
   /// writing task's thread; > 1 fans blocks out to the pipeline's workers.
   /// The wire format is identical either way.
   std::size_t worker_count = 1;
-  /// Decode worker threads on the receiving side. 1 (default) decodes
-  /// inline on the reading task's thread; > 1 fans frames out to a
-  /// ParallelBlockDecodePipeline. The delivered records are identical
-  /// either way.
-  std::size_t decode_worker_count = 1;
 
   /// Builder: enable parallel block compression on this channel.
   [[nodiscard]] CompressionSpec with_workers(std::size_t workers) const {
     CompressionSpec s = *this;
     s.worker_count = workers;
-    return s;
-  }
-
-  /// Builder: enable parallel receive-side decompression on this channel.
-  [[nodiscard]] CompressionSpec with_decode_workers(
-      std::size_t workers) const {
-    CompressionSpec s = *this;
-    s.decode_worker_count = workers;
     return s;
   }
 

@@ -1,7 +1,5 @@
 #include "dataflow/serdes.h"
 
-#include <cstring>
-
 namespace strato::dataflow {
 
 void RecordWriterCursor::put_varint(std::uint64_t v) {
@@ -12,28 +10,9 @@ void RecordWriterCursor::put_varint(std::uint64_t v) {
   buf_.push_back(static_cast<std::uint8_t>(v));
 }
 
-void RecordWriterCursor::put_signed(std::int64_t v) {
-  // Zigzag: interleave positives and negatives onto the unsigned line.
-  put_varint((static_cast<std::uint64_t>(v) << 1) ^
-             static_cast<std::uint64_t>(v >> 63));
-}
-
-void RecordWriterCursor::put_double(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  const std::size_t base = buf_.size();
-  buf_.resize(base + 8);
-  common::store_le64(buf_.data() + base, bits);
-}
-
 void RecordWriterCursor::put_string(std::string_view s) {
   put_varint(s.size());
   buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-void RecordWriterCursor::put_bytes(common::ByteSpan b) {
-  put_varint(b.size());
-  buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
 std::uint64_t RecordReaderCursor::get_varint() {
@@ -51,20 +30,6 @@ std::uint64_t RecordReaderCursor::get_varint() {
   }
 }
 
-std::int64_t RecordReaderCursor::get_signed() {
-  const std::uint64_t z = get_varint();
-  return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
-}
-
-double RecordReaderCursor::get_double() {
-  need(8);
-  const std::uint64_t bits = common::load_le64(data_.data() + pos_);
-  pos_ += 8;
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
 std::string RecordReaderCursor::get_string() {
   const std::uint64_t n = get_varint();
   need(static_cast<std::size_t>(n));
@@ -72,22 +37,6 @@ std::string RecordReaderCursor::get_string() {
                 static_cast<std::size_t>(n));
   pos_ += static_cast<std::size_t>(n);
   return s;
-}
-
-common::Bytes RecordReaderCursor::get_bytes() {
-  const std::uint64_t n = get_varint();
-  need(static_cast<std::size_t>(n));
-  common::Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                  data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += static_cast<std::size_t>(n);
-  return b;
-}
-
-bool RecordReaderCursor::get_bool() {
-  need(1);
-  const std::uint8_t b = data_[pos_++];
-  if (b > 1) throw compress::CodecError("serdes: bad bool");
-  return b == 1;
 }
 
 }  // namespace strato::dataflow

@@ -1,11 +1,10 @@
 // Typed record serialization.
 //
 // Nephele tasks exchange *typed* records; our channels move raw byte
-// records. This layer provides the compact primitives (LEB128 varints,
-// zigzag for signed values, length-prefixed strings/bytes, doubles) plus
-// a cursor-style writer/reader so tasks can define record types without
-// hand-rolling byte layouts. Used by the examples and available to any
-// Task implementation.
+// records. This layer provides the compact primitives (LEB128 varints and
+// length-prefixed strings) plus a cursor-style writer/reader so tasks can
+// define record types without hand-rolling byte layouts. Used by the
+// wordcount example and available to any Task implementation.
 #pragma once
 
 #include <cstdint>
@@ -23,16 +22,8 @@ class RecordWriterCursor {
  public:
   /// Unsigned LEB128 varint.
   void put_varint(std::uint64_t v);
-  /// Zigzag-encoded signed varint.
-  void put_signed(std::int64_t v);
-  /// IEEE-754 double, little-endian.
-  void put_double(double v);
   /// Length-prefixed UTF-8/opaque string.
   void put_string(std::string_view s);
-  /// Length-prefixed raw bytes.
-  void put_bytes(common::ByteSpan b);
-  /// Single byte flag.
-  void put_bool(bool v) { buf_.push_back(v ? 1 : 0); }
 
   [[nodiscard]] const common::Bytes& bytes() const { return buf_; }
   [[nodiscard]] common::Bytes take() { return std::move(buf_); }
@@ -49,11 +40,7 @@ class RecordReaderCursor {
   explicit RecordReaderCursor(common::ByteSpan data) : data_(data) {}
 
   std::uint64_t get_varint();
-  std::int64_t get_signed();
-  double get_double();
   std::string get_string();
-  common::Bytes get_bytes();
-  bool get_bool();
 
   /// True when the whole record has been consumed.
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
@@ -61,7 +48,8 @@ class RecordReaderCursor {
 
  private:
   void need(std::size_t n) const {
-    if (pos_ + n > data_.size()) {
+    // pos_ <= size always; pos_ + n would wrap for a huge length prefix.
+    if (n > data_.size() - pos_) {
       throw compress::CodecError("serdes: truncated record");
     }
   }

@@ -116,20 +116,6 @@ class CountingSink final : public Task {
   std::atomic<std::uint64_t>& bytes_;
 };
 
-/// Hash-partitions records across all output gates (Nephele's pointwise
-/// shuffle): record -> gate XXH64(record) % num_outputs.
-class PartitionTask final : public Task {
- public:
-  void run(TaskContext& ctx) override;
-};
-
-/// Forwards every record from every input gate to output 0 (merge /
-/// union of partitions; arrival order across gates is unspecified).
-class UnionTask final : public Task {
- public:
-  void run(TaskContext& ctx) override;
-};
-
 /// Invokes a callback for every record (single input gate).
 class ForEachSink final : public Task {
  public:

@@ -13,13 +13,6 @@ double TimeSeries::at(common::SimTime t, double fallback) const {
   return std::prev(it)->second;
 }
 
-std::vector<std::string> TimelineRecorder::names() const {
-  std::vector<std::string> out;
-  out.reserve(series_.size());
-  for (const auto& [k, v] : series_) out.push_back(k);
-  return out;
-}
-
 void TimelineRecorder::write_csv(std::ostream& os,
                                  common::SimTime step) const {
   common::SimTime end;

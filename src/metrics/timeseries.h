@@ -45,7 +45,6 @@ class TimelineRecorder {
   [[nodiscard]] const TimeSeries& series(const std::string& name) const {
     return series_.at(name);
   }
-  [[nodiscard]] std::vector<std::string> names() const;
 
   /// Write "time,<series...>" CSV resampled on a fixed step.
   void write_csv(std::ostream& os, common::SimTime step) const;

@@ -43,6 +43,5 @@
 
 // Monitoring.
 #include "metrics/cpu.h"
-#include "metrics/pid_stat.h"
 #include "metrics/proc_stat.h"
 #include "metrics/timeseries.h"

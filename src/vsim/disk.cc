@@ -34,10 +34,4 @@ common::SimTime Disk::write(std::uint64_t bytes, common::SimTime now) {
   return dur;
 }
 
-common::SimTime Disk::read(std::uint64_t bytes, common::SimTime now) {
-  const double rate =
-      std::max(1.0, profile_.disk_read_bytes_s * fluct_.factor(now));
-  return common::SimTime::seconds(static_cast<double>(bytes) / rate);
-}
-
 }  // namespace strato::vsim

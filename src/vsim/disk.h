@@ -25,9 +25,6 @@ class Disk {
   /// Duration of a `bytes`-sized write starting at `now` (guest view).
   common::SimTime write(std::uint64_t bytes, common::SimTime now);
 
-  /// Duration of a `bytes`-sized (raw, uncached) read starting at `now`.
-  common::SimTime read(std::uint64_t bytes, common::SimTime now);
-
   /// Bytes still sitting in the host cache (not on the physical platter).
   [[nodiscard]] double dirty_bytes() const { return dirty_; }
 

@@ -30,8 +30,8 @@
 // The degenerate case — one transfer on a single link — is not a fleet
 // run: TransferExperiment (run_transfer_blocks in transfer.h) executes
 // the calibrated per-block recurrence behind Table II. On the
-// single-link topology this engine's max-min shares reproduce
-// SharedLink's contention formula (vsim_fleet_test).
+// single-link topology this engine's max-min shares reproduce that
+// recurrence's contention formula (vsim_fleet_test).
 #pragma once
 
 #include <array>
@@ -74,7 +74,7 @@ struct TenantPolicy {
 enum class ShareMode {
   /// Every flow carries `weight` individually — a tenant's aggregate
   /// share grows with its flow count. Background traffic uses this with
-  /// weight = kBackgroundFlowWeight, reproducing SharedLink's
+  /// weight = kBackgroundFlowWeight, reproducing the Table II closed form
   /// capacity / (1 + w_bg * k) on the degenerate topology.
   kPerFlow,
   /// `weight` is the tenant's total: each active flow gets weight /

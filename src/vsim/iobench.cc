@@ -4,7 +4,7 @@
 
 #include "common/rng.h"
 #include "vsim/disk.h"
-#include "vsim/link.h"
+#include "vsim/topology.h"
 
 namespace strato::vsim {
 
@@ -51,8 +51,8 @@ CpuAccuracyResult run_cpu_accuracy(VirtTech tech, IoOp op, int num_samples,
 common::Sample run_net_throughput(VirtTech tech, std::uint64_t total_bytes,
                                   std::uint64_t chunk_bytes,
                                   std::uint64_t seed) {
-  const VirtProfile& prof = profile(tech);
-  SharedLink link(prof, /*bg_flows=*/0, seed);
+  const Topology topo = Topology::single(profile(tech));
+  LinkBank link(topo, seed);
   common::Sample sample;
   common::SimTime now;
   std::uint64_t sent = 0;
@@ -66,7 +66,7 @@ common::Sample run_net_throughput(VirtTech tech, std::uint64_t total_bytes,
     while (in_chunk < chunk_bytes && sent < total_bytes) {
       const std::uint64_t n =
           std::min<std::uint64_t>(grain, chunk_bytes - in_chunk);
-      const double rate = std::max(1.0, link.fg_rate(now));
+      const double rate = std::max(1.0, link.capacity(0, now));
       now += common::SimTime::seconds(static_cast<double>(n) / rate);
       in_chunk += n;
       sent += n;

@@ -46,24 +46,4 @@ void FluctuationProcess::resample() {
   }
 }
 
-SharedLink::SharedLink(const VirtProfile& profile, int bg_flows,
-                       std::uint64_t seed, double bg_weight)
-    : nominal_(profile.net_bytes_s),
-      fluct_(profile.net_fluct, seed),
-      bg_flows_(bg_flows < 0 ? 0 : bg_flows),
-      bg_weight_(bg_weight) {}
-
-double SharedLink::fg_rate(common::SimTime now) {
-  return capacity(now) / (1.0 + bg_weight_ * bg_flows_);
-}
-
-double SharedLink::capacity(common::SimTime now) {
-  double cap = nominal_ * fluct_.factor(now);
-  if (!chaos_.empty()) {
-    cap *= chaos_.capacity_factor(
-        static_cast<std::uint64_t>(std::max<std::int64_t>(0, now.nanos())));
-  }
-  return cap;
-}
-
 }  // namespace strato::vsim

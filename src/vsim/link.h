@@ -9,6 +9,10 @@
 // where k is the number of concurrent background flows. w_bg = 0.65 is
 // calibrated so the NO-compression column of Table II reproduces the
 // paper's contention shape (569/908/1393/1642 s; DESIGN.md §5.5).
+// run_transfer_blocks evaluates this closed form over link 0 of
+// Topology::single (vsim/topology.h), whose LinkBank supplies
+// capacity * factor(t); the fleet's MaxMinAllocator generalizes the share
+// to a whole fabric.
 //
 // factor(t) is the per-profile fluctuation process: Gaussian wobble for
 // the local cloud, a two-state Markov chain with ~30 ms dwell times for
@@ -16,7 +20,6 @@
 // link, as Fig. 2 and Wang & Ng report).
 #pragma once
 
-#include "common/chaos.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "vsim/profile.h"
@@ -45,40 +48,6 @@ class FluctuationProcess {
   double current_ = 1.0;
   double run_bias_ = 1.0;
   bool degraded_ = false;
-};
-
-/// The shared NIC.
-class SharedLink {
- public:
-  /// @param profile     virtualization profile (capacity + fluctuation)
-  /// @param bg_flows    concurrent background TCP connections
-  /// @param seed        fluctuation-process seed
-  SharedLink(const VirtProfile& profile, int bg_flows, std::uint64_t seed,
-             double bg_weight = kBackgroundFlowWeight);
-
-  /// Foreground (job) flow rate in bytes/second at `now`.
-  double fg_rate(common::SimTime now);
-
-  /// Aggregate capacity at `now` (for network-throughput figures).
-  double capacity(common::SimTime now);
-
-  /// Change the number of background flows mid-run.
-  void set_bg_flows(int k) { bg_flows_ = k < 0 ? 0 : k; }
-  [[nodiscard]] int bg_flows() const { return bg_flows_; }
-
-  /// Install a scripted outage schedule (verify harness): every kBlackout
-  /// event multiplies the capacity by its factor during [at, at+span) ns
-  /// of virtual time — a switch brown-out the controller must ride through.
-  void set_chaos(common::ChaosSchedule schedule) {
-    chaos_ = std::move(schedule);
-  }
-
- private:
-  double nominal_;
-  FluctuationProcess fluct_;
-  int bg_flows_;
-  double bg_weight_;
-  common::ChaosSchedule chaos_;
 };
 
 }  // namespace strato::vsim

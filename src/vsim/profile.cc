@@ -112,7 +112,6 @@ VirtProfile make_native() {
   p.net_bytes_s = 117.6e6;  // ~941 MBit/s over GigE
   p.net_fluct = {FluctuationKind::kGaussian, 0.012, 0, 0, 0, 0, 0.005};
   p.disk_write_bytes_s = 92e6;
-  p.disk_read_bytes_s = 105e6;
   p.disk_fluct = {FluctuationKind::kGaussian, 0.05, 0, 0, 0, 0, 0.01};
   p.net_cpu_s_per_byte = 3.6e-9;  // ~0.42 cores at line rate
   p.net_cpu_visibility = 1.0;     // nothing hidden without a hypervisor
@@ -132,7 +131,6 @@ VirtProfile make_kvm_full() {
   p.disk_fluct.run_bias_sigma = 0.03;
   p.disk_write_bytes_s = 78e6;
   p.disk_fluct.sigma = 0.10;
-  p.disk_read_bytes_s = 88e6;
   p.net_cpu_s_per_byte = 2.6e-8;  // device emulation is expensive
   p.net_cpu_visibility = 0.49;
   p.disk_cpu_s_per_byte = 5.8e-9;
@@ -152,7 +150,6 @@ VirtProfile make_kvm_para() {
   p.disk_fluct.run_bias_sigma = 0.02;
   p.disk_write_bytes_s = 85e6;
   p.disk_fluct.sigma = 0.08;
-  p.disk_read_bytes_s = 95e6;
   // The paper's headline case: the host burns ~a core at saturation while
   // the guest displays ~7 % (factor ~15).
   p.net_cpu_s_per_byte = 1.2e-8;
@@ -173,7 +170,6 @@ VirtProfile make_xen_para() {
   p.net_fluct.run_bias_sigma = 0.02;
   p.disk_fluct.run_bias_sigma = 0.02;
   p.disk_write_bytes_s = 80e6;
-  p.disk_read_bytes_s = 85e6;
   p.disk_fluct.sigma = 0.07;
   // The XEN file-write anomaly (Fig. 3): guest writes land in the dom0
   // page cache at memory speed until the host flushes, during which the
@@ -208,7 +204,6 @@ VirtProfile make_ec2() {
   p.net_fluct.run_bias_sigma = 0.08;
   p.disk_fluct.run_bias_sigma = 0.10;
   p.disk_write_bytes_s = 65e6;  // m1.small ephemeral storage
-  p.disk_read_bytes_s = 70e6;
   p.disk_fluct.sigma = 0.15;
   p.net_cpu_s_per_byte = 1.1e-8;
   p.net_cpu_visibility = 0.62;

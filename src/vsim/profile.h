@@ -100,7 +100,6 @@ struct VirtProfile {
 
   // --- disk ---------------------------------------------------------------
   double disk_write_bytes_s = 90e6;
-  double disk_read_bytes_s = 105e6;
   FluctuationParams disk_fluct;
   DiskCacheParams disk_cache;
 

@@ -64,7 +64,7 @@ LinkBank::LinkBank(const Topology& topo, std::uint64_t seed) : topo_(&topo) {
   fluct_.reserve(topo.link_count());
   chaos_.resize(topo.link_count());
   for (std::size_t i = 0; i < topo.link_count(); ++i) {
-    // Link 0 keeps the caller's seed verbatim (degenerate == SharedLink);
+    // Link 0 keeps the caller's seed verbatim (run_transfer_blocks' link);
     // later links decorrelate with an odd multiplier stream.
     fluct_.emplace_back(topo.link(static_cast<Topology::LinkId>(i)).fluct,
                         seed ^ (0x9E3779B97F4A7C15ULL * i));

@@ -1,9 +1,9 @@
 // Hierarchical link topology for the fleet simulator.
 //
 // The paper evaluates one foreground transfer on a single shared NIC
-// (SharedLink). A fleet serves thousands of concurrent flows crossing a
-// datacenter fabric: host NIC -> rack uplink -> spine -> WAN egress. This
-// module models that fabric as
+// (Topology::single). A fleet serves thousands of concurrent flows
+// crossing a datacenter fabric: host NIC -> rack uplink -> spine -> WAN
+// egress. This module models that fabric as
 //
 //   * a static Topology: links (capacity + fluctuation shape) and paths
 //     (ordered link-id lists flows are pinned to);
@@ -12,7 +12,7 @@
 //     optional chaos schedule;
 //   * a MaxMinAllocator: weighted max-min fair shares across the whole
 //     fabric via progressive filling, the multi-link generalization of
-//     SharedLink's fg_rate = capacity / (1 + w_bg * k) formula. On the
+//     the fg_rate = capacity / (1 + w_bg * k) formula. On the
 //     degenerate single-link topology with one weight-1 foreground flow
 //     and k weight-w_bg background flows it reproduces exactly that
 //     expression, so the Table II calibration carries over untouched.
@@ -71,8 +71,8 @@ class Topology {
 
   /// Degenerate topology: exactly the paper's single shared NIC — one
   /// link with the profile's capacity and fluctuation shape, one path
-  /// over it. SharedLink is this topology with the weighted share
-  /// evaluated in closed form.
+  /// over it. run_transfer_blocks drives this topology's link 0 and
+  /// evaluates the weighted share in closed form.
   static Topology single(const VirtProfile& prof);
 
   /// Fleet fabric shape and capacities.
@@ -106,8 +106,8 @@ class Topology {
 class LinkBank {
  public:
   /// Per-link FluctuationProcess seeded from `seed`; link 0 uses `seed`
-  /// verbatim so the degenerate topology replays SharedLink's exact
-  /// capacity series for the same seed.
+  /// verbatim, so link 0's capacity series is a FluctuationProcess with
+  /// that seed times the link's nominal capacity.
   LinkBank(const Topology& topo, std::uint64_t seed);
 
   /// Capacity of link `id` at virtual time `now` (bytes/second).

@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "compress/framing.h"
+#include "vsim/topology.h"
 
 namespace strato::vsim {
 
@@ -37,8 +38,12 @@ TransferResult run_transfer_blocks(const TransferConfig& config,
                                    core::CompressionPolicy& policy,
                                    SimMetricsProvider& metrics) {
   const VirtProfile& prof = profile(config.tech);
-  SharedLink link(prof, config.bg_flows, config.seed);
-  if (!config.link_chaos.empty()) link.set_chaos(config.link_chaos);
+  // The paper's single shared NIC is link 0 of the degenerate topology,
+  // shared by the job flow (weight 1) and cur_flows background flows
+  // (weight kBackgroundFlowWeight each).
+  const Topology topo = Topology::single(prof);
+  LinkBank link(topo, config.seed);
+  if (!config.link_chaos.empty()) link.set_chaos(0, config.link_chaos);
   common::Xoshiro256 rng(config.seed ^ 0x7245F0000000AB01ULL);
 
   // Host-generation spread (Schad et al., cited in Section V): each run
@@ -82,21 +87,15 @@ TransferResult run_transfer_blocks(const TransferConfig& config,
         config.block_size, config.total_bytes - raw_offset);
 
     // Which corpus class is the application writing right now? Either a
-    // general schedule trace, the Fig. 6 two-phase alternation, or the
-    // fixed class.
-    corpus::Compressibility cls = config.data;
-    if (!config.schedule.empty()) {
-      cls = corpus::class_at(config.schedule, raw_offset);
-    } else if (config.segment_bytes > 0 &&
-               (raw_offset / config.segment_bytes) % 2 == 1) {
-      cls = config.data_b;
-    }
+    // schedule trace (repeating cyclically) or the fixed class.
+    const corpus::Compressibility cls =
+        config.schedule.empty() ? config.data
+                                : corpus::class_at(config.schedule, raw_offset);
 
     if (bg_process) {
       const int flows = bg_process->flows_at(comp_end_prev);
       if (flows != cur_flows) {
         cur_flows = flows;
-        link.set_bg_flows(flows);
         steal = std::min(0.6, prof.steal_per_colocated_vm * flows);
         cpu_scale = (1.0 - steal) * host_gen;
       }
@@ -129,7 +128,9 @@ TransferResult run_transfer_blocks(const TransferConfig& config,
     // --- link stage ----------------------------------------------------
     const SimTime link_start = std::max(
         {comp_end, link_end_prev, decomp_end_ring[block_index % qr]});
-    const double rate = std::max(1.0, link.fg_rate(link_start));
+    const double rate = std::max(
+        1.0, link.capacity(0, link_start) /
+                 (1.0 + kBackgroundFlowWeight * std::max(0, cur_flows)));
     const SimTime link_end = link_start + SimTime::seconds(wire / rate);
 
     // --- receiver CPU stage ----------------------------------------------

@@ -32,13 +32,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/chaos.h"
 #include "core/baselines.h"
 #include "core/policy.h"
 #include "corpus/schedule.h"
 #include "metrics/timeseries.h"
 #include "vsim/bgtraffic.h"
 #include "vsim/codec_model.h"
-#include "vsim/link.h"
 #include "vsim/profile.h"
 
 namespace strato::vsim {
@@ -47,12 +47,9 @@ namespace strato::vsim {
 struct TransferConfig {
   VirtTech tech = VirtTech::kKvmPara;  ///< the paper evaluates on KVM-para
   corpus::Compressibility data = corpus::Compressibility::kHigh;
-  /// Fig. 6 workload: when segment_bytes > 0, alternate between `data`
-  /// and `data_b` every segment_bytes of raw data.
-  corpus::Compressibility data_b = corpus::Compressibility::kLow;
-  std::uint64_t segment_bytes = 0;
-  /// Generalized workload trace (corpus/schedule.h); overrides `data` and
-  /// the segment fields when non-empty. Repeats cyclically.
+  /// Workload trace (corpus/schedule.h); overrides `data` when non-empty.
+  /// Repeats cyclically, so Fig. 6's HIGH <-> LOW switch every 10 GB is
+  /// the two-segment schedule {{kHigh, 10 GB}, {kLow, 10 GB}}.
   std::vector<corpus::Segment> schedule;
   int bg_flows = 0;                     ///< co-located TCP connections
   /// Time-varying background traffic (overrides bg_flows when enabled):

@@ -1,7 +1,6 @@
-// Codec profiling / simulator calibration and the logging utility.
+// Codec profiling and simulator calibration.
 #include <gtest/gtest.h>
 
-#include "common/logging.h"
 #include "compress/profiler.h"
 #include "compress/registry.h"
 #include "vsim/codec_model.h"
@@ -70,17 +69,6 @@ TEST(CodecModel, SetOverridesOneCell) {
   EXPECT_EQ(m.get(2, corpus::Compressibility::kLow).ratio, 0.5);
   // Neighbours untouched.
   EXPECT_NE(m.get(1, corpus::Compressibility::kLow).ratio, 0.5);
-}
-
-TEST(Logging, ThresholdFiltersLevels) {
-  const auto saved = common::log_threshold();
-  common::set_log_threshold(common::LogLevel::kError);
-  EXPECT_EQ(common::log_threshold(), common::LogLevel::kError);
-  // Below-threshold logging must be a cheap no-op (no way to observe the
-  // stream here beyond not crashing).
-  STRATO_LOG(kDebug) << "invisible " << 42;
-  STRATO_LOG(kError) << "visible " << 43;
-  common::set_log_threshold(saved);
 }
 
 }  // namespace

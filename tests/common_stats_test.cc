@@ -104,9 +104,6 @@ TEST(Histogram, BucketsAndClamping) {
   EXPECT_EQ(h.bucket(0), 2u);
   EXPECT_EQ(h.bucket(9), 2u);
   EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(10), 10.0);
-  EXPECT_FALSE(h.ascii().empty());
 }
 
 TEST(Histogram, DegenerateConstruction) {

@@ -36,6 +36,13 @@ TEST(Schedule, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_schedule("HIGH:G"), std::invalid_argument);
   EXPECT_THROW(parse_schedule("HIGH:12x"), std::invalid_argument);
   EXPECT_THROW(parse_schedule("HIGH:0"), std::invalid_argument);
+  // Sizes and totals past 2^64 - 1 must not wrap.
+  EXPECT_THROW(parse_schedule("HIGH:18446744073709551617"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_schedule("HIGH:20000000000G"), std::invalid_argument);
+  EXPECT_THROW(
+      parse_schedule("HIGH:9223372036854775808,LOW:9223372036854775808"),
+      std::invalid_argument);
 }
 
 TEST(Schedule, ClassAtWalksAndWraps) {

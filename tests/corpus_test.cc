@@ -130,54 +130,6 @@ TEST(Entropy, KnownDistributions) {
   EXPECT_EQ(shannon_entropy({}), 0.0);
 }
 
-TEST(Entropy, RepetitivenessProbe) {
-  auto hi = make_generator(Compressibility::kHigh, 5);
-  auto lo = make_generator(Compressibility::kLow, 5);
-  const double rh = lz_repetitiveness(take(*hi, 1 << 20));
-  const double rl = lz_repetitiveness(take(*lo, 1 << 20));
-  EXPECT_GT(rh, 0.9);
-  EXPECT_LT(rl, 0.2);
-  EXPECT_EQ(lz_repetitiveness(common::Bytes(4)), 0.0);  // too short
-}
-
-// --- segmented generator (Fig. 6 workload) ----------------------------------
-
-TEST(Segmented, AlternatesEverySegment) {
-  SegmentedGenerator gen(make_generator(Compressibility::kHigh, 1),
-                         make_generator(Compressibility::kLow, 1),
-                         100000);
-  const auto seg_a = take(gen, 100000);
-  EXPECT_EQ(gen.active(), 0);  // about to switch on next byte
-  const auto seg_b = take(gen, 100000);
-  EXPECT_EQ(gen.active(), 1);
-  EXPECT_LT(shannon_entropy(seg_a), 2.5);
-  EXPECT_GT(shannon_entropy(seg_b), 7.5);
-}
-
-TEST(Segmented, CrossSegmentReads) {
-  SegmentedGenerator a(make_generator(Compressibility::kHigh, 1),
-                       make_generator(Compressibility::kLow, 1), 1000);
-  SegmentedGenerator b(make_generator(Compressibility::kHigh, 1),
-                       make_generator(Compressibility::kLow, 1), 1000);
-  // One big read spanning many segments == many small reads.
-  const auto big = take(a, 10000);
-  common::Bytes small;
-  for (int i = 0; i < 100; ++i) {
-    const auto c = take(b, 100);
-    small.insert(small.end(), c.begin(), c.end());
-  }
-  EXPECT_EQ(big, small);
-}
-
-TEST(Segmented, ResetRestoresFirstSegment) {
-  SegmentedGenerator gen(make_generator(Compressibility::kHigh, 1),
-                         make_generator(Compressibility::kLow, 1), 500);
-  (void)take(gen, 750);
-  EXPECT_EQ(gen.active(), 1);
-  gen.reset(1);
-  EXPECT_EQ(gen.active(), 0);
-}
-
 TEST(Factory, NamesAndLabels) {
   EXPECT_STREQ(to_string(Compressibility::kHigh), "HIGH");
   EXPECT_STREQ(to_string(Compressibility::kModerate), "MODERATE");

@@ -17,7 +17,7 @@
 #include "corpus/generator.h"
 #include "expkit/policies.h"
 #include "verify/seed.h"
-#include "vsim/link.h"
+#include "vsim/topology.h"
 #include "vsim/transfer.h"
 
 namespace strato::verify {
@@ -322,7 +322,7 @@ TEST(DecodeChaos, TruncatedFrameStarvesEveryWorkerCountAlike) {
   }
 }
 
-// --- SharedLink blackouts ---------------------------------------------------
+// --- LinkBank blackouts -----------------------------------------------------
 
 TEST(LinkChaos, BlackoutScalesCapacityInsideWindow) {
   vsim::VirtProfile flat;  // deterministic: no fluctuation noise
@@ -330,9 +330,10 @@ TEST(LinkChaos, BlackoutScalesCapacityInsideWindow) {
   flat.net_fluct.sigma = 0.0;
   flat.net_fluct.run_bias_sigma = 0.0;
 
-  vsim::SharedLink plain(flat, 0, 5);
-  vsim::SharedLink dark(flat, 0, 5);
-  dark.set_chaos(ChaosSchedule::scripted({
+  const vsim::Topology topo = vsim::Topology::single(flat);
+  vsim::LinkBank plain(topo, 5);
+  vsim::LinkBank dark(topo, 5);
+  dark.set_chaos(0, ChaosSchedule::scripted({
       {ChaosKind::kBlackout, 2'000'000'000ULL, 1'000'000'000ULL, 0, 0xFF, 0.1},
   }));
 
@@ -340,9 +341,11 @@ TEST(LinkChaos, BlackoutScalesCapacityInsideWindow) {
   const auto before = common::SimTime::seconds(1.0);
   const auto inside = common::SimTime::seconds(2.5);
   const auto after = common::SimTime::seconds(3.5);
-  EXPECT_NEAR(dark.fg_rate(before) / plain.fg_rate(before), 1.0, 1e-9);
-  EXPECT_NEAR(dark.fg_rate(inside) / plain.fg_rate(inside), 0.1, 1e-9);
-  EXPECT_NEAR(dark.fg_rate(after) / plain.fg_rate(after), 1.0, 1e-9);
+  EXPECT_NEAR(dark.capacity(0, before) / plain.capacity(0, before), 1.0,
+              1e-9);
+  EXPECT_NEAR(dark.capacity(0, inside) / plain.capacity(0, inside), 0.1,
+              1e-9);
+  EXPECT_NEAR(dark.capacity(0, after) / plain.capacity(0, after), 1.0, 1e-9);
 }
 
 // --- Virtual-time transfer under link chaos ---------------------------------

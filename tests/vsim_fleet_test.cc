@@ -1,5 +1,5 @@
 // Fleet-engine invariants: deterministic replay, weighted max-min shares
-// (the single-link case against SharedLink's formula), per-tenant
+// (the single-link case against the Table II closed form), per-tenant
 // fairness, admission control, the flow limit, the hard stop and the
 // adaptive ladder bound.
 #include <gtest/gtest.h>
@@ -23,18 +23,16 @@ using common::SimTime;
 // Max-min allocation.
 // ---------------------------------------------------------------------------
 
-TEST(MaxMin, DegenerateSingleLinkMatchesSharedLinkFormula) {
+TEST(MaxMin, DegenerateSingleLinkMatchesClosedForm) {
   // One weight-1 foreground flow against k weight-0.65 background flows
-  // on the single-link topology must reproduce SharedLink's closed form
-  // capacity / (1 + 0.65 k), fluctuation series included (LinkBank link 0
-  // shares the seed verbatim).
+  // on the single-link topology must reproduce the closed form
+  // capacity / (1 + 0.65 k) that run_transfer_blocks computes.
   const VirtProfile& prof = profile(VirtTech::kKvmPara);
   const std::uint64_t seed = 42;
   for (const int k : {0, 2, 6}) {
     Topology topo = Topology::single(prof);
     LinkBank bank(topo, seed);
     MaxMinAllocator alloc(topo);
-    SharedLink link(prof, k, seed);
 
     std::vector<std::uint32_t> path(static_cast<std::size_t>(k) + 1, 0);
     std::vector<double> weight(static_cast<std::size_t>(k) + 1,
@@ -51,7 +49,7 @@ TEST(MaxMin, DegenerateSingleLinkMatchesSharedLinkFormula) {
       const SimTime t = SimTime::seconds(0.5 * step);
       bank.capacities(t, caps);
       alloc.allocate(caps, path, weight, active, rate);
-      const double want = link.fg_rate(t);
+      const double want = caps[0] / (1.0 + 0.65 * k);
       EXPECT_NEAR(rate[0], want, 1e-6 * want) << "k=" << k << " t=" << t;
     }
   }

@@ -1,9 +1,11 @@
-// Shared-link fair-share / fluctuation models and the disk cache model.
+// Link fluctuation, the single-link capacity series and the disk cache
+// model.
 #include <gtest/gtest.h>
 
 #include "common/stats.h"
 #include "vsim/disk.h"
 #include "vsim/link.h"
+#include "vsim/topology.h"
 
 namespace strato::vsim {
 namespace {
@@ -56,33 +58,20 @@ TEST(Fluctuation, DeterministicPerSeed) {
   EXPECT_GT(diff, 90);
 }
 
-TEST(SharedLink, FairShareFormula) {
+TEST(SingleLink, CapacityIsNominalTimesFluctuation) {
+  // Link 0 of the degenerate topology keeps the caller's seed verbatim, so
+  // its capacity is the profile's nominal rate times the series of a
+  // FluctuationProcess with that seed: the calibrated Table II link.
   const VirtProfile& p = profile(VirtTech::kKvmPara);
-  // Zero background flows: the job flow gets the whole (fluctuating) link.
-  SharedLink solo(p, 0, 5);
-  const double r0 = solo.fg_rate(SimTime());
-  EXPECT_NEAR(r0, p.net_bytes_s, 0.15 * p.net_bytes_s);
-  // k background flows with weight 0.65.
-  for (int k = 1; k <= 3; ++k) {
-    SharedLink shared(p, k, 5);
-    const double rk = shared.fg_rate(SimTime());
-    EXPECT_NEAR(rk * (1.0 + 0.65 * k), r0, 1e-6) << "k=" << k;
+  const Topology topo = Topology::single(p);
+  LinkBank bank(topo, 5);
+  FluctuationProcess fluct(p.net_fluct, 5);
+  EXPECT_NEAR(bank.capacity(0, SimTime()), p.net_bytes_s,
+              0.15 * p.net_bytes_s);
+  for (int i = 0; i < 100; ++i) {
+    const auto t = SimTime::ms(37 * i);
+    EXPECT_EQ(bank.capacity(0, t), p.net_bytes_s * fluct.factor(t)) << i;
   }
-}
-
-TEST(SharedLink, BackgroundFlowsCanChangeMidRun) {
-  SharedLink link(profile(VirtTech::kNative), 0, 1);
-  const double before = link.fg_rate(SimTime::seconds(1));
-  link.set_bg_flows(3);
-  const double after = link.fg_rate(SimTime::seconds(1.001));
-  EXPECT_LT(after, before);
-  EXPECT_EQ(link.bg_flows(), 3);
-}
-
-TEST(SharedLink, CustomWeight) {
-  SharedLink link(profile(VirtTech::kNative), 2, 1, /*bg_weight=*/1.0);
-  const double cap = link.capacity(SimTime());
-  EXPECT_NEAR(link.fg_rate(SimTime()), cap / 3.0, 1e-9);
 }
 
 // --- disk ---------------------------------------------------------------------
@@ -93,13 +82,6 @@ TEST(Disk, PlainDiskWritesAtNominalRate) {
   const auto dur = disk.write(92'000'000, SimTime());
   EXPECT_NEAR(dur.to_seconds(), 1.0, 0.2);
   EXPECT_EQ(disk.dirty_bytes(), 0.0);
-}
-
-TEST(Disk, ReadsAtReadRate) {
-  const VirtProfile& p = profile(VirtTech::kNative);
-  Disk disk(p, 3);
-  const auto dur = disk.read(105'000'000, SimTime());
-  EXPECT_NEAR(dur.to_seconds(), 1.0, 0.2);
 }
 
 TEST(Disk, XenCacheAbsorbsThenStalls) {

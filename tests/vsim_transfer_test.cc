@@ -155,14 +155,13 @@ TEST(Transfer, TimelineSeriesWhenRequested) {
 }
 
 TEST(Transfer, SegmentedWorkloadSwitchesCompressibility) {
-  // Fig. 6 workload: HIGH <-> LOW; the adaptive policy must compress
-  // during HIGH segments (wire << raw in those segments) and mostly not
-  // during LOW. Net effect: wire bytes land strictly between the two
-  // pure cases.
+  // Fig. 6 workload: a two-segment HIGH <-> LOW schedule, repeating; the
+  // adaptive policy must compress during HIGH segments (wire << raw in
+  // those segments) and mostly not during LOW. Net effect: wire bytes
+  // land strictly between the two pure cases.
   TransferConfig cfg;
-  cfg.data = corpus::Compressibility::kHigh;
-  cfg.data_b = corpus::Compressibility::kLow;
-  cfg.segment_bytes = 200'000'000ULL;
+  cfg.schedule = {{corpus::Compressibility::kHigh, 200'000'000ULL},
+                  {corpus::Compressibility::kLow, 200'000'000ULL}};
   cfg.total_bytes = 1'000'000'000ULL;
   TransferExperiment exp(cfg);
   const auto policy = expkit::make_policy("DYNAMIC", exp);
