@@ -40,6 +40,7 @@ using strato::vsim::BgTrafficConfig;
 using strato::vsim::FleetConfig;
 using strato::vsim::FleetEngine;
 using strato::vsim::FleetMetrics;
+using strato::vsim::kFleetEpoch;
 using strato::vsim::ShareMode;
 using strato::vsim::TenantPolicy;
 using strato::vsim::TenantSpec;
@@ -180,7 +181,7 @@ int main(int argc, char** argv) {
   appendf(json, "{\n  \"bench\": \"fleet_scale\",\n");
   appendf(json, "  \"seed\": %llu,\n",
           static_cast<unsigned long long>(cfg.seed));
-  appendf(json, "  \"epoch_ms\": %.0f,\n", cfg.epoch.to_seconds() * 1e3);
+  appendf(json, "  \"epoch_ms\": %.0f,\n", kFleetEpoch.to_seconds() * 1e3);
   appendf(json, "  \"flows_target\": %llu,\n",
           static_cast<unsigned long long>(flows_target));
   appendf(json, "  \"hardware_concurrency\": %u,\n",

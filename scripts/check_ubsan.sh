@@ -5,6 +5,9 @@
 # signed overflow in a codec kernel, invalid shift in a bit reader, ...)
 # is a test failure, not a log line.
 #
+# The build also keeps the tree warning-free: every target compiles with
+# -Werror on top of the project's -Wall -Wextra -Wpedantic.
+#
 # Complements check_asan.sh (spatial/temporal memory errors, pool
 # poisoning) and check_tsan.sh (data races): the three sanitizer gates
 # share the same lint-first structure.
@@ -21,6 +24,7 @@ scripts/check_static.sh --lint-only
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-Werror \
   -DSTRATO_SANITIZE=undefined
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 

@@ -148,6 +148,14 @@ void TcpConnection::close() {
 TcpListener::TcpListener(std::uint16_t port, int backlog) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) fail("socket");
+  // A throwing constructor never runs the destructor: release the socket
+  // here, keeping errno for the message.
+  const auto close_and_fail = [this](const char* what) {
+    const int err = errno;
+    ::close(fd_);
+    errno = err;
+    fail(what);
+  };
   const int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
   sockaddr_in addr{};
@@ -155,12 +163,12 @@ TcpListener::TcpListener(std::uint16_t port, int backlog) {
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    fail("bind");
+    close_and_fail("bind");
   }
-  if (::listen(fd_, backlog) != 0) fail("listen");
+  if (::listen(fd_, backlog) != 0) close_and_fail("listen");
   socklen_t len = sizeof addr;
   if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    fail("getsockname");
+    close_and_fail("getsockname");
   }
   port_ = ntohs(addr.sin_port);
 }

@@ -1,5 +1,6 @@
 #include "vsim/codec_model.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "compress/profiler.h"
@@ -72,6 +73,13 @@ CodecModel CodecModel::calibrate(const compress::CodecRegistry& registry,
     }
   }
   return m;
+}
+
+BlockJitter draw_block_jitter(common::Xoshiro256& rng) {
+  BlockJitter j;
+  j.ratio = std::clamp(rng.gaussian(1.0, 0.01), 0.8, 1.2);
+  j.speed = std::clamp(rng.gaussian(1.0, 0.04), 0.7, 1.3);
+  return j;
 }
 
 }  // namespace strato::vsim

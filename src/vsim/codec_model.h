@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 
+#include "common/rng.h"
 #include "compress/registry.h"
 #include "corpus/generator.h"
 
@@ -51,5 +52,17 @@ class CodecModel {
  private:
   std::array<std::array<LevelBehaviour, kNumClasses>, kNumLevels> table_{};
 };
+
+/// Multiplicative spread of one block's ratio and codec speed (real
+/// blocks are not identical).
+struct BlockJitter {
+  double ratio = 1.0;
+  double speed = 1.0;
+};
+
+/// The simulators' one jitter draw: ratio ~ N(1, 0.01) clamped to
+/// [0.8, 1.2], then speed ~ N(1, 0.04) clamped to [0.7, 1.3]. The ratio
+/// is drawn first, so a seeded stream fixes both.
+BlockJitter draw_block_jitter(common::Xoshiro256& rng);
 
 }  // namespace strato::vsim

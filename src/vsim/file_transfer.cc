@@ -14,6 +14,7 @@ FileTransferResult run_file_transfer(const FileTransferConfig& config,
   const VirtProfile& prof = profile(config.tech);
   Disk disk(prof, config.seed);
   common::Xoshiro256 rng(config.seed ^ 0xF17E000000000C0DULL);
+  const CodecModel model = CodecModel::defaults();
 
   FileTransferResult res;
   res.blocks_per_level.assign(CodecModel::kNumLevels, 0);
@@ -26,23 +27,20 @@ FileTransferResult run_file_transfer(const FileTransferConfig& config,
   std::uint64_t raw_offset = 0;
   while (raw_offset < config.total_bytes) {
     const std::uint64_t raw = std::min<std::uint64_t>(
-        config.block_size, config.total_bytes - raw_offset);
+        compress::kDefaultBlockSize, config.total_bytes - raw_offset);
     const int level =
         std::clamp(policy.level(), 0, CodecModel::kNumLevels - 1);
-    const LevelBehaviour& beh = config.model.get(level, config.data);
+    const LevelBehaviour& beh = model.get(level, config.data);
 
-    const double jr =
-        std::clamp(rng.gaussian(1.0, config.ratio_jitter), 0.8, 1.2);
-    const double js =
-        std::clamp(rng.gaussian(1.0, config.speed_jitter), 0.7, 1.3);
-    const double ratio = std::min(1.0, beh.ratio * jr);
+    const BlockJitter jit = draw_block_jitter(rng);
+    const double ratio = std::min(1.0, beh.ratio * jit.ratio);
     const double disk_bytes =
         static_cast<double>(raw) * ratio + compress::kFrameHeaderSize;
 
     // Compress on the vCPU, charge disk I/O handling cost, then the
     // actual (cache-aware) disk write.
     const double cpu_s =
-        static_cast<double>(raw) / (beh.compress_bytes_s * js) +
+        static_cast<double>(raw) / (beh.compress_bytes_s * jit.speed) +
         disk_bytes * prof.disk_cpu_s_per_byte;
     now += SimTime::seconds(cpu_s);
     now += disk.write(static_cast<std::uint64_t>(disk_bytes), now);

@@ -3,8 +3,10 @@
 // Section VI: "For file I/O we found the aggressive caching mechanisms of
 // some virtualization technologies to be a major obstacle which we intend
 // to address for future work." This experiment implements that setting:
-// the sender pipeline writes compressed blocks to the virtual disk
-// (src/vsim/disk.h) instead of the network:
+// the sender pipeline writes compressed 128 KB blocks
+// (compress::kDefaultBlockSize, sized and timed by CodecModel::defaults()
+// with draw_block_jitter's spread) to the virtual disk (src/vsim/disk.h)
+// instead of the network:
 //
 //   sender CPU (compress + disk I/O handling) -> disk (incl. host cache)
 //
@@ -27,12 +29,8 @@ struct FileTransferConfig {
   VirtTech tech = VirtTech::kXenPara;
   corpus::Compressibility data = corpus::Compressibility::kHigh;
   std::uint64_t total_bytes = 10'000'000'000ULL;
-  std::size_t block_size = 128 * 1024;
   std::uint64_t seed = 1;
-  double ratio_jitter = 0.01;
-  double speed_jitter = 0.04;
   bool record_timeline = false;
-  CodecModel model = CodecModel::defaults();
 };
 
 /// Outcome of one file-write job.

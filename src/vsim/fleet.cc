@@ -24,12 +24,12 @@ void appendf(std::string& out, const char* fmt, Args... args) {
 
 /// Wire bytes per raw byte at (level, class) under a flow's ratio jitter:
 /// the payload shrinks by the effective ratio, the frame header does not.
-/// Mirrors run_transfer_blocks' per-block `wire` arithmetic in fluid form.
-double wire_factor(const LevelBehaviour& beh, double ratio_jit,
-                   std::size_t block_size) {
+/// Mirrors TransferExperiment::run's per-block `wire` arithmetic in fluid
+/// form.
+double wire_factor(const LevelBehaviour& beh, double ratio_jit) {
   const double ratio_eff = std::min(1.0, beh.ratio * ratio_jit);
   return ratio_eff + static_cast<double>(compress::kFrameHeaderSize) /
-                         static_cast<double>(block_size);
+                         static_cast<double>(compress::kDefaultBlockSize);
 }
 
 }  // namespace
@@ -55,14 +55,12 @@ FleetEngine::FleetEngine(FleetConfig config)
     : cfg_(std::move(config)),
       bank_(cfg_.topology, cfg_.seed),
       alloc_(cfg_.topology),
-      io_cpu_s_per_byte_(profile(cfg_.tech).net_cpu_s_per_byte),
+      io_cpu_s_per_byte_(profile(VirtTech::kKvmPara).net_cpu_s_per_byte),
       hard_stop_(SimTime::seconds(cfg_.horizon.to_seconds() *
                                   std::max(1.0, cfg_.drain_factor))) {
   if (cfg_.expected_flows > 0) flows_.reserve(cfg_.expected_flows);
   runs_.resize(cfg_.tenants.size());
   metrics_.tenants.resize(cfg_.tenants.size());
-  metrics_.goodput_all_mbit_s = common::Histogram(
-      0.0, cfg_.goodput_hist_max_mbit_s, cfg_.goodput_hist_buckets);
   tenant_active_.assign(cfg_.tenants.size(), 0);
   tenant_last_count_.assign(cfg_.tenants.size(), -1);
   tenant_flow_w_.assign(cfg_.tenants.size(), 0.0);
@@ -83,13 +81,11 @@ FleetEngine::FleetEngine(FleetConfig config)
     } else {
       run.exhausted = true;  // only initial_flows, no arrival process
     }
-    TenantMetrics& tm = metrics_.tenants[t];
-    tm.name = spec.name;
-    tm.goodput_mbit_s = common::Histogram(
-        0.0, cfg_.goodput_hist_max_mbit_s, cfg_.goodput_hist_buckets);
+    metrics_.tenants[t].name = spec.name;
   }
   // Flatten the (level, class) behaviour table once; refresh_flow_kernel
   // reads plain array slots instead of CodecModel's bounds-checked walk.
+  const CodecModel model = CodecModel::defaults();
   behaviour_.resize(static_cast<std::size_t>(CodecModel::kNumLevels) *
                     CodecModel::kNumClasses);
   const corpus::Compressibility classes[] = {corpus::Compressibility::kHigh,
@@ -98,7 +94,7 @@ FleetEngine::FleetEngine(FleetConfig config)
   for (int l = 0; l < CodecModel::kNumLevels; ++l) {
     for (int c = 0; c < CodecModel::kNumClasses; ++c) {
       behaviour_[static_cast<std::size_t>(l) * CodecModel::kNumClasses +
-                 c] = cfg_.model.get(l, classes[c]);
+                 c] = model.get(l, classes[c]);
     }
   }
 }
@@ -108,7 +104,7 @@ void FleetEngine::refresh_flow_kernel(FlowTable::Id f) {
       behaviour_[static_cast<std::size_t>(flows_.level[f]) *
                      CodecModel::kNumClasses +
                  static_cast<std::size_t>(flows_.cls[f])];
-  const double wf = wire_factor(beh, flows_.ratio_jitter[f], cfg_.block_size);
+  const double wf = wire_factor(beh, flows_.ratio_jitter[f]);
   const double comp_speed = beh.compress_bytes_s * cfg_.codec_speed_factor *
                             flows_.speed_jitter[f];
   flows_.wf[f] = wf;
@@ -165,11 +161,9 @@ void FleetEngine::spawn_flow(std::uint16_t t, SimTime at) {
         run.rng, static_cast<double>(spec.mean_flow_bytes));
     const std::uint64_t raw = std::max(
         spec.min_flow_bytes, static_cast<std::uint64_t>(drawn));
-    const double jr =
-        std::clamp(run.rng.gaussian(1.0, cfg_.ratio_jitter), 0.8, 1.2);
-    const double js =
-        std::clamp(run.rng.gaussian(1.0, cfg_.speed_jitter), 0.7, 1.3);
-    id = flows_.add_transfer(t, path, cls, raw, spec.weight, at, jr, js);
+    const BlockJitter jit = draw_block_jitter(run.rng);
+    id = flows_.add_transfer(t, path, cls, raw, spec.weight, at, jit.ratio,
+                             jit.speed);
     if (spec.policy.kind == TenantPolicy::Kind::kStatic) {
       flows_.level[id] = static_cast<std::int8_t>(std::clamp(
           spec.policy.static_level, 0, CodecModel::kNumLevels - 1));
@@ -288,9 +282,9 @@ void FleetEngine::recompute_rates(SimTime now) {
 
   // Sender-CPU bound: a flow cannot push wire bytes faster than its one
   // vCPU can compress them — wire rate <= comp_speed * wire_factor (the
-  // fluid form of run_transfer_blocks' sender stage). The bound is the
-  // cached cpu_bound column; recomputing the clamp every epoch keeps a
-  // skipped allocation correct when a level switch moves the bound.
+  // fluid form of TransferExperiment::run's sender stage). The bound is
+  // the cached cpu_bound column; recomputing the clamp every epoch keeps
+  // a skipped allocation correct when a level switch moves the bound.
   for (const FlowTable::Id id : active_transfer_) {
     flows_.rate[id] = std::min(flows_.alloc_rate[id], flows_.cpu_bound[id]);
   }
@@ -336,7 +330,7 @@ void FleetEngine::drain(SimTime from, SimTime dt) {
     // the paper's application-data-rate signal, per flow.
     if (spec.policy.kind != TenantPolicy::Kind::kAdaptive) continue;
     const auto d =
-        core::window_step(spec.policy.adaptive, spec.policy.window,
+        core::window_step(spec.policy.adaptive, kFleetWindow,
                           flows_.ctrl[id], flows_.window[id], raw_moved,
                           epoch_end);
     if (d && static_cast<std::int8_t>(d->level) != flows_.level[id]) {
@@ -392,7 +386,7 @@ void FleetEngine::epoch_tick(SimTime now) {
   generate_arrivals(now);
   admit(now);
   recompute_rates(now);
-  drain(now, cfg_.epoch);
+  drain(now, kFleetEpoch);
 
   // Compact: drop finished flows from the active sets (swap-free erase,
   // preserves index order for determinism).
@@ -415,15 +409,15 @@ FleetMetrics FleetEngine::run() {
   }
   // Another epoch runs only while work remains and it starts no later
   // than the hard stop.
-  for (SimTime now;; now = now + cfg_.epoch) {
+  for (SimTime now;; now = now + kFleetEpoch) {
     epoch_tick(now);
-    if (!work_remains() || now + cfg_.epoch > hard_stop_) break;
+    if (!work_remains() || now + kFleetEpoch > hard_stop_) break;
   }
 
   for (const TenantMetrics& tm : metrics_.tenants) {
     metrics_.completion_all_s.merge(tm.completion_s);
     const bool ok = metrics_.goodput_all_mbit_s.merge(tm.goodput_mbit_s);
-    (void)ok;  // layouts all come from FleetConfig; cannot mismatch
+    (void)ok;  // every histogram has the TenantMetrics layout
     metrics_.flows_completed += tm.completed;
   }
   metrics_.flows_total = flows_.size();

@@ -9,8 +9,8 @@
 // in-flight flow count.
 //
 // Advancement is *batched*: instead of one event per flow step, run()
-// steps a plain loop over epoch times (default 50 ms of virtual time).
-// Each epoch it
+// steps a plain loop over epoch times (kFleetEpoch = 50 ms of virtual
+// time). Each epoch it
 //
 //   1. materializes newly arrived flows (per-tenant Poisson processes,
 //      drawn lazily — no per-arrival events),
@@ -19,7 +19,8 @@
 //   3. recomputes every link's fluctuating capacity and all flow rates in
 //      one incremental weighted max-min pass (MaxMinAllocator), clamps
 //      each flow by its sender-CPU compression-throughput bound,
-//   4. drains bytes, charges CPU, closes controller decision windows
+//   4. drains bytes, charges CPU on the KVM-para profile, closes
+//      kFleetWindow-long controller decision windows
 //      (application-data-rate only, exactly the paper's signal), and
 //   5. retires finished flows into FleetMetrics.
 //
@@ -28,10 +29,10 @@
 // wall clock (see bench_fleet_scale).
 //
 // The degenerate case — one transfer on a single link — is not a fleet
-// run: TransferExperiment (run_transfer_blocks in transfer.h) executes
-// the calibrated per-block recurrence behind Table II. On the
-// single-link topology this engine's max-min shares reproduce that
-// recurrence's contention formula (vsim_fleet_test).
+// run: TransferExperiment::run (transfer.h) executes the calibrated
+// per-block recurrence behind Table II. On the single-link topology this
+// engine's max-min shares reproduce that recurrence's contention formula
+// (vsim_fleet_test).
 #pragma once
 
 #include <array>
@@ -52,6 +53,11 @@
 
 namespace strato::vsim {
 
+/// Virtual time one epoch of FleetEngine::run advances.
+inline constexpr common::SimTime kFleetEpoch = common::SimTime::ms(50);
+/// Length of every adaptive flow's decision window (the paper's t).
+inline constexpr common::SimTime kFleetWindow = common::SimTime::seconds(2);
+
 /// Per-tenant compression policy. Static levels model tenants that
 /// pinned a level; adaptive runs the paper's Algorithm 1 per flow.
 struct TenantPolicy {
@@ -59,7 +65,6 @@ struct TenantPolicy {
   Kind kind = Kind::kAdaptive;
   int static_level = 0;
   core::AdaptiveConfig adaptive;
-  common::SimTime window = common::SimTime::seconds(2);  ///< paper's t
 
   static TenantPolicy fixed(int level) {
     TenantPolicy p;
@@ -119,25 +124,18 @@ struct TenantSpec {
 TenantSpec background_tenant(const BgTrafficConfig& bg,
                              double weight = kBackgroundFlowWeight);
 
-/// Fleet experiment parameters.
+/// Fleet experiment parameters. Codec speeds and ratios come from
+/// CodecModel::defaults(), CPU costs from the KVM-para profile, and each
+/// transfer flow draws one draw_block_jitter spread at spawn.
 struct FleetConfig {
   Topology topology;
   std::vector<TenantSpec> tenants;
-  VirtTech tech = VirtTech::kKvmPara;  ///< CPU cost model (profile())
-  CodecModel model = CodecModel::defaults();
   double codec_speed_factor = 1.0;
-  common::SimTime epoch = common::SimTime::ms(50);
   /// Arrivals stop at the horizon; the run then drains in-flight flows.
   common::SimTime horizon = common::SimTime::seconds(600);
   /// Safety stop: no epoch runs past horizon * drain_factor.
   double drain_factor = 20.0;
   std::uint64_t seed = 1;
-  std::size_t block_size = 128 * 1024;  ///< framing-overhead granularity
-  double ratio_jitter = 0.01;   ///< per-flow multiplicative spread
-  double speed_jitter = 0.04;
-  /// Goodput histogram layout, shared by all tenants (mergeable).
-  double goodput_hist_max_mbit_s = 1000.0;
-  std::size_t goodput_hist_buckets = 50;
   std::size_t expected_flows = 0;  ///< FlowTable reserve hint
 };
 
@@ -156,7 +154,8 @@ struct TenantMetrics {
   std::array<double, CodecModel::kNumLevels> raw_bytes_per_level{};
   /// Flow completion times, arrival -> finish (seconds).
   common::Sample completion_s;
-  /// Per-flow goodput raw_bytes / service time, Mbit/s.
+  /// Per-flow goodput raw_bytes / service time, Mbit/s; every tenant
+  /// and the aggregate share this layout, so they merge.
   common::Histogram goodput_mbit_s{0.0, 1000.0, 50};
 };
 

@@ -9,10 +9,11 @@
 // where k is the number of concurrent background flows. w_bg = 0.65 is
 // calibrated so the NO-compression column of Table II reproduces the
 // paper's contention shape (569/908/1393/1642 s; DESIGN.md §5.5).
-// run_transfer_blocks evaluates this closed form over link 0 of
+// TransferExperiment::run evaluates this closed form over link 0 of
 // Topology::single (vsim/topology.h), whose LinkBank supplies
-// capacity * factor(t); the fleet's MaxMinAllocator generalizes the share
-// to a whole fabric.
+// capacity * factor(t); the packet model weighs its background flows'
+// round-robin quanta by the same w_bg, and the fleet's MaxMinAllocator
+// generalizes the share to a whole fabric.
 //
 // factor(t) is the per-profile fluctuation process: Gaussian wobble for
 // the local cloud, a two-state Markov chain with ~30 ms dwell times for
@@ -26,7 +27,7 @@
 
 namespace strato::vsim {
 
-/// Default background-flow weight (see file comment).
+/// Background-flow weight w_bg (see file comment).
 inline constexpr double kBackgroundFlowWeight = 0.65;
 
 /// Time-varying capacity factor in (0, ~1.1]. Lazily advances its state

@@ -5,13 +5,19 @@
 
 #include "common/rng.h"
 #include "compress/framing.h"
+#include "vsim/codec_model.h"
 #include "vsim/event_queue.h"
+#include "vsim/link.h"
+#include "vsim/profile.h"
+#include "vsim/transfer.h"
 
 namespace strato::vsim {
 
 using common::SimTime;
 
 namespace {
+
+constexpr std::size_t kMtu = 1500;
 
 /// One framed block travelling through the pipeline.
 struct Block {
@@ -26,7 +32,7 @@ class Sim {
   Sim(const PacketSimConfig& cfg, core::CompressionPolicy& policy)
       : cfg_(cfg),
         policy_(policy),
-        prof_(profile(cfg.tech)),
+        prof_(profile(VirtTech::kKvmPara)),
         fluct_(prof_.net_fluct, cfg.seed),
         rng_(cfg.seed ^ 0x7245F0000000AB01ULL),
         deficit_(static_cast<std::size_t>(cfg.bg_flows) + 1, 0.0) {
@@ -49,22 +55,19 @@ class Sim {
   // --- compressor stage ----------------------------------------------------
   void start_compression() {
     if (raw_offset_ >= cfg_.total_bytes) return;
-    if (send_queue_.size() >= cfg_.send_queue_blocks) {
+    if (send_queue_.size() >= kQueueBlocks) {
       compressor_stalled_ = true;  // resumed when a slot frees
       return;
     }
     const std::uint64_t raw = std::min<std::uint64_t>(
-        cfg_.block_size, cfg_.total_bytes - raw_offset_);
+        compress::kDefaultBlockSize, cfg_.total_bytes - raw_offset_);
     raw_offset_ += raw;
 
     const int level = std::clamp(policy_.level(), 0,
                                  CodecModel::kNumLevels - 1);
-    const LevelBehaviour& beh = cfg_.model.get(level, cfg_.data);
-    const double jr =
-        std::clamp(rng_.gaussian(1.0, cfg_.ratio_jitter), 0.8, 1.2);
-    const double js =
-        std::clamp(rng_.gaussian(1.0, cfg_.speed_jitter), 0.7, 1.3);
-    const double ratio = std::min(1.0, beh.ratio * jr);
+    const LevelBehaviour& beh = model_.get(level, cfg_.data);
+    const BlockJitter jit = draw_block_jitter(rng_);
+    const double ratio = std::min(1.0, beh.ratio * jit.ratio);
     const double wire =
         static_cast<double>(raw) * ratio + compress::kFrameHeaderSize;
 
@@ -72,14 +75,12 @@ class Sim {
     block.raw = raw;
     block.wire_remaining = static_cast<std::uint64_t>(wire);
     block.decomp_s =
-        static_cast<double>(raw) /
-            (beh.decompress_bytes_s * cfg_.codec_speed_factor * js) +
+        static_cast<double>(raw) / (beh.decompress_bytes_s * jit.speed) +
         wire * io_cpu_s_per_byte_;
 
     const double comp_s =
         static_cast<double>(raw) /
-            (beh.compress_bytes_s * cfg_.codec_speed_factor * js *
-             cpu_scale_) +
+            (beh.compress_bytes_s * jit.speed * cpu_scale_) +
         wire * io_cpu_s_per_byte_;
     queue_.schedule_in(SimTime::seconds(comp_s), [this, block] {
       on_block_compressed(block);
@@ -97,13 +98,12 @@ class Sim {
 
   // --- shared link (weighted deficit round robin) --------------------------
   bool fg_has_packet() const {
-    return !send_queue_.empty() &&
-           recv_queue_ < cfg_.recv_queue_blocks;
+    return !send_queue_.empty() && recv_queue_ < kQueueBlocks;
   }
 
   std::size_t fg_packet_size() const {
     return static_cast<std::size_t>(std::min<std::uint64_t>(
-        cfg_.mtu, send_queue_.front().wire_remaining));
+        kMtu, send_queue_.front().wire_remaining));
   }
 
   void kick_link() {
@@ -122,14 +122,14 @@ class Sim {
         rr_ = (rr_ + 1) % nflows;
         continue;
       }
-      const std::size_t size = f == 0 ? fg_packet_size() : cfg_.mtu;
+      const std::size_t size = f == 0 ? fg_packet_size() : kMtu;
       if (deficit_[f] >= static_cast<double>(size)) {
         deficit_[f] -= static_cast<double>(size);
         transmit(f, size);
         return;
       }
-      deficit_[f] +=
-          static_cast<double>(cfg_.mtu) * (f == 0 ? 1.0 : cfg_.bg_weight);
+      deficit_[f] += static_cast<double>(kMtu) *
+                     (f == 0 ? 1.0 : kBackgroundFlowWeight);
       rr_ = (rr_ + 1) % nflows;
     }
     // Quantums guarantee progress; reaching here means no flow is
@@ -196,6 +196,7 @@ class Sim {
   PacketSimConfig cfg_;
   core::CompressionPolicy& policy_;
   const VirtProfile& prof_;
+  const CodecModel model_ = CodecModel::defaults();
   FluctuationProcess fluct_;
   common::Xoshiro256 rng_;
   EventQueue queue_;

@@ -1,39 +1,30 @@
 // Packet-level transfer simulation — cross-validation of the fluid model.
 //
 // TransferExperiment models the shared link as a weighted fluid share.
-// This module simulates the same experiment at packet granularity on the
-// DES kernel: the job's framed blocks are cut into MTU-sized packets that
-// compete with explicit background flows under weighted deficit
-// round-robin at the NIC; compression/decompression are timed stages with
-// the same bounded queues. If the fluid recurrence is a faithful
-// abstraction, both models must agree on completion times — that
-// agreement is asserted by tests/vsim_packet_sim_test.cc and reported by
-// bench_model_validation.
+// This module simulates the same experiment on the KVM-para profile at
+// packet granularity on the DES kernel: the job's framed blocks are cut
+// into 1500-byte packets that compete with explicit background flows
+// (weight kBackgroundFlowWeight) under weighted deficit round-robin at
+// the NIC; compression/decompression are timed stages over
+// CodecModel::defaults() with the same kQueueBlocks-deep queues. If the
+// fluid recurrence is a faithful abstraction, both models must agree on
+// completion times — that agreement is asserted by
+// tests/vsim_packet_sim_test.cc and reported by bench_model_validation.
 #pragma once
 
+#include <cstdint>
+
 #include "core/policy.h"
-#include "vsim/codec_model.h"
-#include "vsim/link.h"
-#include "vsim/profile.h"
+#include "corpus/generator.h"
 
 namespace strato::vsim {
 
-/// Parameters (mirrors the fluid TransferConfig where applicable).
+/// Parameters (the fluid TransferConfig's fields of the same name).
 struct PacketSimConfig {
-  VirtTech tech = VirtTech::kKvmPara;
   corpus::Compressibility data = corpus::Compressibility::kHigh;
   int bg_flows = 0;
   std::uint64_t total_bytes = 1'000'000'000ULL;
-  std::size_t block_size = 128 * 1024;
   std::uint64_t seed = 1;
-  double ratio_jitter = 0.01;
-  double speed_jitter = 0.04;
-  std::size_t send_queue_blocks = 8;
-  std::size_t recv_queue_blocks = 8;
-  std::size_t mtu = 1500;
-  double bg_weight = kBackgroundFlowWeight;
-  CodecModel model = CodecModel::defaults();
-  double codec_speed_factor = 1.0;
 };
 
 struct PacketSimResult {

@@ -25,6 +25,8 @@ Topology Topology::single(const VirtProfile& prof) {
 }
 
 Topology Topology::rack_spine_wan(const FleetShape& shape) {
+  constexpr double kNic = 117e6;
+  const FluctuationParams fluct;
   Topology t;
   const int racks = std::max(1, shape.racks);
   const int hosts = std::max(1, shape.hosts_per_rack);
@@ -37,19 +39,15 @@ Topology Topology::rack_spine_wan(const FleetShape& shape) {
   for (int r = 0; r < racks; ++r) {
     for (int h = 0; h < hosts; ++h) {
       nic_ids.push_back(t.add_link(LinkSpec{
-          "host" + std::to_string(r * hosts + h) + ".nic",
-          shape.host_nic_bytes_s, shape.nic_fluct}));
+          "host" + std::to_string(r * hosts + h) + ".nic", kNic, fluct}));
     }
   }
   for (int r = 0; r < racks; ++r) {
-    rack_ids.push_back(t.add_link(LinkSpec{
-        "rack" + std::to_string(r) + ".up", shape.rack_uplink_bytes_s,
-        shape.fabric_fluct}));
+    rack_ids.push_back(t.add_link(
+        LinkSpec{"rack" + std::to_string(r) + ".up", 4 * kNic, fluct}));
   }
-  const LinkId spine =
-      t.add_link(LinkSpec{"spine", shape.spine_bytes_s, shape.fabric_fluct});
-  const LinkId wan =
-      t.add_link(LinkSpec{"wan", shape.wan_bytes_s, shape.fabric_fluct});
+  const LinkId spine = t.add_link(LinkSpec{"spine", 16 * kNic, fluct});
+  const LinkId wan = t.add_link(LinkSpec{"wan", 8 * kNic, fluct});
 
   // Per host: intra_path = 2h, wan_path = 2h + 1 (see header).
   for (std::size_t host = 0; host < t.hosts_; ++host) {
@@ -64,7 +62,7 @@ LinkBank::LinkBank(const Topology& topo, std::uint64_t seed) : topo_(&topo) {
   fluct_.reserve(topo.link_count());
   chaos_.resize(topo.link_count());
   for (std::size_t i = 0; i < topo.link_count(); ++i) {
-    // Link 0 keeps the caller's seed verbatim (run_transfer_blocks' link);
+    // Link 0 keeps the caller's seed verbatim (TransferExperiment's link);
     // later links decorrelate with an odd multiplier stream.
     fluct_.emplace_back(topo.link(static_cast<Topology::LinkId>(i)).fluct,
                         seed ^ (0x9E3779B97F4A7C15ULL * i));
@@ -204,9 +202,8 @@ void MaxMinAllocator::remove_flow(std::uint32_t f, Topology::PathId path) {
 
 void MaxMinAllocator::invalidate_weights() { weights_dirty_ = true; }
 
-void MaxMinAllocator::refold_dirty(
-    const std::vector<std::uint32_t>& flow_path,
-    const std::vector<double>& flow_weight, bool fold_all) {
+void MaxMinAllocator::refold_dirty(const std::vector<double>& flow_weight,
+                                   bool fold_all) {
   // Recompute cached per-link weight sums as a left fold over live
   // members in admission order — the exact association the full rebuild
   // uses — compacting tombstones in place as we go.
@@ -284,7 +281,7 @@ bool MaxMinAllocator::allocate_incremental(
   if (weights_dirty_ || any_dirty) {
     // A weight invalidation refolds every link (any member's weight may
     // have changed); membership churn refolds only the dirty ones.
-    refold_dirty(flow_path, flow_weight, weights_dirty_);
+    refold_dirty(flow_weight, weights_dirty_);
   }
   const bool must_fill =
       weights_dirty_ || any_dirty || capacity_changed || !rates_valid_;

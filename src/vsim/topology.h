@@ -71,28 +71,23 @@ class Topology {
 
   /// Degenerate topology: exactly the paper's single shared NIC — one
   /// link with the profile's capacity and fluctuation shape, one path
-  /// over it. run_transfer_blocks drives this topology's link 0 and
+  /// over it. TransferExperiment::run drives this topology's link 0 and
   /// evaluates the weighted share in closed form.
   static Topology single(const VirtProfile& prof);
 
-  /// Fleet fabric shape and capacities.
+  /// Fleet fabric shape.
   struct FleetShape {
     int racks = 8;
     int hosts_per_rack = 16;
-    double host_nic_bytes_s = 117e6;
-    /// Rack uplink: oversubscribed vs sum of member NICs (production
-    /// fabrics run 3:1 .. 8:1).
-    double rack_uplink_bytes_s = 4 * 117e6;
-    double spine_bytes_s = 16 * 117e6;
-    double wan_bytes_s = 8 * 117e6;
-    FluctuationParams nic_fluct;    ///< default: gentle Gaussian wobble
-    FluctuationParams fabric_fluct; ///< rack/spine/wan links
   };
 
   /// Build a rack -> spine -> WAN fabric: one NIC link per host, one
   /// uplink per rack, one spine, one WAN egress. Per host two paths:
   /// intra_path(h) = [nic, rack, spine], wan_path(h) = [nic, rack,
-  /// spine, wan].
+  /// spine, wan]. Capacities in units of a 1 GBit/s NIC (117 MB/s): NIC
+  /// 1, rack uplink 4 (oversubscribed vs its member NICs; production
+  /// fabrics run 3:1 .. 8:1), spine 16, WAN 8. Every link wobbles with
+  /// the default (gentle Gaussian) FluctuationParams.
   static Topology rack_spine_wan(const FleetShape& shape);
 
  private:
@@ -196,8 +191,7 @@ class MaxMinAllocator {
                             std::vector<double>& rate_out);
 
  private:
-  void refold_dirty(const std::vector<std::uint32_t>& flow_path,
-                    const std::vector<double>& flow_weight, bool fold_all);
+  void refold_dirty(const std::vector<double>& flow_weight, bool fold_all);
   void fill_incremental(const std::vector<double>& link_capacity,
                         const std::vector<std::uint32_t>& flow_path,
                         const std::vector<double>& flow_weight,

@@ -3,25 +3,22 @@
 // A sender task streams `total_bytes` of a chosen corpus through the
 // adaptive compression module into a TCP channel shared with k background
 // flows; a receiver task decompresses. The simulation advances block by
-// block (128 KB, like Nephele's channel buffers) through a three-stage
-// pipeline with bounded queues:
+// block (compress::kDefaultBlockSize = 128 KB, like Nephele's channel
+// buffers) through a three-stage pipeline whose queues hold kQueueBlocks
+// blocks each:
 //
 //   sender CPU (compress + I/O handling, 1 vCPU, minus steal)
 //     -> shared link (weighted share, fluctuating capacity)
 //       -> receiver CPU (decompress + I/O handling)
 //
-// Per block i (Q = queue bounds):
-//   comp_start[i] = max(comp_end[i-1], link_end[i-Qs])
+// Per block i (Q = kQueueBlocks):
+//   comp_start[i] = max(comp_end[i-1], link_end[i-Q])
 //   comp_end[i]   = comp_start[i] + cpu_time(i)
-//   link_start[i] = max(comp_end[i], link_end[i-1], decomp_end[i-Qr])
+//   link_start[i] = max(comp_end[i], link_end[i-1], decomp_end[i-Q])
 //   link_end[i]   = link_start[i] + wire_bytes(i) / fg_rate(link_start[i])
 //   decomp_end[i] = max(link_end[i], decomp_end[i-1]) + decomp_time(i)
 //
-// With recv_workers = k > 1 the receiver stage becomes a k-server queue
-// (block i starts when it has arrived and the least-loaded worker frees
-// up; delivery is re-sequenced in order, mirroring the real
-// ParallelBlockDecodePipeline); k = 1 reduces to the recurrence above.
-//
+// Each block's ratio and codec speeds carry draw_block_jitter's spread.
 // The policy under test is driven exactly as on the real transport: its
 // level is read at comp_start and on_block(raw, comp_end) feeds the
 // decision window, so backpressure from any stage shows up in the
@@ -43,6 +40,10 @@
 
 namespace strato::vsim {
 
+/// Send and receive queue bound, in blocks — shared by this fluid model
+/// and the packet model (packet_sim.h).
+inline constexpr std::size_t kQueueBlocks = 8;
+
 /// Experiment parameters (defaults = the paper's setup).
 struct TransferConfig {
   VirtTech tech = VirtTech::kKvmPara;  ///< the paper evaluates on KVM-para
@@ -56,19 +57,7 @@ struct TransferConfig {
   /// deterministic steps or a Poisson/exponential birth-death process.
   BgTrafficConfig bg_traffic;
   std::uint64_t total_bytes = 50'000'000'000ULL;  ///< the paper's 50 GB
-  std::size_t block_size = 128 * 1024;
   std::uint64_t seed = 1;
-  /// Per-block multiplicative jitter of ratio / speeds (real blocks are
-  /// not identical).
-  double ratio_jitter = 0.01;
-  double speed_jitter = 0.04;
-  std::size_t send_queue_blocks = 8;
-  std::size_t recv_queue_blocks = 8;
-  /// Receive-side decode workers (the DecompressingReader analogue): blocks
-  /// start decompressing when they have arrived AND a worker is free;
-  /// delivery stays in arrival order. 1 reproduces the paper's serial
-  /// receiver exactly (the recurrence below is unchanged).
-  std::size_t recv_workers = 1;
   /// Record per-second series for the timeline figures.
   bool record_timeline = false;
   CodecModel model = CodecModel::defaults();
@@ -114,20 +103,14 @@ class SimMetricsProvider final : public core::SystemMetricsProvider {
   double displayed_bandwidth_ = 117e6;
 };
 
-/// The per-block recurrence of Section IV as a free function: streams
-/// config.total_bytes through `policy` and returns the result. This is
-/// THE calibrated code path behind Table II; TransferExperiment::run
-/// delegates here.
-TransferResult run_transfer_blocks(const TransferConfig& config,
-                                   core::CompressionPolicy& policy,
-                                   SimMetricsProvider& metrics);
-
 /// Runs transfer experiments.
 class TransferExperiment {
  public:
   explicit TransferExperiment(TransferConfig config);
 
-  /// Run one job to completion under `policy`.
+  /// Run one job to completion under `policy`: streams total_bytes
+  /// through the per-block recurrence of Section IV (file comment) — the
+  /// calibrated code path behind Table II.
   TransferResult run(core::CompressionPolicy& policy);
 
   /// Displayed-metric feed for MetricDrivenPolicy (valid during run()).

@@ -12,6 +12,8 @@
 #include <atomic>
 #include <csignal>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 
 #include "common/checksum.h"
@@ -26,6 +28,24 @@ namespace {
 TEST(Tcp, ListenerPicksEphemeralPort) {
   TcpListener listener(0);
   EXPECT_GT(listener.port(), 0);
+}
+
+/// Descriptors this process holds open.
+std::ptrdiff_t open_fd_count() {
+  namespace fs = std::filesystem;
+  return std::distance(fs::directory_iterator("/proc/self/fd"),
+                       fs::directory_iterator());
+}
+
+TEST(Tcp, ListenerReleasesSocketWhenBindFails) {
+  // Binding a port another listener holds throws from the constructor;
+  // the half-built listener must close its socket on the way out.
+  TcpListener holder;
+  const std::ptrdiff_t before = open_fd_count();
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_THROW(TcpListener taken(holder.port()), std::runtime_error);
+  }
+  EXPECT_EQ(open_fd_count(), before);
 }
 
 TEST(Tcp, BasicByteRoundTrip) {

@@ -16,8 +16,8 @@
 // Scale is env-tunable so the same binary is a fast tier-1 test and a
 // full acceptance soak:
 //
-//   STRATO_TRANSPORT_CONNS=200 STRATO_TRANSPORT_TOTAL_MB=10240 \
-//       ctest -L transport          # hundreds of conns, >= 10 GB aggregate
+//   export STRATO_TRANSPORT_CONNS=200 STRATO_TRANSPORT_TOTAL_MB=10240
+//   ctest -L transport              # hundreds of conns, >= 10 GB aggregate
 //
 // Defaults keep the tier-1 run in seconds. STRATO_TRANSPORT_SEED replays
 // a failing run (announced up front, per repository convention).

@@ -13,6 +13,7 @@
 #include "common/checksum.h"
 #include "common/rng.h"
 #include "compress/decode_pipeline.h"
+#include "compress/framing.h"
 #include "core/throttled_pipe.h"
 #include "corpus/generator.h"
 #include "expkit/policies.h"
@@ -398,8 +399,8 @@ TEST(TransferChaos, AdaptivePolicySurvivesBlackouts) {
   EXPECT_EQ(result.raw_bytes, cfg.total_bytes);
   std::uint64_t blocks = 0;
   for (const auto n : result.blocks_per_level) blocks += n;
-  EXPECT_EQ(blocks,
-            (cfg.total_bytes + cfg.block_size - 1) / cfg.block_size);
+  EXPECT_EQ(blocks, (cfg.total_bytes + compress::kDefaultBlockSize - 1) /
+                        compress::kDefaultBlockSize);
   EXPECT_LE(result.blocks_per_level.size(),
             static_cast<std::size_t>(vsim::CodecModel::kNumLevels));
 }

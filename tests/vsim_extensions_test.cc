@@ -2,6 +2,7 @@
 // experiment (the paper's future-work direction).
 #include <gtest/gtest.h>
 
+#include "compress/framing.h"
 #include "expkit/policies.h"
 #include "vsim/bgtraffic.h"
 #include "vsim/file_transfer.h"
@@ -163,7 +164,8 @@ TEST(FileTransfer, AccountsAllBytes) {
   EXPECT_LT(res.disk_bytes, res.raw_bytes);
   std::uint64_t blocks = 0;
   for (const auto b : res.blocks_per_level) blocks += b;
-  EXPECT_EQ(blocks, (cfg.total_bytes + cfg.block_size - 1) / cfg.block_size);
+  EXPECT_EQ(blocks, (cfg.total_bytes + compress::kDefaultBlockSize - 1) /
+                        compress::kDefaultBlockSize);
   EXPECT_EQ(res.final_dirty_bytes, 0.0);
   EXPECT_DOUBLE_EQ(res.drained_s, res.completion_s);
 }

@@ -26,7 +26,7 @@ using common::SimTime;
 TEST(MaxMin, DegenerateSingleLinkMatchesClosedForm) {
   // One weight-1 foreground flow against k weight-0.65 background flows
   // on the single-link topology must reproduce the closed form
-  // capacity / (1 + 0.65 k) that run_transfer_blocks computes.
+  // capacity / (1 + 0.65 k) that TransferExperiment::run computes.
   const VirtProfile& prof = profile(VirtTech::kKvmPara);
   const std::uint64_t seed = 42;
   for (const int k : {0, 2, 6}) {

@@ -2,8 +2,11 @@
 // headline claims, determinism and bookkeeping.
 #include <gtest/gtest.h>
 
+#include "compress/framing.h"
 #include "expkit/paper_data.h"
 #include "expkit/policies.h"
+#include "vsim/file_transfer.h"
+#include "vsim/packet_sim.h"
 #include "vsim/transfer.h"
 
 namespace strato::vsim {
@@ -125,7 +128,8 @@ TEST(Transfer, BookkeepingIsConsistent) {
   std::uint64_t blocks = 0;
   for (const auto b : res.blocks_per_level) blocks += b;
   const std::uint64_t expected_blocks =
-      (cfg.total_bytes + cfg.block_size - 1) / cfg.block_size;
+      (cfg.total_bytes + compress::kDefaultBlockSize - 1) /
+      compress::kDefaultBlockSize;
   EXPECT_EQ(blocks, expected_blocks);
   EXPECT_GT(res.mean_host_cpu_busy, 0.0);
   EXPECT_GT(res.mean_vm_cpu_busy, 0.0);
@@ -197,6 +201,86 @@ TEST(Transfer, CodecSpeedFactorSlowsCompression) {
   cfg.codec_speed_factor = 0.4;
   const double slow = run_policy(cfg, "HEAVY");
   EXPECT_GT(slow, fast * 2.0);
+}
+
+// --- exact pins -------------------------------------------------------------
+//
+// Each simulator is a deterministic function of its seed. These cells pin
+// their outputs bit for bit (EXPECT_EQ on doubles), so a refactor that
+// claims to leave a model unchanged is checked here rather than by
+// comparing bench output; a deliberate model change re-records them.
+
+core::AdaptivePolicy dynamic_policy() {
+  core::AdaptiveConfig cfg;
+  cfg.num_levels = CodecModel::kNumLevels;
+  return core::AdaptivePolicy(cfg, common::SimTime::seconds(2));
+}
+
+struct FluidPin {
+  corpus::Compressibility data;
+  int bg;
+  const char* policy;
+  double completion_s;
+  std::uint64_t wire_bytes;
+  std::vector<std::uint64_t> blocks_per_level;
+};
+
+TEST(TransferGolden, FluidModelCellsReproduceExactly) {
+  constexpr auto kHigh = corpus::Compressibility::kHigh;
+  constexpr auto kLow = corpus::Compressibility::kLow;
+  const FluidPin pins[] = {
+      {kHigh, 0, "NO", 23.737231221000002, 1992108240, {15259, 0, 0, 0}},
+      {kHigh, 0, "DYNAMIC", 8.2269138799999997, 464667842,
+       {1287, 13709, 263, 0}},
+      {kHigh, 3, "NO", 67.197062009000007, 1992108240, {15259, 0, 0, 0}},
+      {kHigh, 3, "DYNAMIC", 13.132948374000001, 358922273,
+       {460, 12666, 2133, 0}},
+      {kLow, 0, "NO", 23.737231221000002, 1992108240, {15259, 0, 0, 0}},
+      {kLow, 0, "DYNAMIC", 29.138534641000003, 1913648386,
+       {5148, 8949, 1162, 0}},
+      {kLow, 3, "NO", 67.197062009000007, 1992108240, {15259, 0, 0, 0}},
+      {kLow, 3, "DYNAMIC", 67.744275051000002, 1883427128,
+       {1371, 2412, 11063, 413}},
+  };
+  for (const FluidPin& pin : pins) {
+    TransferExperiment exp(small(pin.data, pin.bg));
+    const auto policy = expkit::make_policy(pin.policy, exp);
+    const auto res = exp.run(*policy);
+    const std::string cell = std::string(corpus::to_string(pin.data)) +
+                             " bg=" + std::to_string(pin.bg) + " " +
+                             pin.policy;
+    EXPECT_EQ(res.completion_s, pin.completion_s) << cell;
+    EXPECT_EQ(res.wire_bytes, pin.wire_bytes) << cell;
+    EXPECT_EQ(res.blocks_per_level, pin.blocks_per_level) << cell;
+  }
+}
+
+TEST(TransferGolden, PacketModelCellReproducesExactly) {
+  PacketSimConfig cfg;
+  cfg.data = corpus::Compressibility::kModerate;
+  cfg.bg_flows = 1;
+  cfg.total_bytes = 500'000'000ULL;
+  cfg.seed = 77;
+  auto policy = dynamic_policy();
+  const auto res = run_packet_transfer(cfg, policy);
+  EXPECT_EQ(res.completion_s, 5.8314711890000002);
+  EXPECT_EQ(res.wire_bytes, 279487552u);
+  EXPECT_EQ(res.fg_packets, 188325u);
+  EXPECT_EQ(res.bg_packets, 155901u);
+}
+
+TEST(TransferGolden, XenFileWriteCellReproducesExactly) {
+  FileTransferConfig cfg;
+  cfg.tech = VirtTech::kXenPara;
+  cfg.data = corpus::Compressibility::kHigh;
+  cfg.total_bytes = 2'000'000'000ULL;
+  auto policy = dynamic_policy();
+  const auto res = run_file_transfer(cfg, policy);
+  EXPECT_EQ(res.completion_s, 6.9645018500000004);
+  EXPECT_EQ(res.drained_s, 13.493555537500001);
+  EXPECT_EQ(res.disk_bytes, 522324295u);
+  EXPECT_EQ(res.blocks_per_level,
+            (std::vector<std::uint64_t>{1795, 13464, 0, 0}));
 }
 
 }  // namespace
