@@ -18,6 +18,11 @@ namespace {
 /// sendmsg covers many frames.
 constexpr std::size_t kSendSegmentBytes = 256 * 1024;
 
+/// Cork: a frame that leaves fewer than this many wire bytes queued waits
+/// for the loop's next turn, so a burst of small frames shares one
+/// sendmsg. Frames this size or larger always leave at once.
+constexpr std::size_t kCorkBytes = 32 * 1024;
+
 /// iovec batch per sendmsg call. 64 segments x kSendSegmentBytes is far
 /// past any kernel buffer; one call always empties or fills.
 constexpr std::size_t kMaxIov = 64;
@@ -129,8 +134,13 @@ void AsyncSender::enqueue_frame(common::ByteSpan frame, std::size_t raw_size,
             from + common::SimTime::ns(static_cast<std::int64_t>(stall_ns));
         m_stalls_.add();
       });
-  // Opportunistic flush so small streams move without waiting for a poll.
-  pump();
+  // Corked: below kCorkBytes, arm level-triggered kWrite instead, so the
+  // loop's next poll runs pump() before it can block on a writable socket.
+  if (queued_bytes_ >= kCorkBytes) {
+    pump();
+  } else {
+    update_interest();
+  }
 }
 
 void AsyncSender::append_wire_bytes(common::ByteSpan bytes) {
@@ -267,6 +277,7 @@ AsyncReceiver::AsyncReceiver(EpollLoop& loop, TcpConnection conn,
       m_errors_(counters_.counter_named("errors")),
       m_eofs_(counters_.counter_named("eofs")),
       m_backpressure_(counters_.counter_named("backpressure")),
+      m_recv_(counters_.counter_named("recv_calls")),
       pipeline_(registry, {.worker_count = config_.decode_workers}),
       sink_(std::move(sink)) {
   conn_.set_nonblocking(true);
@@ -307,6 +318,7 @@ void AsyncReceiver::on_event(std::uint32_t) {
       span = common::MutableByteSpan(discard_scratch_.data(), kReadChunk);
     }
     const ssize_t n = ::recv(conn_.fd(), span.data(), span.size(), 0);
+    m_recv_.add();
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;

@@ -10,6 +10,18 @@
 //     frame sink appends completed frames into pooled send segments and
 //     the event loop flushes them with vectored writes (sendmsg(2) with
 //     an iovec batch + MSG_NOSIGNAL — writev semantics, SIGPIPE-safe).
+//     The queue is corked, so a run of small frames shares one sendmsg.
+//     A frame leaves at one of four points:
+//       1. at once, when the queue reaches kCorkBytes (32 KiB): a frame
+//          that large never waits;
+//       2. on the loop's next turn: the sender arms level-triggered
+//          kWrite, so the next EpollLoop::poll, at any timeout, flushes
+//          before it can block on a writable socket;
+//       3. when send() crosses the high watermark (below);
+//       4. in finish().
+//     So a caller must poll the sender's loop whenever drained() is
+//     false, or call finish(); a small frame nobody polls for stays
+//     queued.
 //     Backpressure:
 //     when the queue exceeds `high_watermark` wire bytes — the kernel
 //     socket buffer is full and EAGAIN is pushing back — send() drives
@@ -32,9 +44,10 @@
 // EpollLoop; send()/finish()/poll all run there. The pipelines' internal
 // worker threads never touch sockets or the loop.
 //
-// Both endpoints count bytes, frames, stalls, backpressure events and
-// per-level blocks into a metrics::MetricRegistry (names in DESIGN.md
-// §13): the caller's, or one AsyncTransport owns when it passes none.
+// Both endpoints count bytes, frames, syscalls, stalls, backpressure
+// events and per-level blocks into a metrics::MetricRegistry (names in
+// DESIGN.md §13): the caller's, or one AsyncTransport owns when it passes
+// none.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +94,8 @@ class AsyncSender {
   AsyncSender& operator=(const AsyncSender&) = delete;
 
   /// Encode one block at `level` (clamped to the ladder) and queue its
-  /// frame. May drive the event loop while over the high watermark.
+  /// frame; it is written at once only if the queue reaches the cork
+  /// threshold. May drive the event loop while over the high watermark.
   /// @throws std::runtime_error when the connection broke (sticky).
   void send(int level, common::ByteSpan payload);
 
@@ -90,7 +104,8 @@ class AsyncSender {
   /// was in flight surfaces here.
   void finish();
 
-  /// Everything accepted so far has reached the kernel.
+  /// Everything accepted so far has reached the kernel. While false, the
+  /// caller must poll the loop (or finish()) for the rest to leave.
   [[nodiscard]] bool drained() const {
     return queued_bytes_ == 0 && !stalled();
   }
@@ -115,7 +130,8 @@ class AsyncSender {
   };
 
   void on_event(std::uint32_t events);
-  /// Frame-sink: chaos pass + append into the tail send segment.
+  /// Frame-sink: chaos pass + append into the tail send segment, then
+  /// flush only past the cork threshold.
   void enqueue_frame(common::ByteSpan frame, std::size_t raw_size, int level);
   void append_wire_bytes(common::ByteSpan bytes);
   /// writev as much of the queue as the socket accepts (respects stalls).
@@ -232,6 +248,7 @@ class AsyncReceiver {
   metrics::Counter& m_errors_;
   metrics::Counter& m_eofs_;
   metrics::Counter& m_backpressure_;
+  metrics::Counter& m_recv_;  // every recv(2), EAGAIN and EOF included
   compress::ParallelBlockDecodePipeline pipeline_;
   BlockSink sink_;
 

@@ -82,4 +82,8 @@ BlockJitter draw_block_jitter(common::Xoshiro256& rng) {
   return j;
 }
 
+double draw_host_generation(common::Xoshiro256& rng) {
+  return std::clamp(rng.gaussian(1.0, 0.015), 0.9, 1.1);
+}
+
 }  // namespace strato::vsim

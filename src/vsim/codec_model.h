@@ -65,4 +65,9 @@ struct BlockJitter {
 /// is drawn first, so a seeded stream fixes both.
 BlockJitter draw_block_jitter(common::Xoshiro256& rng);
 
+/// The simulators' one host-generation draw (Schad et al., cited in
+/// Section V): each run lands on a host whose speed factor is
+/// N(1, 0.015) clamped to [0.9, 1.1], drawn before any block jitter.
+double draw_host_generation(common::Xoshiro256& rng);
+
 }  // namespace strato::vsim

@@ -37,11 +37,9 @@ class Sim {
         rng_(cfg.seed ^ 0x7245F0000000AB01ULL),
         deficit_(static_cast<std::size_t>(cfg.bg_flows) + 1, 0.0) {
     // Identical derivations to the fluid model so per-run biases match.
-    host_gen_ = std::clamp(rng_.gaussian(1.0, 0.015), 0.9, 1.1);
-    const double steal =
-        std::min(0.6, prof_.steal_per_colocated_vm * cfg_.bg_flows);
-    cpu_scale_ = (1.0 - steal) * host_gen_;
-    io_cpu_s_per_byte_ = prof_.net_cpu_s_per_byte / host_gen_;
+    const double host_gen = draw_host_generation(rng_);
+    cpu_scale_ = prof_.sender_cpu(cfg_.bg_flows, host_gen).scale;
+    io_cpu_s_per_byte_ = prof_.net_cpu_s_per_byte / host_gen;
   }
 
   PacketSimResult run() {
@@ -201,7 +199,6 @@ class Sim {
   common::Xoshiro256 rng_;
   EventQueue queue_;
 
-  double host_gen_ = 1.0;
   double cpu_scale_ = 1.0;
   double io_cpu_s_per_byte_ = 0.0;
 

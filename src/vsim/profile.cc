@@ -1,5 +1,6 @@
 #include "vsim/profile.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace strato::vsim {
@@ -221,6 +222,11 @@ CpuAccounting VirtProfile::accounting(IoOp op) const {
     if (row.tech == tech && row.op == op) return row.acc;
   }
   throw std::logic_error("no accounting row");
+}
+
+SenderCpu VirtProfile::sender_cpu(int flows, double host_gen) const {
+  const double steal = std::min(0.6, steal_per_colocated_vm * flows);
+  return {steal, (1.0 - steal) * host_gen};
 }
 
 const VirtProfile& profile(VirtTech tech) {

@@ -89,6 +89,12 @@ struct DiskCacheParams {
   double flush_fraction = 0.6;   ///< fraction of the cache drained per stall
 };
 
+/// The sender's vCPU on one run's host (VirtProfile::sender_cpu).
+struct SenderCpu {
+  double steal = 0.0;  ///< fraction co-located VMs take from it
+  double scale = 1.0;  ///< codec speed factor: (1 - steal) x host_gen
+};
+
 /// One virtualization technique's complete parameter set.
 struct VirtProfile {
   VirtTech tech = VirtTech::kNative;
@@ -117,6 +123,11 @@ struct VirtProfile {
   /// KVM guests without a steal driver just lose the time silently).
   double steal_per_colocated_vm = 0.03;
   bool steal_displayed = false;
+
+  /// The sender's vCPU while `flows` co-located VMs are busy: each steals
+  /// steal_per_colocated_vm of it, 0.6 at most, and what is left runs at
+  /// `host_gen` (draw_host_generation).
+  [[nodiscard]] SenderCpu sender_cpu(int flows, double host_gen) const;
 
   /// CPU accounting table for the Fig. 1 study, per I/O op.
   [[nodiscard]] CpuAccounting accounting(IoOp op) const;

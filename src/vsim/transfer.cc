@@ -44,10 +44,7 @@ TransferResult TransferExperiment::run(core::CompressionPolicy& policy) {
   if (!config_.link_chaos.empty()) link.set_chaos(0, config_.link_chaos);
   common::Xoshiro256 rng(config_.seed ^ 0x7245F0000000AB01ULL);
 
-  // Host-generation spread (Schad et al., cited in Section V): each run
-  // lands on a slightly faster or slower host.
-  const double host_gen =
-      std::clamp(rng.gaussian(1.0, 0.015), 0.9, 1.1);
+  const double host_gen = draw_host_generation(rng);
   const double io_cpu_s_per_byte = prof.net_cpu_s_per_byte / host_gen;
 
   // Co-located VMs steal vCPU time from the sender (and are only visible
@@ -58,8 +55,7 @@ TransferResult TransferExperiment::run(core::CompressionPolicy& policy) {
     bg_process.emplace(config_.bg_traffic, config_.seed);
   }
   int cur_flows = config_.bg_flows;
-  double steal = std::min(0.6, prof.steal_per_colocated_vm * cur_flows);
-  double cpu_scale = (1.0 - steal) * host_gen;
+  SenderCpu cpu = prof.sender_cpu(cur_flows, host_gen);
 
   std::vector<SimTime> link_end_ring(kQueueBlocks);
   std::vector<SimTime> decomp_end_ring(kQueueBlocks);
@@ -91,8 +87,7 @@ TransferResult TransferExperiment::run(core::CompressionPolicy& policy) {
       const int flows = bg_process->flows_at(comp_end_prev);
       if (flows != cur_flows) {
         cur_flows = flows;
-        steal = std::min(0.6, prof.steal_per_colocated_vm * flows);
-        cpu_scale = (1.0 - steal) * host_gen;
+        cpu = prof.sender_cpu(flows, host_gen);
       }
     }
 
@@ -110,7 +105,7 @@ TransferResult TransferExperiment::run(core::CompressionPolicy& policy) {
     const double comp_speed =
         beh.compress_bytes_s * config_.codec_speed_factor;
     const double comp_cpu_s =
-        static_cast<double>(raw) / (comp_speed * jit.speed * cpu_scale);
+        static_cast<double>(raw) / (comp_speed * jit.speed * cpu.scale);
     const double io_cpu_s = wire * io_cpu_s_per_byte;
     const SimTime cpu_time = SimTime::seconds(comp_cpu_s + io_cpu_s);
     const SimTime comp_start =
@@ -156,11 +151,11 @@ TransferResult TransferExperiment::run(core::CompressionPolicy& policy) {
       Buckets::put(buckets.wire_bytes, link_end.to_seconds(), wire);
       double vm_busy = comp_cpu_s + io_cpu_s * prof.net_cpu_visibility;
       if (prof.steal_displayed) {
-        vm_busy += steal * (comp_cpu_s + io_cpu_s);
+        vm_busy += cpu.steal * (comp_cpu_s + io_cpu_s);
       }
       Buckets::put(buckets.vm_busy_s, t, vm_busy);
       Buckets::put(buckets.host_busy_s, t,
-                   (comp_cpu_s + io_cpu_s) * (1.0 + steal));
+                   (comp_cpu_s + io_cpu_s) * (1.0 + cpu.steal));
       res.timeline.record("level", comp_start, level);
     }
 
@@ -188,9 +183,10 @@ TransferResult TransferExperiment::run(core::CompressionPolicy& policy) {
   const double dur = std::max(1e-9, res.completion_s);
   res.mean_vm_cpu_busy =
       std::min(1.0, cpu_vm_total_s / dur) +
-      (prof.steal_displayed ? steal * std::min(1.0, cpu_host_total_s / dur)
+      (prof.steal_displayed ? cpu.steal * std::min(1.0, cpu_host_total_s / dur)
                             : 0.0);
-  res.mean_host_cpu_busy = std::min(1.0, cpu_host_total_s / dur) * (1 + steal);
+  res.mean_host_cpu_busy =
+      std::min(1.0, cpu_host_total_s / dur) * (1 + cpu.steal);
 
   if (config_.record_timeline) {
     const auto emit = [&](const char* name, const std::vector<double>& v,

@@ -271,6 +271,41 @@ TEST(AsyncTransport, ManyConnectionsOneLoop) {
 }
 
 // ---------------------------------------------------------------------------
+// Cork
+
+TEST(AsyncTransport, SmallFramesCoalesceUntilTheLoopTurns) {
+  // Frames that leave the queue under 32 KiB wait for the loop's next
+  // turn and then share one sendmsg; a frame of 32 KiB or more leaves
+  // inside send() itself.
+  const auto& registry = compress::CodecRegistry::standard();
+  AsyncTransport transport(registry);
+  LoopbackPair pair;
+
+  Collected got;
+  transport.add_receiver(std::move(pair.server), {}, collect_into(got));
+  AsyncSender& tx = transport.add_sender(std::move(pair.client), {});
+
+  std::vector<common::Bytes> payloads = make_payloads(7, 4096, 131);
+  for (const auto& p : payloads) tx.send(0, p);  // stored: 4,120-byte frames
+  EXPECT_EQ(count(transport, "tx.sendmsg_calls"), 0u);
+  EXPECT_EQ(tx.queued_bytes(), 7 * (4096 + compress::kFrameHeaderSize));
+  EXPECT_FALSE(tx.drained());
+
+  while (!tx.drained()) transport.poll(0);
+  const std::uint64_t coalesced = count(transport, "tx.sendmsg_calls");
+  EXPECT_LT(coalesced, payloads.size());
+
+  payloads.push_back(make_payloads(1, 64 * 1024, 132)[0]);
+  tx.send(0, payloads.back());  // past the cork: no poll needed
+  EXPECT_GT(count(transport, "tx.sendmsg_calls"), coalesced);
+
+  tx.finish();
+  transport.run_receivers();
+  EXPECT_TRUE(transport.receiver(0).clean_eof());
+  EXPECT_EQ(got.blocks, payloads);
+}
+
+// ---------------------------------------------------------------------------
 // Chaos
 
 TEST(AsyncTransport, StallChaosDelaysButPreservesWire) {
@@ -808,6 +843,8 @@ TEST(AsyncTransport, MetricsCoverBothEndpoints) {
   EXPECT_EQ(reg.counter("tx.wire_bytes").value(),
             reg.counter("rx.wire_bytes").value());
   EXPECT_GT(reg.counter("tx.sendmsg_calls").value(), 0u);
+  // At least one read that returned data and the read that saw EOF.
+  EXPECT_GE(reg.counter("rx.recv_calls").value(), 2u);
   EXPECT_EQ(reg.counter("rx.eofs").value(), 1u);
   EXPECT_EQ(reg.counter("rx.errors").value(), 0u);
   EXPECT_EQ(reg.gauge("tx.queued_bytes").value(), 0);
