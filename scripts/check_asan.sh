@@ -26,6 +26,8 @@ TESTS=(
   common_pool_poison_test
   compress_framing_test
   compress_golden_test
+  # The LZ77 decoder's fixed-size copies against exact-size buffers.
+  compress_lz77_test
   compress_pipeline_test
   compress_decode_pipeline_test
   verify_oracle_test

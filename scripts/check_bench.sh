@@ -16,6 +16,11 @@
 #     compared when the committed baseline was recorded on a machine
 #     with the same hardware_concurrency — numbers from different
 #     hardware are not comparable and are skipped with a note.
+#   * Per-host baselines: when the fresh run's hardware_concurrency N
+#     differs from BENCH_<name>.json's, the run is compared against
+#     BENCH_<name>.hc<N>.json instead, if that file is committed, so
+#     multi-core hosts gate timing too. BENCH_<name>.json keeps the
+#     hardware_concurrency it was recorded at (1 for all five today).
 #   * BENCH_MIN_GAIN (default 0) raises the bar for the single-core
 #     codec rows (bench_codec_micro): on same-hardware runs every fresh
 #     mib_per_s must be >= committed x (1 + BENCH_MIN_GAIN), i.e. the
@@ -27,7 +32,9 @@
 #     asserted on the fresh run: speedup_vs_1 >= 2.0 at workers=4 (the
 #     decode-pipeline acceptance target; the encode pipeline shares it
 #     as a conservative floor).
-#   * --update rewrites the committed JSON from the fresh run.
+#   * --update rewrites the committed JSON for the fresh run's
+#     hardware_concurrency: BENCH_<name>.json when it matches that
+#     file's (or no such file exists), BENCH_<name>.hc<N>.json otherwise.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -36,7 +43,7 @@ UPDATE=0
 for arg in "$@"; do
   case "$arg" in
     --update) UPDATE=1 ;;
-    --help|-h) sed -n '2,31p' "$0"; exit 0 ;;
+    --help|-h) sed -n '2,37p' "$0"; exit 0 ;;
     *) BUILD="$arg" ;;
   esac
 done
@@ -45,6 +52,11 @@ TOL="${BENCH_TOL:-0.50}"
 MIN_GAIN="${BENCH_MIN_GAIN:-0}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
+
+# The hardware_concurrency a bench JSON was recorded at.
+hardware_concurrency() {
+  python3 -c 'import json, sys; print(json.load(open(sys.argv[1])).get("hardware_concurrency"))' "$1"
+}
 
 status=0
 for pair in "bench_pipeline_scaling:BENCH_pipeline.json" \
@@ -67,6 +79,14 @@ for pair in "bench_pipeline_scaling:BENCH_pipeline.json" \
     status=1
     continue
   fi
+  if [ -f "$committed" ]; then
+    hc="$(hardware_concurrency "$fresh")"
+    host_file="${committed%.json}.hc$hc.json"
+    if [ "$hc" != "$(hardware_concurrency "$committed")" ] &&
+       { [ "$UPDATE" -eq 1 ] || [ -f "$host_file" ]; }; then
+      committed="$host_file"
+    fi
+  fi
   if [ "$UPDATE" -eq 1 ] || [ ! -f "$committed" ]; then
     if [ ! -f "$committed" ] && [ "$UPDATE" -eq 0 ]; then
       echo "no committed $committed — writing initial baseline"
@@ -75,6 +95,7 @@ for pair in "bench_pipeline_scaling:BENCH_pipeline.json" \
     echo "baseline updated: $committed"
     continue
   fi
+  echo "baseline: $committed"
   if ! python3 - "$committed" "$fresh" "$TOL" "$MIN_GAIN" <<'EOF'
 import json, sys
 

@@ -189,6 +189,26 @@ inline std::size_t widen_overlap(std::uint8_t* dst, std::size_t dist,
   return wide;
 }
 
+/// Constant-work counterpart of widen_overlap for the LZ77 decoder's
+/// inline match copy, after LZ4's increment/decrement tables. For a match
+/// at distance dist in [1, 8) it writes exactly dst[0, 8) with the
+/// byte-serial semantics dst[i] = dst[i - dist]: four byte moves, then
+/// one 4-byte move from kBack4[dist] bytes back (a multiple of dist, at
+/// least 4). It returns a widened distance D (a multiple of dist, at
+/// least 8), so the rest of the match streams in overlap-free 8-byte
+/// moves from dst + 8 - D. No loop: the work is the same for every dist.
+inline std::size_t spread_period(std::uint8_t* dst, std::size_t dist) {
+  static constexpr std::uint8_t kBack4[8] = {0, 4, 4, 6, 4, 5, 6, 7};
+  static constexpr std::uint8_t kWide8[8] = {0, 8, 8, 9, 8, 10, 12, 14};
+  const std::uint8_t* src = dst - dist;
+  dst[0] = src[0];
+  dst[1] = src[1];
+  dst[2] = src[2];
+  dst[3] = src[3];
+  std::memcpy(dst + 4, dst + 4 - kBack4[dist], 4);
+  return kWide8[dist];
+}
+
 inline void scalar_copy_match(std::uint8_t* dst, std::size_t dist,
                               std::size_t len, std::uint8_t* wild_end) {
   if (dst + len + 16 > wild_end) {

@@ -27,6 +27,14 @@ constexpr std::size_t kMatchGuard = 12;
 // matches essentially never see).
 constexpr std::size_t kNiceLen = 64;
 constexpr std::size_t kLazyCutoff = 32;
+// Decoder fast path. A sequence with fewer than 15 literals copies them
+// in one fixed move of kFastLiteralCopy bytes, when that many bytes of
+// input and of output remain after its token. A match with
+// kFastMatchSlack bytes of output past its end replays inline in 8- or
+// 16-byte moves. Longer literal runs, and anything nearer the end of
+// either buffer, go through the kernel table as before.
+constexpr std::size_t kFastLiteralCopy = 16;
+constexpr std::size_t kFastMatchSlack = 32;
 
 using detail::kLzNoPos;
 using detail::lz_hash32;
@@ -319,30 +327,42 @@ std::size_t lz77_decompress_with_history(common::ByteSpan src,
     if (in >= in_end) throw CodecError("lz77: truncated block");
     const std::uint8_t token = *in++;
     std::size_t lit_len = token >> 4;
-    if (lit_len == 15) lit_len = read_ext(15);
-    if (lit_len > static_cast<std::size_t>(in_end - in) ||
-        lit_len > static_cast<std::size_t>(out_end - out)) {
-      throw CodecError("lz77: literal overrun");
-    }
-    if (lit_len != 0) {
-      // Wild literal copy when both the compressed input (read side) and
-      // the block (write side) have a full pad of margin; the garbage
-      // written past out + lit_len is overwritten by the next sequence
-      // before anything can observe it.
-      if (lit_len + simd::kWildCopyPad <=
-              static_cast<std::size_t>(in_end - in) &&
-          lit_len + simd::kWildCopyPad <=
-              static_cast<std::size_t>(out_end - out)) {
-        kernels.wild_copy(out, in, lit_len);
-      } else {
-        std::memcpy(out, in, lit_len);
-      }
+    if (lit_len < 15 &&
+        static_cast<std::size_t>(in_end - in) >= kFastLiteralCopy &&
+        static_cast<std::size_t>(out_end - out) >= kFastLiteralCopy) {
+      // Fast path: up to 14 literals move as one fixed-size copy; the
+      // bytes past out + lit_len are overwritten by the sequences that
+      // follow. At least 2 input bytes remain after the literals, so
+      // this is not the final sequence and its offset is present.
+      std::memcpy(out, in, kFastLiteralCopy);
       in += lit_len;
       out += lit_len;
+    } else {
+      if (lit_len == 15) lit_len = read_ext(15);
+      if (lit_len > static_cast<std::size_t>(in_end - in) ||
+          lit_len > static_cast<std::size_t>(out_end - out)) {
+        throw CodecError("lz77: literal overrun");
+      }
+      if (lit_len != 0) {
+        // Wild literal copy when both the compressed input (read side)
+        // and the block (write side) have a full pad of margin; the
+        // garbage written past out + lit_len is overwritten by the next
+        // sequence before anything can observe it.
+        if (lit_len + simd::kWildCopyPad <=
+                static_cast<std::size_t>(in_end - in) &&
+            lit_len + simd::kWildCopyPad <=
+                static_cast<std::size_t>(out_end - out)) {
+          kernels.wild_copy(out, in, lit_len);
+        } else {
+          std::memcpy(out, in, lit_len);
+        }
+        in += lit_len;
+        out += lit_len;
+      }
+      if (in == in_end) break;  // final literal-only sequence
+      if (in + 2 > in_end) throw CodecError("lz77: truncated offset");
     }
-    if (in == in_end) break;  // final literal-only sequence
 
-    if (in + 2 > in_end) throw CodecError("lz77: truncated offset");
     const std::size_t offset = common::load_le16(in);
     in += 2;
     if (offset == 0) throw CodecError("lz77: zero offset");
@@ -354,10 +374,37 @@ std::size_t lz77_decompress_with_history(common::ByteSpan src,
     if (match_len > static_cast<std::size_t>(out_end - out)) {
       throw CodecError("lz77: match overrun");
     }
-    // Overlap-correct for any offset >= 1 (overlap-widening inside the
-    // kernel); degrades to an exact copy within kWildCopyPad of out_end.
-    kernels.copy_match(out, offset, match_len, out_end);
-    out += match_len;
+    std::uint8_t* const match_end = out + match_len;
+    if (match_len + kFastMatchSlack <=
+        static_cast<std::size_t>(out_end - out)) {
+      // Fast path: fixed-size copies at a distance of at least their own
+      // width never read a byte they write. The loops may run up to 31
+      // bytes past match_end, inside the slack.
+      if (offset >= 16) {
+        const std::uint8_t* from = out - offset;
+        do {
+          std::memcpy(out, from, 16);
+          std::memcpy(out + 16, from + 16, 16);
+          out += 32;
+          from += 32;
+        } while (out < match_end);
+      } else {
+        std::size_t dist = offset;
+        if (dist < 8) {
+          dist = simd::detail::spread_period(out, dist);
+          out += 8;
+        }
+        while (out < match_end) {
+          std::memcpy(out, out - dist, 8);
+          out += 8;
+        }
+      }
+    } else {
+      // Overlap-correct for any offset >= 1 (overlap-widening inside the
+      // kernel); degrades to an exact copy within kWildCopyPad of out_end.
+      kernels.copy_match(out, offset, match_len, out_end);
+    }
+    out = match_end;
   }
   if (out != out_end) throw CodecError("lz77: short output");
   return raw_size;

@@ -36,6 +36,12 @@ void CodecModel::set(int level, corpus::Compressibility c,
 CodecModel CodecModel::defaults() {
   // Measured with the repository's codecs (RelWithDebInfo, one core) over
   // 8 MB of each synthetic corpus; see compress/profiler.h. MB/s below.
+  // This is a frozen calibration, not a live measurement: TransferGolden
+  // and FleetGolden pin the vsim results computed from it, so editing any
+  // cell moves every vsim golden. The decode column predates the LZ77
+  // decoder's sequence fast path, which made LIGHT and MEDIUM decode
+  // 1.5-2x faster on HIGH and MODERATE data; do not refresh it to match.
+  // calibrate() measures the live decoders for runs that want them.
   constexpr double MB = 1e6;
   CodecModel m;
   const auto fill = [&](int level, double hi_c, double hi_d, double hi_r,
