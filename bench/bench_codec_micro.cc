@@ -1,16 +1,14 @@
 // Single-core codec kernel trajectory: encode/decode throughput and ratio
 // for every ladder level on every corpus class. Emits one JSON object on
 // stdout and mirrors it to the file named by argv[1] (the committed
-// BENCH_codec.json trajectory — see scripts/check_bench.sh, schema
-// "codec_micro").
+// BENCH_codec.json trajectory, gated by scripts/check_bench.sh).
 //
 // These rows are the per-core numbers behind CodecModel::defaults() and
 // the speed/ratio ladder Algorithm 1 assumes; unlike the pipeline benches
 // they involve no worker threads, so they isolate raw kernel speed (the
 // lever the SIMD layer in common/simd.h exists to move). `blocks` and
-// `ratio` are deterministic and must reproduce exactly between runs; the
-// timing fields carry a tolerance band plus an optional min-gain floor
-// (BENCH_MIN_GAIN) so the trajectory must move up, not just stay in band.
+// `ratio` are det fields and must reproduce exactly between runs;
+// `mib_per_s` is a timing field (bench_json.h).
 //
 // Before timing anything the bench proves wire identity between the
 // active SIMD instruction set and the forced-scalar kernels for every
@@ -19,8 +17,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_json.h"
@@ -31,7 +29,7 @@
 
 namespace {
 
-using strato::bench::appendf;
+using strato::bench::JsonWriter;
 using strato::common::Bytes;
 using strato::compress::CodecRegistry;
 
@@ -114,22 +112,17 @@ int main(int argc, char** argv) {
       strato::corpus::Compressibility::kModerate,
       strato::corpus::Compressibility::kLow};
 
-  std::string json;
-  appendf(json, "{\n  \"bench\": \"codec_micro\",\n");
-  appendf(json, "  \"block_size\": %zu,\n  \"blocks\": %zu,\n", kBlockSize,
-          kBlocksPerCorpus);
-  appendf(json, "  \"corpus_seed\": %llu,\n",
-          static_cast<unsigned long long>(kCorpusSeed));
-  appendf(json, "  \"hardware_concurrency\": %u,\n",
-          std::thread::hardware_concurrency());
-  appendf(json, "  \"simd_isa\": \"%s\",\n",
-          strato::common::simd::to_string(strato::common::simd::active_isa()));
-  appendf(json, "  \"identity_check\": \"pass\",\n");
-  appendf(json, "  \"results\": [\n");
+  JsonWriter out("codec_micro");
+  out.det("block_size", kBlockSize);
+  out.det("blocks", kBlocksPerCorpus);
+  out.det("corpus_seed", kCorpusSeed);
+  out.info("hardware_concurrency", std::thread::hardware_concurrency());
+  out.info("simd_isa", strato::common::simd::to_string(
+                           strato::common::simd::active_isa()));
+  out.det("identity_check", "pass");
 
   const double raw = static_cast<double>(kBlocksPerCorpus * kBlockSize);
   const double mib = raw / (1024.0 * 1024.0);
-  bool first = true;
   for (const auto c : corpora) {
     const auto blocks = make_corpus(c);
     for (std::size_t level = 1; level < registry.level_count(); ++level) {
@@ -154,23 +147,18 @@ int main(int argc, char** argv) {
       });
 
       const double ratio = static_cast<double>(enc.out_bytes) / raw;
-      const char* corpus_name = strato::corpus::to_string(c);
-      if (!first) appendf(json, ",\n");
-      first = false;
-      appendf(json,
-              "    {\"corpus\": \"%s\", \"level\": \"%s\", \"op\": "
-              "\"encode\", \"blocks\": %zu, \"ratio\": %.4f, "
-              "\"seconds\": %.4f, \"mib_per_s\": %.1f},\n",
-              corpus_name, entry.label.c_str(), kBlocksPerCorpus, ratio,
-              enc.secs, mib / enc.secs);
-      appendf(json,
-              "    {\"corpus\": \"%s\", \"level\": \"%s\", \"op\": "
-              "\"decode\", \"blocks\": %zu, \"ratio\": %.4f, "
-              "\"seconds\": %.4f, \"mib_per_s\": %.1f}",
-              corpus_name, entry.label.c_str(), kBlocksPerCorpus, ratio,
-              dec.secs, mib / dec.secs);
+      for (const auto& [op, timed] : {std::pair{"encode", enc},
+                                      std::pair{"decode", dec}}) {
+        out.row();
+        out.det("corpus", strato::corpus::to_string(c));
+        out.det("level", entry.label);
+        out.det("op", op);
+        out.det("blocks", kBlocksPerCorpus);
+        out.det("ratio", ratio, 4);
+        out.info("seconds", timed.secs, 4);
+        out.timing("mib_per_s", mib / timed.secs, 1);
+      }
     }
   }
-  appendf(json, "\n  ]\n}\n");
-  return strato::bench::write_output(json, argc, argv);
+  return out.write(argc, argv);
 }

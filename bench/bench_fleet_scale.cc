@@ -1,7 +1,7 @@
 // Fleet-scale acceptance bench: ~1M multi-tenant adaptive-compression
 // flows over a rack -> spine -> WAN fabric, deterministic per seed.
 // Emits one JSON object on stdout and mirrors it to the file named by
-// argv[1] (the committed BENCH_fleet.json trajectory — see
+// argv[1] (the committed BENCH_fleet.json trajectory, gated by
 // scripts/check_bench.sh).
 //
 // Env knob (it changes `flows_total`, so a mismatched comparison is
@@ -17,10 +17,8 @@
 //     core — incremental max-min allocation and cached epoch kernels
 //     exist to make this cheap;
 //   * `metrics_digest` (FNV-1a over the full FleetMetrics JSON) and the
-//     per-tenant flow counts are deterministic and must reproduce
-//     exactly between runs; `wall_s` / `kflows_per_s` carry the usual
-//     tolerance band plus an upward floor (BENCH_MIN_GAIN), gated on
-//     hardware_concurrency.
+//     per-tenant flow counts are det fields and must reproduce exactly
+//     between runs; `kflows_per_s` is a timing field (bench_json.h).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -34,7 +32,7 @@
 
 namespace {
 
-using strato::bench::appendf;
+using strato::bench::JsonWriter;
 using strato::common::SimTime;
 using strato::vsim::BgTrafficConfig;
 using strato::vsim::FleetConfig;
@@ -177,52 +175,44 @@ int main(int argc, char** argv) {
   const double wall_s = std::chrono::duration<double>(end - start).count();
   const std::string metrics_json = m.to_json();
 
-  std::string json;
-  appendf(json, "{\n  \"bench\": \"fleet_scale\",\n");
-  appendf(json, "  \"seed\": %llu,\n",
-          static_cast<unsigned long long>(cfg.seed));
-  appendf(json, "  \"epoch_ms\": %.0f,\n", kFleetEpoch.to_seconds() * 1e3);
-  appendf(json, "  \"flows_target\": %llu,\n",
-          static_cast<unsigned long long>(flows_target));
-  appendf(json, "  \"hardware_concurrency\": %u,\n",
-          std::thread::hardware_concurrency());
-  appendf(json, "  \"flows_total\": %llu,\n",
-          static_cast<unsigned long long>(m.flows_total));
-  appendf(json, "  \"flows_completed\": %llu,\n",
-          static_cast<unsigned long long>(m.flows_completed));
-  appendf(json, "  \"epochs\": %llu,\n",
-          static_cast<unsigned long long>(m.epochs));
-  appendf(json, "  \"sim_completed_s\": %.3f,\n", m.sim_completed_s);
-  appendf(json, "  \"p50_s\": %.6f,\n", m.completion_all_s.quantile(0.5));
-  appendf(json, "  \"p99_s\": %.6f,\n", m.completion_all_s.quantile(0.99));
-  appendf(json, "  \"p999_s\": %.6f,\n", m.completion_all_s.quantile(0.999));
-  appendf(json, "  \"metrics_digest\": \"%016llx\",\n",
-          static_cast<unsigned long long>(fnv1a(metrics_json)));
-  appendf(json, "  \"wall_s\": %.3f,\n", wall_s);
-  appendf(json, "  \"kflows_per_s\": %.1f,\n",
-          static_cast<double>(m.flows_completed) / 1e3 /
-              (wall_s > 0.0 ? wall_s : 1.0));
-  appendf(json, "  \"results\": [\n");
-  for (std::size_t t = 0; t < m.tenants.size(); ++t) {
-    const auto& tm = m.tenants[t];
-    appendf(json,
-            "    {\"name\": \"%s\", \"spawned\": %llu, \"admitted\": %llu, "
-            "\"rejected\": %llu, \"completed\": %llu, \"p99_s\": %.6f}%s\n",
-            tm.name.c_str(), static_cast<unsigned long long>(tm.spawned),
-            static_cast<unsigned long long>(tm.admitted),
-            static_cast<unsigned long long>(tm.rejected),
-            static_cast<unsigned long long>(tm.completed),
-            tm.completion_s.quantile(0.99),
-            t + 1 < m.tenants.size() ? "," : "");
-  }
-  appendf(json, "  ]\n}\n");
+  char digest[17];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(fnv1a(metrics_json)));
 
+  JsonWriter out("fleet_scale");
+  out.det("seed", cfg.seed);
+  out.det("epoch_ms", kFleetEpoch.to_seconds() * 1e3, 0);
+  out.det("flows_target", flows_target);
+  out.info("hardware_concurrency", std::thread::hardware_concurrency());
+  out.det("flows_total", m.flows_total);
+  out.det("flows_completed", m.flows_completed);
+  out.det("epochs", m.epochs);
+  out.det("sim_completed_s", m.sim_completed_s, 3);
+  out.det("p50_s", m.completion_all_s.quantile(0.5), 6);
+  out.det("p99_s", m.completion_all_s.quantile(0.99), 6);
+  out.det("p999_s", m.completion_all_s.quantile(0.999), 6);
+  out.det("metrics_digest", digest);
+  out.info("wall_s", wall_s, 3);
+  out.timing("kflows_per_s",
+             static_cast<double>(m.flows_completed) / 1e3 /
+                 (wall_s > 0.0 ? wall_s : 1.0),
+             1);
+  for (const auto& tm : m.tenants) {
+    out.row();
+    out.det("name", tm.name);
+    out.det("spawned", tm.spawned);
+    out.det("admitted", tm.admitted);
+    out.det("rejected", tm.rejected);
+    out.det("completed", tm.completed);
+    out.det("p99_s", tm.completion_s.quantile(0.99), 6);
+  }
+
+  const int rc = out.write(argc, argv);
   if (wall_s > kWallBudgetS) {
     std::fprintf(stderr,
                  "fleet_scale: wall %.1f s exceeds the %.0f s budget\n",
                  wall_s, kWallBudgetS);
-    strato::bench::write_output(json, argc, argv);
     return 1;
   }
-  return strato::bench::write_output(json, argc, argv);
+  return rc;
 }

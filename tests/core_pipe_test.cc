@@ -72,29 +72,34 @@ TEST(ThrottledPipe, ApproximatesConfiguredRate) {
 }
 
 TEST(ThrottledPipe, LinkShareSplitsBandwidth) {
-  auto link = std::make_shared<LinkShare>(40e6);
+  constexpr double kRate = 40e6;         // bytes/s, shared by both flows
+  constexpr double kBurst = kRate / 20;  // LinkShare's bucket depth
+  constexpr std::size_t kTotal = 3 << 20;  // per flow
+  auto link = std::make_shared<LinkShare>(kRate);
   ThrottledPipe a(link), b(link);
-  const std::size_t total = 3 << 20;
-  auto writer = [total](ThrottledPipe& p) {
+  auto writer = [](ThrottledPipe& p) {
     common::Bytes chunk(64 * 1024, 1);
-    for (std::size_t sent = 0; sent < total; sent += chunk.size()) {
+    for (std::size_t sent = 0; sent < kTotal; sent += chunk.size()) {
       p.write(chunk);
     }
     p.close();
   };
+  // The window opens before any thread starts and closes after all have
+  // joined, so it holds every grant of both flows.
+  const auto t0 = std::chrono::steady_clock::now();
   std::thread wa(writer, std::ref(a)), wb(writer, std::ref(b));
   std::thread ra([&] { drain(a); });
-  const auto t0 = std::chrono::steady_clock::now();
   drain(b);
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   wa.join();
   wb.join();
   ra.join();
-  // Two flows over a 40 MB/s link move 6 MB total: ~0.15 s minus the
-  // bucket's burst credit (2 MB). Decisively slower than unthrottled.
-  EXPECT_GT(secs, 0.06);
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  // The bucket grants at most its burst plus kRate per second of window:
+  // (2 x 3 MiB - 2 MB) / 40 MB/s = 0.107 s. Allow 10 ms of slack.
+  const double floor_s = (2.0 * kTotal - kBurst) / kRate;
+  EXPECT_GT(secs, floor_s - 0.010);
 }
 
 TEST(ThrottledPipe, UnthrottledWhenNoLink) {

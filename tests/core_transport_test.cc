@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -267,6 +268,66 @@ TEST(AsyncTransport, ManyConnectionsOneLoop) {
     SCOPED_TRACE("conn=" + std::to_string(c));
     EXPECT_TRUE(transport.receiver(c).clean_eof());
     EXPECT_EQ(got[c].blocks, sent[c]);
+  }
+}
+
+TEST(AsyncTransport, LoopbackRowsPinWireBytes) {
+  // Exact wire bytes for 16 MiB of MODERATE data in 128 KiB blocks at NO
+  // and MEDIUM over (connections, workers) = (1,1), (1,4) and (8,1), one
+  // loop per row. Connection c draws corpus seed 20260808 + c, so the
+  // 8-connection MEDIUM row encodes other data. Wire/raw ratios: 1.0002
+  // (NO), 0.3849 (MEDIUM) and 0.3850 (MEDIUM over 8 connections).
+  struct Row {
+    int level;
+    std::size_t conns;
+    std::size_t workers;
+    std::uint64_t wire_bytes;
+  };
+  const Row rows[] = {{0, 1, 1, 16'780'288}, {0, 1, 4, 16'780'288},
+                      {0, 8, 1, 16'780'288}, {2, 1, 1, 6'457'983},
+                      {2, 1, 4, 6'457'983},  {2, 8, 1, 6'459'258}};
+  constexpr std::size_t kBlockSize = 128 * 1024;
+  constexpr std::size_t kBlocks = 128;
+  const auto& registry = compress::CodecRegistry::standard();
+  // The data depends only on the connection count: draw it once per count.
+  std::map<std::size_t, std::vector<std::vector<common::Bytes>>> corpora;
+
+  for (const Row& row : rows) {
+    SCOPED_TRACE("level=" + std::to_string(row.level) +
+                 " conns=" + std::to_string(row.conns) +
+                 " workers=" + std::to_string(row.workers));
+    auto& sent = corpora[row.conns];
+    for (std::size_t c = sent.size(); c < row.conns; ++c) {
+      sent.push_back(make_payloads(kBlocks / row.conns, kBlockSize,
+                                   20260808 + c));
+    }
+    AsyncTransport transport(registry);
+    std::vector<LoopbackPair> pairs(row.conns);
+    std::vector<Collected> got(row.conns);
+    AsyncReceiver::Config rx_cfg;
+    rx_cfg.decode_workers = row.workers;
+    AsyncSender::Config tx_cfg;
+    tx_cfg.workers = row.workers;
+    for (std::size_t c = 0; c < row.conns; ++c) {
+      transport.add_receiver(std::move(pairs[c].server), rx_cfg,
+                             collect_into(got[c]));
+      transport.add_sender(std::move(pairs[c].client), tx_cfg);
+    }
+    for (std::size_t b = 0; b < kBlocks / row.conns; ++b) {
+      for (std::size_t c = 0; c < row.conns; ++c) {
+        transport.sender(c).send(row.level, sent[c][b]);
+      }
+      transport.poll(0);
+    }
+    for (std::size_t c = 0; c < row.conns; ++c) transport.sender(c).finish();
+    transport.run_receivers();
+
+    for (std::size_t c = 0; c < row.conns; ++c) {
+      EXPECT_TRUE(transport.receiver(c).clean_eof());
+      EXPECT_EQ(got[c].blocks, sent[c]) << "conn " << c;
+    }
+    EXPECT_EQ(count(transport, "rx.blocks"), kBlocks);
+    EXPECT_EQ(count(transport, "tx.wire_bytes"), row.wire_bytes);
   }
 }
 
