@@ -28,13 +28,13 @@ Cell measure(corpus::Compressibility cls, std::size_t block_size) {
   auto gen_a = corpus::make_generator(cls, 17);
   auto gen_b = corpus::make_generator(cls, 17);
   compress::StreamingLzCompressor streaming;
-  compress::Lz77Params params;
   common::Bytes scratch(compress::lz77_max_compressed_size(block_size));
 
   std::size_t independent = 0, stream = 0;
   for (std::size_t done = 0; done < kTotal; done += block_size) {
     const auto raw_a = corpus::take(*gen_a, block_size);
-    independent += compress::lz77_compress(raw_a, scratch, params);
+    independent +=
+        compress::lz77_compress(raw_a, scratch, compress::LzEffort::kLight);
     const auto raw_b = corpus::take(*gen_b, block_size);
     stream += streaming.compress_block(raw_b).size();
   }

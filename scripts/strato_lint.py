@@ -83,6 +83,11 @@ into every presubmit script (check_static.sh runs this first):
                    kernel) is banned, so every host — AdaptivePolicy, the
                    fleet — measures cdr and decides through window_step,
                    the one hook for a decision recorder.
+  lz-finder        LZ match search has one home: MatchScratch and
+                   match_scratch() are banned outside
+                   compress/lz_common.h, where detail::HashChainFinder
+                   fetches its own chains, so no codec grows a private
+                   hash-chain finder over the shared scratch again.
   env              environment reads have two homes: std::getenv (and
                    secure_getenv) is banned in src/ outside
                    common/simd.h (the STRATO_SIMD dispatch override) and
@@ -149,6 +154,9 @@ DECISION_ALLOWED_PREFIX = "core/controller."
 # The stream front-ends' layer, where metrics::BlockCounters is the one
 # place registry names are resolved.
 COUNTERS_BANNED_PREFIX = "core/"
+
+# The one home of the LZ match finder and its per-thread scratch.
+LZ_FINDER_ALLOWED = "compress/lz_common.h"
 
 # The sanctioned readers of the environment.
 ENV_ALLOWED = {"common/simd.h", "verify/seed.h"}
@@ -219,6 +227,14 @@ RULES = {
         (re.compile(r"(?:\.|->)\s*(?:counter|gauge)\s*\("),
          "MetricRegistry name resolution in a stream front-end (count "
          "through metrics::BlockCounters)"),
+    ],
+    "lz-finder": [
+        (re.compile(r"(?<![A-Za-z0-9_])MatchScratch\b"),
+         "MatchScratch outside compress/lz_common.h (search through "
+         "detail::HashChainFinder)"),
+        (re.compile(r"(?<![A-Za-z0-9_])match_scratch\s*\("),
+         "match_scratch() outside compress/lz_common.h (search through "
+         "detail::HashChainFinder)"),
     ],
     "env": [
         (re.compile(r"(?<![A-Za-z0-9_])(?:std::)?(?:secure_)?getenv\s*\("),
@@ -609,6 +625,8 @@ def lint_file(path: Path, rel: str):
             check("decision", RULES["decision"])
         if rel.startswith(COUNTERS_BANNED_PREFIX):
             check("counters", RULES["counters"])
+        if rel != LZ_FINDER_ALLOWED:
+            check("lz-finder", RULES["lz-finder"])
         if rel not in ENV_ALLOWED:
             check("env", RULES["env"])
         check("using-namespace", RULES["using-namespace"])
@@ -664,6 +682,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("vsim/bad_decision.cc", "decision"): 2,
     ("core/bad_counters.cc", "counters"): 4,
     ("core/bad_env.cc", "env"): 3,
+    ("compress/bad_lz_finder.cc", "lz-finder"): 3,
     ("compress/bad_simd.cc", "simd"): 5,
     ("vsim/fleet.cc", "fleet-alloc"): 3,
     ("compress/bad_lifetime.cc", "lifetime"): 6,

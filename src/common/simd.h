@@ -20,9 +20,10 @@
 //     (see below). Never writes at or past wild_end; when the wild margin
 //     does not fit it degrades to an exact byte loop, so exact-size decode
 //     buffers need no padding.
-//   * hash4_bulk(src, count, bits, out): out[j] = hash of the 4-byte group
-//     at src + j (the multiplicative LZ hash, identical to
-//     compress::detail::lz_hash32). Reads src[0 .. count + 2].
+//   * hash4_bulk(src, count, bits, out): out[j] = hash_u32 of the 4-byte
+//     group at src + j (the multiplicative LZ hash defined below, which
+//     the compress match finder also calls for single positions). Reads
+//     src[0 .. count + 2].
 //
 // Only the bytes [dst, dst + len) of a copy are specified; the wild margin
 // may receive ISA-dependent garbage. Every caller either over-allocates
@@ -92,13 +93,15 @@ struct Kernels {
                      std::uint32_t* out);
 };
 
-namespace detail {
-
-/// The multiplicative LZ hash (kept in lock-step with
-/// compress::detail::lz_hash32; hash4_bulk's unit test pins the identity).
+/// The multiplicative LZ hash of a 4-byte group into `bits` bits: the
+/// one definition, called by the compress match finder for single
+/// positions and by every hash4_bulk kernel for runs of them.
+inline constexpr std::uint32_t kLzHashMul = 2654435761u;
 inline std::uint32_t hash_u32(std::uint32_t v, int bits) {
-  return (v * 2654435761u) >> (32 - bits);
+  return (v * kLzHashMul) >> (32 - bits);
 }
+
+namespace detail {
 
 inline std::uint32_t load32(const std::uint8_t* p) {
   std::uint32_t v;
@@ -347,7 +350,7 @@ __attribute__((target("avx2"))) inline void avx2_copy_match(
 __attribute__((target("avx2"))) inline void avx2_hash4_bulk(
     const std::uint8_t* src, std::size_t count, int bits,
     std::uint32_t* out) {
-  const __m128i mul = _mm_set1_epi32(static_cast<int>(2654435761u));
+  const __m128i mul = _mm_set1_epi32(static_cast<int>(kLzHashMul));
   const __m128i fan = _mm_setr_epi8(0, 1, 2, 3, 1, 2, 3, 4,  //
                                     2, 3, 4, 5, 3, 4, 5, 6);
   const int shift = 32 - bits;

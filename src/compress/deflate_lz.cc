@@ -24,71 +24,17 @@ constexpr std::size_t kDistAlphabet = 16;
 constexpr std::uint8_t kMarkerCoded = 0;
 constexpr std::uint8_t kMarkerStored = 1;
 
-/// One parsed LZ sequence: a literal run followed by an optional match.
-/// Storing runs as spans into the LZ stream (instead of one heap Token per
-/// literal byte) keeps the parse allocation-free and cache-friendly — the
-/// old per-literal vector was the single largest allocation of a
-/// DeflateLz::compress call.
-struct Seq {
-  const std::uint8_t* lit = nullptr;
-  std::uint32_t lit_len = 0;
-  std::uint32_t length = 0;  // 0 = final literal-only sequence
-  std::uint32_t offset = 0;
-};
-
 /// Per-thread scratch reused across blocks (parallel pipeline workers each
-/// hold their own copy).
+/// hold their own copy). Literal runs stay spans into the source instead
+/// of one entry per byte, which keeps the parse allocation-free.
 struct DeflateScratch {
-  common::Bytes lz;
-  std::vector<Seq> seqs;
+  std::vector<LzSeq> seqs;
   common::Bytes coded;
 };
 
 DeflateScratch& deflate_scratch() {
   static thread_local DeflateScratch scratch;
   return scratch;
-}
-
-/// Parse the byte-aligned LZ4-style stream produced by lz77_compress into
-/// sequences (the format is produced locally, so structural errors indicate
-/// an internal bug and throw).
-void parse_lz_stream(common::ByteSpan lz, std::vector<Seq>& seqs) {
-  seqs.clear();
-  const std::uint8_t* p = lz.data();
-  const std::uint8_t* end = p + lz.size();
-  auto read_ext = [&](std::size_t base) {
-    std::size_t v = base;
-    std::uint8_t b;
-    do {
-      if (p >= end) throw CodecError("deflatelz: bad internal lz stream");
-      b = *p++;
-      v += b;
-    } while (b == 255);
-    return v;
-  };
-  while (p < end) {
-    const std::uint8_t token = *p++;
-    std::size_t lit_len = token >> 4;
-    if (lit_len == 15) lit_len = read_ext(15);
-    if (lit_len > static_cast<std::size_t>(end - p)) {
-      throw CodecError("deflatelz: bad internal lz stream");
-    }
-    Seq seq;
-    seq.lit = p;
-    seq.lit_len = static_cast<std::uint32_t>(lit_len);
-    p += lit_len;
-    if (p == end) {
-      seqs.push_back(seq);
-      break;
-    }
-    if (p + 2 > end) throw CodecError("deflatelz: bad internal lz stream");
-    seq.offset = common::load_le16(p);
-    p += 2;
-    std::size_t match_len = (token & 15) + kMinMatch;
-    if ((token & 15) == 15) match_len = read_ext(15 + kMinMatch);
-    seq.length = static_cast<std::uint32_t>(match_len);
-    seqs.push_back(seq);
-  }
 }
 
 /// Length slot for (match length - kMinMatch).
@@ -108,20 +54,14 @@ std::size_t DeflateLz::compress(common::ByteSpan src,
     return 1;
   }
 
-  // LZ parse (MediumLz effort), into per-thread scratch buffers.
-  Lz77Params params;
-  params.hash_bits = 16;
-  params.chain_depth = 8;
-  params.lazy = true;
+  // MEDIUM's LZ parse, into per-thread scratch buffers.
   DeflateScratch& scratch = deflate_scratch();
-  scratch.lz.resize(lz77_max_compressed_size(src.size()));
-  scratch.lz.resize(lz77_compress(src, scratch.lz, params));
-  parse_lz_stream(scratch.lz, scratch.seqs);
+  lz77_medium_sequences(src, scratch.seqs);
 
   // Frequencies.
   std::vector<std::uint64_t> lit_freq(kLitLenAlphabet, 0);
   std::vector<std::uint64_t> dist_freq(kDistAlphabet, 0);
-  for (const Seq& s : scratch.seqs) {
+  for (const LzSeq& s : scratch.seqs) {
     for (std::uint32_t i = 0; i < s.lit_len; ++i) ++lit_freq[s.lit[i]];
     if (s.length != 0) {
       ++lit_freq[256 + len_slot(s.length - kMinMatch)];
@@ -142,7 +82,7 @@ std::size_t DeflateLz::compress(common::ByteSpan src,
   BitWriter bw(out);
   for (const auto l : lit_lengths) bw.write(l, 4);
   for (const auto l : dist_lengths) bw.write(l, 4);
-  for (const Seq& s : scratch.seqs) {
+  for (const LzSeq& s : scratch.seqs) {
     for (std::uint32_t i = 0; i < s.lit_len; ++i) {
       lit_enc.encode(bw, s.lit[i]);
     }

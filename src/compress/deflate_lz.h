@@ -1,9 +1,9 @@
 // DeflateLz: LZ77 + canonical Huffman coding (a deflate-style codec).
 //
 // An additional rung between the byte-aligned MEDIUM format and the
-// range-coded HEAVY codec: the same hash-chain LZ77 parse as MediumLz,
-// but literals/lengths/distances are entropy-coded with per-block
-// canonical Huffman tables. Roughly MediumLz's speed class with a
+// range-coded HEAVY codec: MediumLz's LZ77 parse, taken as sequences
+// (lz77_medium_sequences) rather than LZ4 bytes, with literals/lengths/
+// distances entropy-coded by per-block canonical Huffman tables. Roughly MediumLz's speed class with a
 // distinctly better ratio — used by the ladder-generality experiments
 // (the paper's Algorithm 1 takes any number of ordered levels).
 //

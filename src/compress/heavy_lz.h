@@ -1,10 +1,13 @@
 // HEAVY codec: LZ77 + adaptive range coding (LZMA analogue).
 //
 // Level 3 of the ladder. Deep hash-chain match finding over the whole
-// block plus range-coded literals/lengths/distances give a distinctly
-// better ratio than the byte-aligned LIGHT/MEDIUM formats at roughly an
-// order of magnitude lower speed — the same trade QuickLZ vs LZMA offers
-// in the paper.
+// block (the shared detail::HashChainFinder at detail::kHeavyShape:
+// 96-deep chains, 24-bit distances, compress/lz_common.h) plus
+// range-coded literals/lengths/distances give a distinctly better ratio
+// than the byte-aligned LIGHT/MEDIUM formats at roughly an order of
+// magnitude lower speed — the same trade QuickLZ vs LZMA offers in the
+// paper. Matches are capped at 259 bytes; the last 3 bytes of a block
+// are always literals.
 //
 // Stream layout per block: 1 marker byte (0 = range-coded, 1 = stored raw,
 // used when entropy coding cannot beat the input) followed by either the

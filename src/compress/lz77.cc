@@ -13,19 +13,15 @@ namespace {
 namespace simd = common::simd;
 
 constexpr std::size_t kMinMatch = 4;
-constexpr std::size_t kMaxOffset = 65535;
-// The final kTailLiterals bytes of a block are always literals; match
-// search stops kMatchGuard before the end so forward extension can use
-// wide compares without running past the buffer.
-constexpr std::size_t kTailLiterals = 5;
+// Match search stops kMatchGuard before the end of a block, and no match
+// covers the shape's tail (the 5 bytes every block ends in as literals).
 constexpr std::size_t kMatchGuard = 12;
-// Parse heuristics: stop the chain walk once a match reaches kNiceLen
-// (the serial prev-pointer chase is the dominant search cost and such a
-// match is almost never displaced), and skip the lazy one-ahead search
-// when the current match is already kLazyCutoff or longer (a strictly
-// better match one byte later would have to beat it by 2, which long
-// matches essentially never see).
-constexpr std::size_t kNiceLen = 64;
+// LIGHT's skip acceleration: after 2^kSkipShift straight misses the parse
+// steps 2 bytes, then 3, and so on through incompressible regions.
+constexpr int kSkipShift = 6;
+// MEDIUM skips the lazy one-ahead search when the current match is
+// already kLazyCutoff or longer (a strictly better match one byte later
+// would have to beat it by 2, which long matches essentially never see).
 constexpr std::size_t kLazyCutoff = 32;
 // Decoder fast path. A sequence with fewer than 15 literals copies them
 // in one fixed move of kFastLiteralCopy bytes, when that many bytes of
@@ -36,18 +32,14 @@ constexpr std::size_t kLazyCutoff = 32;
 constexpr std::size_t kFastLiteralCopy = 16;
 constexpr std::size_t kFastMatchSlack = 32;
 
-using detail::kLzNoPos;
-using detail::lz_hash32;
-
-/// Output cursor with LZ4-style token emission. Literal runs whose source
-/// has kWildCopyPad bytes of in-buffer margin go through the wild-copy
-/// kernel (full-register strides); the destination always has margin
-/// because lz77_max_compressed_size over-allocates by kWildCopyPad + 16.
+/// Byte sink: LZ4-style token emission. Literal runs whose source has
+/// kWildCopyPad bytes of in-buffer margin go through the wild-copy kernel
+/// (full-register strides); the destination always has margin because
+/// lz77_max_compressed_size over-allocates by kWildCopyPad + 16.
 class SeqWriter {
  public:
-  SeqWriter(common::MutableByteSpan dst, const std::uint8_t* src_end,
-            const simd::Kernels& kernels)
-      : dst_(dst), src_end_(src_end), kernels_(kernels) {}
+  SeqWriter(common::MutableByteSpan dst, const std::uint8_t* src_end)
+      : dst_(dst), src_end_(src_end), kernels_(simd::kernels()) {}
 
   /// Emit one sequence: literals [lit, lit+lit_len) followed by a match of
   /// `match_len` (0 = final literal-only sequence) at distance `offset`.
@@ -96,149 +88,47 @@ class SeqWriter {
   std::size_t pos_ = 0;
 };
 
-struct Match {
-  std::size_t len = 0;
-  std::size_t offset = 0;
+/// Sequence sink: the parse as LzSeq records (DEFLATE's LZ stage).
+struct SeqList {
+  std::vector<LzSeq>& seqs;
+  void emit(const std::uint8_t* lit, std::size_t lit_len,
+            std::size_t match_len, std::size_t offset) {
+    seqs.push_back({lit, static_cast<std::uint32_t>(lit_len),
+                    static_cast<std::uint32_t>(match_len),
+                    static_cast<std::uint32_t>(offset)});
+  }
 };
 
-/// Hash-chain match finder over one block. chain_depth 0 degrades to a
-/// single-probe table (the FAST path). The head/prev arrays live in the
-/// per-thread MatchScratch, so compressing a block allocates nothing.
-class MatchFinder {
- public:
-  MatchFinder(common::ByteSpan src, const Lz77Params& p,
-              detail::MatchScratch& scratch, const simd::Kernels& kernels)
-      : src_(src.data()),
-        n_(src.size()),
-        params_(p),
-        use_chain_(p.chain_depth > 0),
-        scratch_(scratch),
-        kernels_(kernels) {
-    scratch_.prepare(p.hash_bits, use_chain_ ? src.size() : 0);
-  }
-
-  /// Best match at position i (i + kMatchGuard <= n). Returns len 0 if none.
-  Match find(std::size_t i) const {
-    const std::uint32_t h =
-        lz_hash32(common::load_u32(src_ + i), params_.hash_bits);
-    std::uint32_t cand = scratch_.head[h];
-    Match best;
-    const std::uint8_t* limit = src_ + n_ - kTailLiterals;
-    int depth = std::max(1, params_.chain_depth);
-    const std::uint32_t cur = common::load_u32(src_ + i);
-    while (cand != kLzNoPos && depth-- > 0) {
-      const std::size_t c = cand;
-      if (i - c > kMaxOffset) break;
-      // A candidate can only beat `best` if it extends past best.len, so
-      // one byte there rejects most of the chain without a full scan
-      // (exact: a mismatch at best.len caps the prefix at best.len).
-      // best.len never exceeds limit - (src_ + i), so the probe is
-      // in-bounds.
-      if (src_[c + best.len] == src_[i + best.len] &&
-          common::load_u32(src_ + c) == cur) {
-        const std::size_t len =
-            kernels_.match_length(src_ + i, src_ + c, limit);
-        if (len >= kMinMatch && len > best.len) {
-          best.len = len;
-          best.offset = i - c;
-          if (len >= kNiceLen) break;  // long enough, stop searching
-        }
-      }
-      if (!use_chain_) break;
-      cand = scratch_.prev[c];
-    }
-    return best;
-  }
-
-  /// Register position i in the hash structures.
-  void insert(std::size_t i) {
-    const std::uint32_t h =
-        lz_hash32(common::load_u32(src_ + i), params_.hash_bits);
-    if (use_chain_) scratch_.prev[i] = scratch_.head[h];
-    scratch_.head[h] = static_cast<std::uint32_t>(i);
-  }
-
-  /// Register every position in [begin, end): hash the whole run in one
-  /// bulk-kernel pass, then do the (serial by nature) chain-pointer
-  /// updates. Identical to calling insert() for each position in
-  /// ascending order. Requires end + 3 <= n (4-byte loads).
-  void insert_range(std::size_t begin, std::size_t end) {
-    if (end <= begin) return;
-    const std::size_t count = end - begin;
-    if (count < 16) {
-      // Bulk staging doesn't pay for itself on short runs.
-      for (std::size_t j = begin; j < end; ++j) insert(j);
-      return;
-    }
-    auto& tmp = scratch_.hash_tmp;
-    if (tmp.size() < count) tmp.resize(count);
-    kernels_.hash4_bulk(src_ + begin, count, params_.hash_bits, tmp.data());
-    if (use_chain_) {
-      for (std::size_t j = 0; j < count; ++j) {
-        // The staged hashes make the head-table access pattern visible a
-        // few iterations ahead; prefetching hides the (random-index)
-        // table line fetch behind the serial chain updates.
-        if (j + 8 < count) __builtin_prefetch(&scratch_.head[tmp[j + 8]]);
-        const std::uint32_t h = tmp[j];
-        scratch_.prev[begin + j] = scratch_.head[h];
-        scratch_.head[h] = static_cast<std::uint32_t>(begin + j);
-      }
-    } else {
-      for (std::size_t j = 0; j < count; ++j) {
-        if (j + 8 < count) __builtin_prefetch(&scratch_.head[tmp[j + 8]]);
-        scratch_.head[tmp[j]] = static_cast<std::uint32_t>(begin + j);
-      }
-    }
-  }
-
- private:
-  const std::uint8_t* src_;
-  std::size_t n_;
-  Lz77Params params_;
-  bool use_chain_;
-  detail::MatchScratch& scratch_;
-  const simd::Kernels& kernels_;
-};
-
-}  // namespace
-
-std::size_t lz77_compress(common::ByteSpan src, common::MutableByteSpan dst,
-                          const Lz77Params& params) {
-  return lz77_compress_with_history(src, 0, dst, params);
-}
-
-std::size_t lz77_compress_with_history(common::ByteSpan buffer,
-                                       std::size_t history_len,
-                                       common::MutableByteSpan dst,
-                                       const Lz77Params& params) {
-  const simd::Kernels& kernels = simd::kernels();
-  SeqWriter out(dst, buffer.data() + buffer.size(), kernels);
+/// The LZ77 parse of buffer[history_len..] at rung S into `out`. A
+/// chained rung (MEDIUM) matches lazily and registers every position
+/// inside a match; a single-probe rung (LIGHT) accelerates through
+/// literal runs and registers one position per match.
+template <detail::LzShape S, class Sink>
+void parse(common::ByteSpan buffer, std::size_t history_len, Sink& out) {
+  constexpr bool kChained = S.chain_depth > 0;
+  static_assert(kMatchGuard >= 4 + S.tail, "find(i) needs i + 4 + tail <= n");
   const std::size_t n = buffer.size();
   const std::size_t h = std::min(history_len, n);
-  const std::size_t block = n - h;
-  if (block < kMatchGuard + kTailLiterals) {
-    out.emit(buffer.data() + h, block, 0, 0);
-    return out.written();
+  const std::uint8_t* const src = buffer.data();
+  if (n - h < kMatchGuard + S.tail) {
+    out.emit(src + h, n - h, 0, 0);
+    return;
   }
 
-  MatchFinder finder(buffer, params, detail::match_scratch(), kernels);
+  detail::HashChainFinder<S> finder(buffer);
   // Pre-warm the hash structures with the retained window so matches can
   // reach back into previous blocks.
-  if (h > 0 && n >= 4) {
-    const std::size_t warm_end = std::min(h, n - 3);
-    finder.insert_range(0, warm_end);
-  }
+  finder.insert_range(0, h);
   const std::size_t search_end = n - kMatchGuard;
   std::size_t anchor = h;
   std::size_t i = h;
   std::size_t misses = 0;
-  const common::ByteSpan src = buffer;
 
-  Match carried;  // lazy step's find(i + 1), reused as the next find(i)
+  detail::Match carried;  // lazy step's find(i + 1), reused as find(i)
   bool have_carried = false;
 
   while (i < search_end) {
-    Match m;
+    detail::Match m;
     if (have_carried) {
       m = carried;
       have_carried = false;
@@ -249,7 +139,7 @@ std::size_t lz77_compress_with_history(common::ByteSpan buffer,
     if (m.len == 0) {
       // Skip acceleration: advance faster the longer we fail to match.
       ++misses;
-      i += 1 + (params.chain_depth == 0 ? (misses >> params.skip_shift) : 0);
+      i += 1 + (kChained ? 0 : misses >> kSkipShift);
       continue;
     }
     // Lazy matching: if the next position has a strictly better match,
@@ -257,8 +147,8 @@ std::size_t lz77_compress_with_history(common::ByteSpan buffer,
     // to the next iteration verbatim: i is already inserted and i + 1 is
     // not until the next iteration runs, so repeating find(i + 1) there
     // would walk identical chains.
-    if (params.lazy && m.len < kLazyCutoff && i + 1 < search_end) {
-      Match m2 = finder.find(i + 1);
+    if (kChained && m.len < kLazyCutoff && i + 1 < search_end) {
+      const detail::Match m2 = finder.find(i + 1);
       if (m2.len > m.len + 1) {
         ++i;
         carried = m2;
@@ -272,11 +162,11 @@ std::size_t lz77_compress_with_history(common::ByteSpan buffer,
       --i;
       ++m.len;
     }
-    out.emit(src.data() + anchor, i - anchor, m.len, m.offset);
-    // Register a few positions inside the match so later data can match
-    // into it (cheap partial insertion keeps the fast path fast).
+    out.emit(src + anchor, i - anchor, m.len, m.offset);
+    // Register positions inside the match so later data can match into
+    // it (one position on the single-probe rung keeps it fast).
     const std::size_t match_end = std::min(i + m.len, search_end);
-    if (params.chain_depth > 0) {
+    if (kChained) {
       finder.insert_range(i + 1, match_end);
     } else if (i + 2 < match_end) {
       finder.insert(i + 2);
@@ -284,8 +174,36 @@ std::size_t lz77_compress_with_history(common::ByteSpan buffer,
     i += m.len;
     anchor = i;
   }
-  out.emit(src.data() + anchor, n - anchor, 0, 0);
+  out.emit(src + anchor, n - anchor, 0, 0);
+}
+
+template <detail::LzShape S>
+std::size_t compress_at(common::ByteSpan buffer, std::size_t history_len,
+                        common::MutableByteSpan dst) {
+  SeqWriter out(dst, buffer.data() + buffer.size());
+  parse<S>(buffer, history_len, out);
   return out.written();
+}
+
+}  // namespace
+
+std::size_t lz77_compress(common::ByteSpan src, common::MutableByteSpan dst,
+                          LzEffort effort) {
+  return effort == LzEffort::kLight
+             ? compress_at<detail::kLightShape>(src, 0, dst)
+             : compress_at<detail::kMediumShape>(src, 0, dst);
+}
+
+std::size_t lz77_compress_with_history(common::ByteSpan buffer,
+                                       std::size_t history_len,
+                                       common::MutableByteSpan dst) {
+  return compress_at<detail::kLightShape>(buffer, history_len, dst);
+}
+
+void lz77_medium_sequences(common::ByteSpan src, std::vector<LzSeq>& seqs) {
+  seqs.clear();
+  SeqList out{seqs};
+  parse<detail::kMediumShape>(src, 0, out);
 }
 
 std::size_t lz77_decompress(common::ByteSpan src,
@@ -412,11 +330,7 @@ std::size_t lz77_decompress_with_history(common::ByteSpan src,
 
 std::size_t FastLz::compress(common::ByteSpan src,
                              common::MutableByteSpan dst) const {
-  Lz77Params p;
-  p.hash_bits = 14;
-  p.chain_depth = 0;
-  p.lazy = false;
-  return lz77_compress(src, dst, p);
+  return lz77_compress(src, dst, LzEffort::kLight);
 }
 
 std::size_t FastLz::decompress(common::ByteSpan src,
@@ -426,11 +340,7 @@ std::size_t FastLz::decompress(common::ByteSpan src,
 
 std::size_t MediumLz::compress(common::ByteSpan src,
                                common::MutableByteSpan dst) const {
-  Lz77Params p;
-  p.hash_bits = 16;
-  p.chain_depth = 8;
-  p.lazy = true;
-  return lz77_compress(src, dst, p);
+  return lz77_compress(src, dst, LzEffort::kMedium);
 }
 
 std::size_t MediumLz::decompress(common::ByteSpan src,

@@ -1,8 +1,11 @@
 // Byte-oriented LZ77 engine (QuickLZ substitute).
 //
-// One match-finding/encoding engine parameterised by effort serves both
-// the LIGHT (FastLz) and MEDIUM (MediumLz) levels, mirroring the paper's
-// use of QuickLZ at two settings. The on-wire format is LZ4-style:
+// One parse serves both the LIGHT (FastLz) and MEDIUM (MediumLz) levels,
+// mirroring the paper's use of QuickLZ at two settings: the effort is
+// the rung, whose detail::LzShape (compress/lz_common.h) fixes the match
+// search; MEDIUM also parses lazily, LIGHT skips ahead through literal
+// runs. The parse writes either the LZ4-style bytes below or, for the
+// DEFLATE rung, MEDIUM's sequences; only lz77.cc knows the byte format:
 //
 //   sequence := token | [lit-len ext]* | literals | offset16 | [match-len ext]*
 //   token    := (literal_count:4 | match_len-4:4), 15 escapes to extension
@@ -16,43 +19,48 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/bytes.h"
 #include "compress/codec.h"
 
 namespace strato::compress {
 
-/// Match-finder effort knobs.
-struct Lz77Params {
-  /// log2 of hash-table size.
-  int hash_bits = 14;
-  /// Hash-chain search depth; 0 = single-probe greedy (fastest).
-  int chain_depth = 0;
-  /// One-step-lazy matching (defer a match if position+1 has a better one).
-  bool lazy = false;
-  /// Literal-run skip acceleration shift (LZ4-style); larger = more
-  /// aggressive skipping through incompressible regions.
-  int skip_shift = 6;
-};
+/// The rung an LZ77 parse runs at.
+enum class LzEffort { kLight, kMedium };
 
-/// Compress with the given effort. Returns bytes written to dst.
+/// Compress at the given rung. Returns bytes written to dst.
 /// dst must hold at least lz77_max_compressed_size(src.size()).
 std::size_t lz77_compress(common::ByteSpan src, common::MutableByteSpan dst,
-                          const Lz77Params& params);
+                          LzEffort effort);
 
 /// Decompress an LZ77 block; dst.size() must be the exact raw size.
 /// @throws CodecError on malformed input.
 std::size_t lz77_decompress(common::ByteSpan src, common::MutableByteSpan dst);
 
-/// History-aware variant: compress buffer[history_len..] with matches
-/// allowed to reach back into buffer[0..history_len) (the retained window
-/// of previous blocks). With history_len = 0 this is lz77_compress.
-/// Used by the streaming (non-self-contained) mode that ablates the
-/// paper's block-independence design choice.
+/// History-aware LIGHT variant: compress buffer[history_len..] with
+/// matches allowed to reach back into buffer[0..history_len) (the
+/// retained window of previous blocks). With history_len = 0 this is
+/// lz77_compress at LzEffort::kLight. Used by the streaming
+/// (non-self-contained) mode that ablates the paper's block-independence
+/// design choice.
 std::size_t lz77_compress_with_history(common::ByteSpan buffer,
                                        std::size_t history_len,
-                                       common::MutableByteSpan dst,
-                                       const Lz77Params& params);
+                                       common::MutableByteSpan dst);
+
+/// One sequence of a parse: a literal run followed by a match (length 0
+/// marks the final, literal-only sequence). `lit` points into the source.
+struct LzSeq {
+  const std::uint8_t* lit = nullptr;
+  std::uint32_t lit_len = 0;
+  std::uint32_t length = 0;
+  std::uint32_t offset = 0;
+};
+
+/// MEDIUM's parse of src as sequences: exactly the sequences
+/// lz77_compress(src, dst, LzEffort::kMedium) writes as bytes. The LZ
+/// stage of DeflateLz; `seqs` is cleared first.
+void lz77_medium_sequences(common::ByteSpan src, std::vector<LzSeq>& seqs);
 
 /// Decompress into buffer[history_len .. history_len+raw_size); match
 /// copies may read from the history prefix. Returns bytes written.

@@ -1,37 +1,60 @@
-// Shared LZ match-finding primitives (internal to the compress module).
+// The LZ match finder (internal to the compress module).
 //
-// Both hash-chain match finders (the LIGHT/MEDIUM engine in lz77.cc and the
-// HEAVY finder in heavy_lz.cc) share the multiplicative hash and — the
-// hot-path win — a per-thread scratch holding the head/prev chain arrays.
-// Allocating those arrays per 128 KB block used to cost a 64–512 KB
-// allocation plus fresh-page faults per block; with the scratch each
-// compression thread (the caller, or each parallel-pipeline worker) touches
-// the same warm memory block after block. The common-prefix scan lives in
-// common/simd.h (simd::kernels().match_length) so it can use the widest
-// compare the host supports.
+// LIGHT, MEDIUM and HEAVY search with one hash-chain finder,
+// HashChainFinder<Shape>, whose compile-time shape is the rung's whole
+// search effort: hash bits, chain depth, nice length, maximum distance
+// and the tail a match may never cover. The head/prev chain arrays live
+// in a per-thread scratch the finder fetches itself: allocating them per
+// 128 KB block used to cost a 64-512 KB allocation plus fresh-page faults
+// per block; with the scratch each compression thread (the caller, or
+// each parallel-pipeline worker) touches the same warm memory block after
+// block. The hash and the common-prefix scan live in common/simd.h
+// (simd::hash_u32, simd::kernels().match_length) so the bulk hash and
+// the scan can use the widest instructions the host supports.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/simd.h"
 
 namespace strato::compress::detail {
 
 inline constexpr std::uint32_t kLzNoPos = 0xFFFFFFFFu;
 
-/// Multiplicative hash of a 4-byte window into `bits` bits. Must agree
-/// with simd::Kernels::hash4_bulk, which computes the same function for a
-/// run of positions at once.
-inline std::uint32_t lz_hash32(std::uint32_t v, int bits) {
-  return (v * 2654435761u) >> (32 - bits);
-}
+/// A rung's search effort, fixed at compile time.
+struct LzShape {
+  int hash_bits;
+  /// Chain candidates walked per search; 0 = one probe and no prev chain.
+  int chain_depth;
+  /// Stop walking once a match reaches this length (the serial
+  /// prev-pointer chase is the dominant search cost, and such a match is
+  /// almost never displaced further down the chain).
+  std::size_t nice_len;
+  std::size_t max_dist;
+  /// Bytes at the end of the block no match may cover.
+  std::size_t tail;
+};
 
-/// Reused head/prev arrays for hash-chain match finders. prepare() clears
-/// only the head table; stale prev entries are unreachable because chains
-/// start at head and every position linked since prepare() wrote its own
-/// prev slot before becoming reachable.
+// The rungs. LIGHT and MEDIUM write LZ4 offsets (16 bits) and keep the
+// format's 5 trailing literals; HEAVY's range-coded distances reach 24
+// bits.
+inline constexpr LzShape kLightShape{14, 0, 64, 65535, 5};
+inline constexpr LzShape kMediumShape{16, 8, 64, 65535, 5};
+inline constexpr LzShape kHeavyShape{17, 96, 96, (1u << 24) - 1, 0};
+
+struct Match {
+  std::size_t len = 0;
+  std::size_t offset = 0;
+};
+
+/// Reused head/prev arrays for the finder. prepare() clears only the head
+/// table; stale prev entries are unreachable because chains start at head
+/// and every position linked since prepare() wrote its own prev slot
+/// before becoming reachable.
 struct MatchScratch {
   std::vector<std::uint32_t> head;
   std::vector<std::uint32_t> prev;
@@ -54,5 +77,97 @@ inline MatchScratch& match_scratch() {
   static thread_local MatchScratch scratch;
   return scratch;
 }
+
+/// Hash-chain match finder over one block. Compressing a block allocates
+/// nothing: the chains live in the calling thread's MatchScratch.
+template <LzShape S>
+class HashChainFinder {
+  static constexpr bool kChained = S.chain_depth > 0;
+
+ public:
+  explicit HashChainFinder(common::ByteSpan src)
+      : src_(src.data()),
+        n_(src.size()),
+        scratch_(match_scratch()),
+        kernels_(common::simd::kernels()) {
+    scratch_.prepare(S.hash_bits, kChained ? n_ : 0);
+  }
+
+  /// Best match at i among the inserted positions, len 0 if none.
+  /// Requires i + 4 + S.tail <= n, so a candidate that passes the 4-byte
+  /// check is a match of at least 4 bytes.
+  Match find(std::size_t i) const {
+    const std::uint32_t cur = common::load_u32(src_ + i);
+    const std::uint8_t* const limit = src_ + n_ - S.tail;
+    std::uint32_t cand = scratch_.head[hash(cur)];
+    Match best;
+    for (int depth = std::max(1, S.chain_depth);
+         cand != kLzNoPos && depth > 0; --depth) {
+      const std::size_t c = cand;
+      if (i - c > S.max_dist) break;
+      // A candidate can only beat `best` if it extends past best.len, so
+      // one byte there rejects most of the chain without a full scan
+      // (exact: a mismatch at best.len caps the prefix at best.len).
+      // best.len stays below limit - (src_ + i), so the probe is
+      // in-bounds.
+      if (src_[c + best.len] == src_[i + best.len] &&
+          common::load_u32(src_ + c) == cur) {
+        const std::size_t len =
+            kernels_.match_length(src_ + i, src_ + c, limit);
+        if (len > best.len) {
+          best = {len, i - c};
+          // Long enough, or reaching the limit: no candidate can win.
+          if (len >= S.nice_len || src_ + i + len == limit) break;
+        }
+      }
+      if (!kChained) break;
+      cand = scratch_.prev[c];
+    }
+    return best;
+  }
+
+  /// Register position i (i + 4 <= n) in the hash structures.
+  void insert(std::size_t i) {
+    const std::uint32_t h = hash(common::load_u32(src_ + i));
+    if (kChained) scratch_.prev[i] = scratch_.head[h];
+    scratch_.head[h] = static_cast<std::uint32_t>(i);
+  }
+
+  /// insert() for every position in [begin, end) that has 4 bytes left
+  /// in the block: hash the whole run in one bulk-kernel pass, then do
+  /// the (serial by nature) chain-pointer updates.
+  void insert_range(std::size_t begin, std::size_t end) {
+    end = std::min(end, n_ < 3 ? 0 : n_ - 3);
+    if (end <= begin) return;
+    const std::size_t count = end - begin;
+    if (count < 16) {
+      // Bulk staging doesn't pay for itself on short runs.
+      for (std::size_t j = begin; j < end; ++j) insert(j);
+      return;
+    }
+    auto& tmp = scratch_.hash_tmp;
+    if (tmp.size() < count) tmp.resize(count);
+    kernels_.hash4_bulk(src_ + begin, count, S.hash_bits, tmp.data());
+    for (std::size_t j = 0; j < count; ++j) {
+      // The staged hashes make the head-table access pattern visible a
+      // few iterations ahead; prefetching hides the (random-index)
+      // table line fetch behind the serial chain updates.
+      if (j + 8 < count) __builtin_prefetch(&scratch_.head[tmp[j + 8]]);
+      const std::uint32_t h = tmp[j];
+      if (kChained) scratch_.prev[begin + j] = scratch_.head[h];
+      scratch_.head[h] = static_cast<std::uint32_t>(begin + j);
+    }
+  }
+
+ private:
+  static std::uint32_t hash(std::uint32_t v) {
+    return common::simd::hash_u32(v, S.hash_bits);
+  }
+
+  const std::uint8_t* src_;
+  std::size_t n_;
+  MatchScratch& scratch_;
+  const common::simd::Kernels& kernels_;
+};
 
 }  // namespace strato::compress::detail

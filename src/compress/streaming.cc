@@ -8,15 +8,14 @@ namespace strato::compress {
 
 namespace {
 
-/// Keep only the trailing `window` bytes of `history` after appending
-/// `added`.
-void roll(common::Bytes& history, common::ByteSpan added,
-          std::size_t window) {
+/// Keep only the trailing kStreamingWindow bytes of `history` after
+/// appending `added`.
+void roll(common::Bytes& history, common::ByteSpan added) {
   history.insert(history.end(), added.begin(), added.end());
-  if (history.size() > window) {
+  if (history.size() > kStreamingWindow) {
     history.erase(history.begin(),
-                  history.begin() +
-                      static_cast<std::ptrdiff_t>(history.size() - window));
+                  history.begin() + static_cast<std::ptrdiff_t>(
+                                        history.size() - kStreamingWindow));
   }
 }
 
@@ -31,9 +30,8 @@ common::Bytes StreamingLzCompressor::compress_block(common::ByteSpan raw) {
   buffer->insert(buffer->end(), raw.begin(), raw.end());
 
   common::Bytes out(lz77_max_compressed_size(raw.size()));
-  out.resize(
-      lz77_compress_with_history(*buffer, history_.size(), out, params_));
-  roll(history_, raw, window_);
+  out.resize(lz77_compress_with_history(*buffer, history_.size(), out));
+  roll(history_, raw);
   return out;
 }
 
@@ -47,7 +45,7 @@ common::Bytes StreamingLzDecompressor::decompress_block(
   common::Bytes raw(buffer->begin() +
                         static_cast<std::ptrdiff_t>(history_.size()),
                     buffer->end());
-  roll(history_, raw, window_);
+  roll(history_, raw);
   return raw;
 }
 

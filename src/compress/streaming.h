@@ -21,13 +21,14 @@
 
 namespace strato::compress {
 
-/// Stateful compressor retaining up to `window` bytes of raw history.
+/// Raw history both sides retain: the last 64 KiB, the reach of LIGHT's
+/// 16-bit offsets. One constant, so the two sides cannot disagree.
+inline constexpr std::size_t kStreamingWindow = 64 * 1024;
+
+/// Stateful LIGHT compressor retaining up to kStreamingWindow bytes of
+/// raw history.
 class StreamingLzCompressor {
  public:
-  explicit StreamingLzCompressor(Lz77Params params = {},
-                                 std::size_t window = 64 * 1024)
-      : params_(params), window_(window) {}
-
   /// Compress the next block; matches may reference prior blocks.
   common::Bytes compress_block(common::ByteSpan raw);
 
@@ -37,17 +38,12 @@ class StreamingLzCompressor {
   [[nodiscard]] std::size_t history_size() const { return history_.size(); }
 
  private:
-  Lz77Params params_;
-  std::size_t window_;
   common::Bytes history_;  // rolling raw-byte window
 };
 
 /// Stateful decompressor mirroring StreamingLzCompressor block for block.
 class StreamingLzDecompressor {
  public:
-  explicit StreamingLzDecompressor(std::size_t window = 64 * 1024)
-      : window_(window) {}
-
   /// Decompress the next block of known raw size.
   /// @throws CodecError on malformed input.
   common::Bytes decompress_block(common::ByteSpan comp, std::size_t raw_size);
@@ -55,7 +51,6 @@ class StreamingLzDecompressor {
   void reset() { history_.clear(); }
 
  private:
-  std::size_t window_;
   common::Bytes history_;
 };
 

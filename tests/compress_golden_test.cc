@@ -22,12 +22,15 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/checksum.h"
 #include "common/rng.h"
 #include "compress/framing.h"
 #include "compress/registry.h"
+#include "compress/streaming.h"
+#include "corpus/generator.h"
 
 namespace strato::compress {
 namespace {
@@ -218,6 +221,127 @@ TEST(Golden, HeaderLayoutRederivedByHand) {
   EXPECT_EQ(hdr.raw_size, common::load_le32(frame.data() + 8));
   EXPECT_EQ(hdr.comp_size, common::load_le32(frame.data() + 12));
   EXPECT_EQ(hdr.checksum, common::load_le64(frame.data() + 16));
+}
+
+// --- block-scale encoder digests ---------------------------------------------
+//
+// The reference payload is 6,000 bytes, so the vectors above never encode
+// a 128 KiB block, a distance past 16 bits, an input under LZ77's 17-byte
+// minimum or one inside HEAVY's 3-byte tail. These digests pin the XXH64
+// and total size of each compressing extended rung's output on the seed-7
+// corpora at those scales, and of the streaming compressor's cross-block
+// window. A deliberate encoder change prints the new table under
+// STRATO_REGEN_GOLDEN=1.
+
+struct Digest {
+  std::string name;  // corpus/shape/rung
+  std::uint64_t xxh64 = 0;
+  std::size_t bytes = 0;
+};
+
+const Digest kPinnedDigests[] = {
+    {"HIGH/blocks/LIGHT", 0x89f4bd11ed1f9badull, 171619},
+    {"HIGH/sizes/LIGHT", 0x8e390bc719658cb4ull, 11119},
+    {"HIGH/blocks/MEDIUM", 0xb31ca6282edd2856ull, 108962},
+    {"HIGH/sizes/MEDIUM", 0x712a5fd19b302052ull, 9272},
+    {"HIGH/blocks/DEFLATE", 0x06862d479ba7133full, 56616},
+    {"HIGH/sizes/DEFLATE", 0x42837ea4db2212f0ull, 35597},
+    {"HIGH/blocks/HEAVY", 0x1de97c78ed1250faull, 50046},
+    {"HIGH/sizes/HEAVY", 0xb36eb645f45d1dc7ull, 6501},
+    {"HIGH/stream/LIGHT", 0x0dcd24a7d7a33d18ull, 83735},
+    {"MODERATE/blocks/LIGHT", 0xa9a206982261aa3aull, 458740},
+    {"MODERATE/sizes/LIGHT", 0x2c8248c650333029ull, 39052},
+    {"MODERATE/blocks/MEDIUM", 0x7da497b7fff11725ull, 402410},
+    {"MODERATE/sizes/MEDIUM", 0xa153a5bf92e07a98ull, 38819},
+    {"MODERATE/blocks/DEFLATE", 0xfda96a3ae212f363ull, 312347},
+    {"MODERATE/sizes/DEFLATE", 0xb83814eac2ede965ull, 45381},
+    {"MODERATE/blocks/HEAVY", 0xcc9eecabb8723267ull, 296224},
+    {"MODERATE/sizes/HEAVY", 0x9bf8e1ee951be50eull, 32890},
+    {"MODERATE/stream/LIGHT", 0xf885d97f664dc204ull, 223585},
+    {"LOW/blocks/LIGHT", 0xd8afcc403148bfaeull, 983178},
+    {"LOW/sizes/LIGHT", 0xb428c47390d2985cull, 45768},
+    {"LOW/blocks/MEDIUM", 0x386f0a5778602ce7ull, 982085},
+    {"LOW/sizes/MEDIUM", 0xb428c47390d2985cull, 45768},
+    {"LOW/blocks/DEFLATE", 0xe3653a634df21243ull, 978248},
+    {"LOW/sizes/DEFLATE", 0xe13ef5f50c0fd256ull, 45451},
+    {"LOW/blocks/HEAVY", 0x7e6bab785c0144b1ull, 989021},
+    {"LOW/sizes/HEAVY", 0xe13ef5f50c0fd256ull, 45451},
+    {"LOW/stream/LIGHT", 0x7d11ab9c0a1d3f1aull, 491419},
+};
+
+/// XXH64 and size of the concatenated outputs of `encode` over `inputs`.
+template <class Encode>
+Digest digest_of(std::string name, const std::vector<common::Bytes>& inputs,
+                 Encode encode) {
+  common::Bytes all;
+  for (const common::Bytes& in : inputs) {
+    const common::Bytes out = encode(in);
+    all.insert(all.end(), out.begin(), out.end());
+  }
+  return {std::move(name), common::xxh64(all), all.size()};
+}
+
+/// Consecutive seed-7 draws of the given sizes from a fresh generator.
+std::vector<common::Bytes> seed7_inputs(corpus::Compressibility c,
+                                        const std::vector<std::size_t>& sizes) {
+  auto gen = corpus::make_generator(c, 7);
+  std::vector<common::Bytes> inputs;
+  for (const std::size_t n : sizes) inputs.push_back(corpus::take(*gen, n));
+  return inputs;
+}
+
+std::vector<Digest> block_scale_digests() {
+  const auto& registry = CodecRegistry::extended();
+  std::vector<std::size_t> every_size;
+  for (std::size_t n = 0; n <= 300; ++n) every_size.push_back(n);
+  std::vector<Digest> got;
+  for (const auto c :
+       {corpus::Compressibility::kHigh, corpus::Compressibility::kModerate,
+        corpus::Compressibility::kLow}) {
+    const std::string corpus_name = corpus::to_string(c);
+    const auto blocks = seed7_inputs(c, std::vector<std::size_t>(8, 128 << 10));
+    const auto small = seed7_inputs(c, every_size);
+    for (std::size_t l = 1; l < registry.level_count(); ++l) {
+      const auto& rung = registry.level(l);
+      auto encode = [&](const common::Bytes& in) {
+        common::Bytes out(rung.codec->max_compressed_size(in.size()));
+        out.resize(rung.codec->compress(in, out));
+        return out;
+      };
+      got.push_back(
+          digest_of(corpus_name + "/blocks/" + rung.label, blocks, encode));
+      got.push_back(
+          digest_of(corpus_name + "/sizes/" + rung.label, small, encode));
+    }
+    StreamingLzCompressor streaming;
+    got.push_back(digest_of(
+        corpus_name + "/stream/LIGHT",
+        seed7_inputs(c, std::vector<std::size_t>(64, 8 << 10)),
+        [&](const common::Bytes& in) { return streaming.compress_block(in); }));
+  }
+  return got;
+}
+
+TEST(GoldenDigest, ExtendedRungsAtBlockScale) {
+  const std::vector<Digest> got = block_scale_digests();
+  if (regen()) {
+    for (const Digest& d : got) {
+      std::fprintf(stderr, "    {\"%s\", 0x%016llxull, %zu},\n",
+                   d.name.c_str(), static_cast<unsigned long long>(d.xxh64),
+                   d.bytes);
+    }
+    return;
+  }
+  ASSERT_EQ(got.size(), std::size(kPinnedDigests));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Digest& want = kPinnedDigests[i];
+    SCOPED_TRACE(want.name);
+    EXPECT_EQ(got[i].name, want.name);
+    EXPECT_EQ(got[i].xxh64, want.xxh64)
+        << "encoder output changed — if intentional, print the new table "
+           "with STRATO_REGEN_GOLDEN=1 and paste it";
+    EXPECT_EQ(got[i].bytes, want.bytes);
+  }
 }
 
 }  // namespace

@@ -148,6 +148,12 @@ TEST(SimdKernels, Hash4BulkAgreesWithScalar) {
       simd::kernels().hash4_bulk(src.data(), count, kHashBits,
                                  reference.data());
     }
+    // The match finder hashes single positions with hash_u32 itself.
+    for (std::size_t j = 0; j < count; ++j) {
+      ASSERT_EQ(reference[j],
+                simd::hash_u32(common::load_u32(src.data() + j), kHashBits))
+          << "j=" << j;
+    }
     for (const simd::Isa isa : supported_isas()) {
       simd::ScopedIsa forced(isa);
       std::vector<std::uint32_t> got(count);

@@ -48,24 +48,25 @@ TEST(StreamingLz, BeatsIndependentBlocksOnSmallBlocks) {
   StreamingLzCompressor streaming;
   std::size_t streaming_bytes = 0;
   std::size_t independent_bytes = 0;
-  Lz77Params params;  // FAST defaults for both sides
   common::Bytes scratch(lz77_max_compressed_size(kBlock));
   for (int b = 0; b < kBlocks; ++b) {
     const auto raw = corpus::take(*gen, kBlock);
     streaming_bytes += streaming.compress_block(raw).size();
-    independent_bytes += lz77_compress(raw, scratch, params);
+    independent_bytes += lz77_compress(raw, scratch, LzEffort::kLight);
   }
   EXPECT_LT(streaming_bytes, independent_bytes * 0.9);
 }
 
 TEST(StreamingLz, HistoryWindowIsBounded) {
-  StreamingLzCompressor comp(Lz77Params{}, 8192);
+  // kStreamingWindow / kBlock blocks fill the window; two more roll it.
+  constexpr std::size_t kBlock = 4096;
+  StreamingLzCompressor comp;
   auto gen = corpus::make_generator(corpus::Compressibility::kLow, 4);
-  for (int b = 0; b < 10; ++b) {
-    (void)comp.compress_block(corpus::take(*gen, 4096));
-    EXPECT_LE(comp.history_size(), 8192u);
+  for (std::size_t b = 0; b < kStreamingWindow / kBlock + 2; ++b) {
+    (void)comp.compress_block(corpus::take(*gen, kBlock));
+    EXPECT_LE(comp.history_size(), kStreamingWindow);
   }
-  EXPECT_EQ(comp.history_size(), 8192u);
+  EXPECT_EQ(comp.history_size(), kStreamingWindow);
 }
 
 TEST(StreamingLz, ResetDesynchronizesByDesign) {

@@ -44,3 +44,9 @@ const char* fixture_allowed_env() {
   // strato-lint: allow(env)
   return std::getenv("LANG");
 }
+
+void fixture_allowed_lz_finder() {
+  // Scratch-size probe in a standalone diagnostics tool; sanctioned.
+  // strato-lint: allow(lz-finder)
+  strato::compress::detail::match_scratch().prepare(14, 0);
+}

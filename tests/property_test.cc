@@ -117,7 +117,7 @@ TEST(StreamingEquivalence, FirstBlockMatchesIndependentCompression) {
   compress::StreamingLzCompressor streaming;
   const auto a = streaming.compress_block(data);
   common::Bytes b(compress::lz77_max_compressed_size(data.size()));
-  b.resize(compress::lz77_compress(data, b, compress::Lz77Params{}));
+  b.resize(compress::lz77_compress(data, b, compress::LzEffort::kLight));
   EXPECT_EQ(a, b);
 }
 
