@@ -40,8 +40,9 @@ into every presubmit script (check_static.sh runs this first):
                    includes (<immintrin.h>, <arm_neon.h>, ...), _mm*/
                    vld1q/vst1q intrinsic calls and the __builtin_ctz/clz
                    family are banned everywhere else in src/ — portable
-                   code calls simd::kernels() / simd::ctz32/ctz64, so one
-                   file carries every per-ISA #if.
+                   code calls simd::ctz32/ctz64 (and the match finder
+                   simd::kernels()), so one file carries every per-ISA
+                   #if.
   socket           raw transport syscalls have exactly one home:
                    socket(2) creation and the epoll_* family are banned in
                    src/ outside src/core/{tcp,epoll_loop,transport}.* —
@@ -88,6 +89,12 @@ into every presubmit script (check_static.sh runs this first):
                    compress/lz_common.h, where detail::HashChainFinder
                    fetches its own chains, so no codec grows a private
                    hash-chain finder over the shared scratch again.
+  kernels          the dispatched kernel table has one caller: kernels()
+                   and the Kernels type are banned outside common/simd.h
+                   (their definition) and compress/lz_common.h (the match
+                   finder), so per-ISA code stays limited to what differs
+                   per ISA and no decoder grows a second copy mechanism
+                   behind a function pointer again.
   env              environment reads have two homes: std::getenv (and
                    secure_getenv) is banned in src/ outside
                    common/simd.h (the STRATO_SIMD dispatch override) and
@@ -157,6 +164,9 @@ COUNTERS_BANNED_PREFIX = "core/"
 
 # The one home of the LZ match finder and its per-thread scratch.
 LZ_FINDER_ALLOWED = "compress/lz_common.h"
+
+# The kernel table's definition and its one caller, the match finder.
+KERNELS_ALLOWED = {"common/simd.h", "compress/lz_common.h"}
 
 # The sanctioned readers of the environment.
 ENV_ALLOWED = {"common/simd.h", "verify/seed.h"}
@@ -235,6 +245,14 @@ RULES = {
         (re.compile(r"(?<![A-Za-z0-9_])match_scratch\s*\("),
          "match_scratch() outside compress/lz_common.h (search through "
          "detail::HashChainFinder)"),
+    ],
+    "kernels": [
+        (re.compile(r"(?<![A-Za-z0-9_])kernels\s*\("),
+         "kernels() outside common/simd.h and compress/lz_common.h (search "
+         "through detail::HashChainFinder; replay through "
+         "detail::copy_match)"),
+        (re.compile(r"(?<![A-Za-z0-9_])Kernels\b"),
+         "simd::Kernels outside common/simd.h and compress/lz_common.h"),
     ],
     "env": [
         (re.compile(r"(?<![A-Za-z0-9_])(?:std::)?(?:secure_)?getenv\s*\("),
@@ -627,6 +645,8 @@ def lint_file(path: Path, rel: str):
             check("counters", RULES["counters"])
         if rel != LZ_FINDER_ALLOWED:
             check("lz-finder", RULES["lz-finder"])
+        if rel not in KERNELS_ALLOWED:
+            check("kernels", RULES["kernels"])
         if rel not in ENV_ALLOWED:
             check("env", RULES["env"])
         check("using-namespace", RULES["using-namespace"])
@@ -683,6 +703,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("core/bad_counters.cc", "counters"): 4,
     ("core/bad_env.cc", "env"): 3,
     ("compress/bad_lz_finder.cc", "lz-finder"): 3,
+    ("compress/bad_kernels.cc", "kernels"): 3,
     ("compress/bad_simd.cc", "simd"): 5,
     ("vsim/fleet.cc", "fleet-alloc"): 3,
     ("compress/bad_lifetime.cc", "lifetime"): 6,

@@ -1,8 +1,10 @@
 // Vectorized single-core kernel layer: the ONLY file in the tree where
 // CPU intrinsics and the __builtin_ctz family may appear (enforced by the
-// strato-lint `simd` rule). Everything above this header — LZ match loops,
-// wild copies, bulk hashing — calls through the dispatched `Kernels` table
-// so exactly one place knows about SSE2/AVX2/NEON.
+// strato-lint `simd` rule). It holds only what differs per ISA: the LZ
+// match scan and bulk hashing, which the compress match finder calls
+// through the dispatched `Kernels` table, so exactly one place knows
+// about SSE2/AVX2/NEON. Back-reference replay is one inline copy in
+// compress/lz_common.h and has no per-ISA variant.
 //
 // Contracts (identical across every ISA, including the scalar fallback):
 //
@@ -10,26 +12,10 @@
 //     and [b, ...), b < a. Never reads at or past `limit`. Pure function —
 //     all ISAs return the same value, so match choices (and therefore the
 //     wire bytes) cannot depend on the dispatched level.
-//   * wild_copy(dst, src, len): copies len bytes in full-register strides;
-//     may write up to kWildCopyPad - 1 bytes past dst + len and read the
-//     same margin past src + len. Callers guarantee both margins
-//     (over-allocated scratch on the encode side).
-//   * copy_match(dst, dist, len, wild_end): LZ77 match expansion — the
-//     byte-serial semantics dst[i] = dst[i - dist] for i in [0, len),
-//     overlap-correct for any dist >= 1 via the overlap-widening idiom
-//     (see below). Never writes at or past wild_end; when the wild margin
-//     does not fit it degrades to an exact byte loop, so exact-size decode
-//     buffers need no padding.
 //   * hash4_bulk(src, count, bits, out): out[j] = hash_u32 of the 4-byte
 //     group at src + j (the multiplicative LZ hash defined below, which
-//     the compress match finder also calls for single positions). Reads
-//     src[0 .. count + 2].
-//
-// Only the bytes [dst, dst + len) of a copy are specified; the wild margin
-// may receive ISA-dependent garbage. Every caller either over-allocates
-// scratch it never reads back (encode) or overwrites the margin with the
-// next sequence before it can be observed (decode), which is what keeps
-// the wire and the decoded payload byte-identical across ISAs.
+//     the compress match finder also calls for single positions; both
+//     load the group with common::load_u32). Reads src[0 .. count + 2].
 //
 // Dispatch happens once, on first use: compile-time capability (this
 // build's target + -DSTRATO_SIMD), runtime capability (cpuid / platform
@@ -41,8 +27,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
+
+#include "common/bytes.h"
 
 #if !defined(STRATO_SIMD_DISABLED) && (defined(__x86_64__) || defined(_M_X64))
 #define STRATO_SIMD_X86 1
@@ -54,11 +41,6 @@
 #endif
 
 namespace strato::common::simd {
-
-/// Wild copies may overshoot a copy's nominal length by up to this many
-/// bytes (one 32-byte register). Encode-side scratch is over-allocated by
-/// at least this much; decode-side kernels take an explicit wild_end.
-inline constexpr std::size_t kWildCopyPad = 32;
 
 /// Instruction-set level of a kernel table, in increasing preference.
 enum class Isa : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2, kNeon = 3 };
@@ -85,10 +67,6 @@ struct Kernels {
   Isa isa;
   std::size_t (*match_length)(const std::uint8_t* a, const std::uint8_t* b,
                               const std::uint8_t* limit);
-  void (*wild_copy)(std::uint8_t* dst, const std::uint8_t* src,
-                    std::size_t len);
-  void (*copy_match)(std::uint8_t* dst, std::size_t dist, std::size_t len,
-                     std::uint8_t* wild_end);
   void (*hash4_bulk)(const std::uint8_t* src, std::size_t count, int bits,
                      std::uint32_t* out);
 };
@@ -103,17 +81,6 @@ inline std::uint32_t hash_u32(std::uint32_t v, int bits) {
 
 namespace detail {
 
-inline std::uint32_t load32(const std::uint8_t* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-inline std::uint64_t load64(const std::uint8_t* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
 // ---------------------------------------------------------------------
 // Scalar reference kernels (the semantics every vector path must match).
 // ---------------------------------------------------------------------
@@ -123,7 +90,7 @@ inline std::size_t scalar_match_length(const std::uint8_t* a,
                                        const std::uint8_t* limit) {
   const std::uint8_t* start = a;
   while (a + 8 <= limit) {
-    const std::uint64_t diff = load64(a) ^ load64(b);
+    const std::uint64_t diff = common::load_u64(a) ^ common::load_u64(b);
     if (diff != 0) {
       return static_cast<std::size_t>(a - start) +
              static_cast<std::size_t>(ctz64(diff) >> 3);
@@ -138,104 +105,14 @@ inline std::size_t scalar_match_length(const std::uint8_t* a,
   return static_cast<std::size_t>(a - start);
 }
 
-inline void scalar_wild_copy(std::uint8_t* dst, const std::uint8_t* src,
-                             std::size_t len) {
-  // 16-byte memcpy strides: the compiler lowers each to two word moves
-  // (or one vector move when the baseline allows) without intrinsics.
-  std::size_t i = 0;
-  do {
-    std::memcpy(dst + i, src + i, 16);
-    i += 16;
-  } while (i < len);
-}
-
-/// Exact (non-wild) overlap-correct byte copy — the tail/fallback path of
-/// every copy_match kernel and the semantic definition of a match copy.
-inline void exact_copy_match(std::uint8_t* dst, std::size_t dist,
-                             std::size_t len) {
-  const std::uint8_t* src = dst - dist;
-  if (dist >= 8) {
-    std::size_t i = 0;
-    for (; i + 8 <= len; i += 8) std::memcpy(dst + i, src + i, 8);
-    for (; i < len; ++i) dst[i] = src[i];
-  } else {
-    for (std::size_t i = 0; i < len; ++i) dst[i] = src[i];
-  }
-}
-
-/// Overlap-widening idiom, shared by every vector kernel: a match at
-/// distance dist < stride cannot be copied in stride-byte blocks directly
-/// (source and destination overlap within one block). But the match source
-/// is periodic with period dist, so reading at any multiple of dist yields
-/// the same bytes. Byte-copy a short prefix to push the cursor forward,
-/// then copy the rest at the widened distance
-///     D = dist * ceil(stride / dist)  (>= stride)
-/// which is overlap-free for stride-byte blocks. The prefix is D - dist
-/// bytes (< stride + dist <= 2 * stride), so the scalar work is bounded by
-/// two registers' worth regardless of len.
-///
-/// This helper performs the scalar prefix and returns the widened
-/// distance; each ISA's copy_match runs its own strided loop from
-/// dst + *pos at that distance (lambdas cannot carry target attributes,
-/// so the strided loop cannot be shared).
-inline std::size_t widen_overlap(std::uint8_t* dst, std::size_t dist,
-                                 std::size_t len, std::size_t stride,
-                                 std::size_t* pos) {
-  *pos = 0;
-  if (dist >= stride) return dist;
-  const std::size_t wide = dist * ((stride + dist - 1) / dist);
-  const std::size_t prefix = wide - dist;  // makes dst - wide a valid source
-  const std::uint8_t* src = dst - dist;
-  std::size_t p = 0;
-  for (; p < prefix && p < len; ++p) dst[p] = src[p];
-  *pos = p;
-  return wide;
-}
-
-/// Constant-work counterpart of widen_overlap for the LZ77 decoder's
-/// inline match copy, after LZ4's increment/decrement tables. For a match
-/// at distance dist in [1, 8) it writes exactly dst[0, 8) with the
-/// byte-serial semantics dst[i] = dst[i - dist]: four byte moves, then
-/// one 4-byte move from kBack4[dist] bytes back (a multiple of dist, at
-/// least 4). It returns a widened distance D (a multiple of dist, at
-/// least 8), so the rest of the match streams in overlap-free 8-byte
-/// moves from dst + 8 - D. No loop: the work is the same for every dist.
-inline std::size_t spread_period(std::uint8_t* dst, std::size_t dist) {
-  static constexpr std::uint8_t kBack4[8] = {0, 4, 4, 6, 4, 5, 6, 7};
-  static constexpr std::uint8_t kWide8[8] = {0, 8, 8, 9, 8, 10, 12, 14};
-  const std::uint8_t* src = dst - dist;
-  dst[0] = src[0];
-  dst[1] = src[1];
-  dst[2] = src[2];
-  dst[3] = src[3];
-  std::memcpy(dst + 4, dst + 4 - kBack4[dist], 4);
-  return kWide8[dist];
-}
-
-inline void scalar_copy_match(std::uint8_t* dst, std::size_t dist,
-                              std::size_t len, std::uint8_t* wild_end) {
-  if (dst + len + 16 > wild_end) {
-    exact_copy_match(dst, dist, len);
-    return;
-  }
-  std::size_t pos = 0;
-  const std::size_t wide = widen_overlap(dst, dist, len, 16, &pos);
-  const std::uint8_t* src = dst - wide;
-  while (pos < len) {
-    std::memcpy(dst + pos, src + pos, 16);
-    pos += 16;
-  }
-}
-
 inline void scalar_hash4_bulk(const std::uint8_t* src, std::size_t count,
                               int bits, std::uint32_t* out) {
   for (std::size_t j = 0; j < count; ++j) {
-    out[j] = hash_u32(load32(src + j), bits);
+    out[j] = hash_u32(common::load_u32(src + j), bits);
   }
 }
 
 inline constexpr Kernels kScalarKernels{Isa::kScalar, scalar_match_length,
-                                        scalar_wild_copy, scalar_copy_match,
                                         scalar_hash4_bulk};
 
 // ---------------------------------------------------------------------
@@ -263,36 +140,7 @@ inline std::size_t sse2_match_length(const std::uint8_t* a,
   return static_cast<std::size_t>(a - start) + scalar_match_length(a, b, limit);
 }
 
-inline void sse2_wild_copy(std::uint8_t* dst, const std::uint8_t* src,
-                           std::size_t len) {
-  std::size_t i = 0;
-  do {
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i*>(dst + i),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i)));
-    i += 16;
-  } while (i < len);
-}
-
-inline void sse2_copy_match(std::uint8_t* dst, std::size_t dist,
-                            std::size_t len, std::uint8_t* wild_end) {
-  if (dst + len + 16 > wild_end) {
-    exact_copy_match(dst, dist, len);
-    return;
-  }
-  std::size_t pos = 0;
-  const std::size_t wide = widen_overlap(dst, dist, len, 16, &pos);
-  const std::uint8_t* src = dst - wide;
-  while (pos < len) {
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i*>(dst + pos),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + pos)));
-    pos += 16;
-  }
-}
-
 inline constexpr Kernels kSse2Kernels{Isa::kSse2, sse2_match_length,
-                                      sse2_wild_copy, sse2_copy_match,
                                       scalar_hash4_bulk};
 
 __attribute__((target("avx2"))) inline std::size_t avx2_match_length(
@@ -311,35 +159,6 @@ __attribute__((target("avx2"))) inline std::size_t avx2_match_length(
     b += 32;
   }
   return static_cast<std::size_t>(a - start) + sse2_match_length(a, b, limit);
-}
-
-__attribute__((target("avx2"))) inline void avx2_wild_copy(
-    std::uint8_t* dst, const std::uint8_t* src, std::size_t len) {
-  std::size_t i = 0;
-  do {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(dst + i),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i)));
-    i += 32;
-  } while (i < len);
-}
-
-__attribute__((target("avx2"))) inline void avx2_copy_match(
-    std::uint8_t* dst, std::size_t dist, std::size_t len,
-    std::uint8_t* wild_end) {
-  if (dst + len + 32 > wild_end) {
-    exact_copy_match(dst, dist, len);
-    return;
-  }
-  std::size_t pos = 0;
-  const std::size_t wide = widen_overlap(dst, dist, len, 32, &pos);
-  const std::uint8_t* src = dst - wide;
-  while (pos < len) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(dst + pos),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + pos)));
-    pos += 32;
-  }
 }
 
 /// 4 consecutive 4-byte windows per step: one 16-byte load covers bytes
@@ -366,11 +185,10 @@ __attribute__((target("avx2"))) inline void avx2_hash4_bulk(
         _mm_srli_epi32(_mm_mullo_epi32(windows, mul), shift);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + j), hashed);
   }
-  for (; j < count; ++j) out[j] = hash_u32(load32(src + j), bits);
+  for (; j < count; ++j) out[j] = hash_u32(common::load_u32(src + j), bits);
 }
 
 inline constexpr Kernels kAvx2Kernels{Isa::kAvx2, avx2_match_length,
-                                      avx2_wild_copy, avx2_copy_match,
                                       avx2_hash4_bulk};
 #endif  // STRATO_SIMD_X86
 
@@ -401,32 +219,7 @@ inline std::size_t neon_match_length(const std::uint8_t* a,
   return static_cast<std::size_t>(a - start) + scalar_match_length(a, b, limit);
 }
 
-inline void neon_wild_copy(std::uint8_t* dst, const std::uint8_t* src,
-                           std::size_t len) {
-  std::size_t i = 0;
-  do {
-    vst1q_u8(dst + i, vld1q_u8(src + i));
-    i += 16;
-  } while (i < len);
-}
-
-inline void neon_copy_match(std::uint8_t* dst, std::size_t dist,
-                            std::size_t len, std::uint8_t* wild_end) {
-  if (dst + len + 16 > wild_end) {
-    exact_copy_match(dst, dist, len);
-    return;
-  }
-  std::size_t pos = 0;
-  const std::size_t wide = widen_overlap(dst, dist, len, 16, &pos);
-  const std::uint8_t* src = dst - wide;
-  while (pos < len) {
-    vst1q_u8(dst + pos, vld1q_u8(src + pos));
-    pos += 16;
-  }
-}
-
 inline constexpr Kernels kNeonKernels{Isa::kNeon, neon_match_length,
-                                      neon_wild_copy, neon_copy_match,
                                       scalar_hash4_bulk};
 #endif  // STRATO_SIMD_NEON
 

@@ -4,14 +4,12 @@
 #include <cstring>
 #include <vector>
 
-#include "common/simd.h"
 #include "compress/huffman.h"
 #include "compress/lz77.h"
+#include "compress/lz_common.h"
 
 namespace strato::compress {
 namespace {
-
-namespace simd = common::simd;
 
 constexpr std::size_t kMinMatch = 4;
 // Literal/length alphabet: 256 literals + 18 length slots + EOB.
@@ -134,7 +132,6 @@ std::size_t DeflateLz::decompress(common::ByteSpan src,
   // loop exit sit between the codes).
   const HuffmanDecoder lit_dec(lit_lengths, /*pair_limit=*/256);
   const HuffmanDecoder dist_dec(dist_lengths);
-  const simd::Kernels& kernels = simd::kernels();
 
   std::uint8_t* out = dst.data();
   std::uint8_t* const out_end = out + dst.size();
@@ -171,9 +168,7 @@ std::size_t DeflateLz::decompress(common::ByteSpan src,
     if (len > static_cast<std::size_t>(out_end - out)) {
       throw CodecError("deflatelz: match overrun");
     }
-    // Overlap-correct for any offset >= 1; exact copy within kWildCopyPad
-    // of the block end (decode buffers are exact-size).
-    kernels.copy_match(out, offset, len, out_end);
+    detail::copy_match(out, offset, len, out_end);
     out += len;
   }
   if (out != out_end) throw CodecError("deflatelz: short output");

@@ -6,14 +6,11 @@
 #include <memory>
 #include <vector>
 
-#include "common/simd.h"
 #include "compress/lz_common.h"
 #include "compress/range_coder.h"
 
 namespace strato::compress {
 namespace {
-
-namespace simd = common::simd;
 
 constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kMaxLen = 259;        // kMinMatch + 255 (8-bit tree)
@@ -125,7 +122,6 @@ std::size_t HeavyLz::decompress(common::ByteSpan src,
 
   RangeDecoder dec(body);
   auto models = std::make_unique<Models>();
-  const simd::Kernels& kernels = simd::kernels();
   std::uint8_t* out = dst.data();
   std::uint8_t* const out_end = out + dst.size();
   std::uint32_t prev_byte = 0;
@@ -141,9 +137,7 @@ std::size_t HeavyLz::decompress(common::ByteSpan src,
       if (len > static_cast<std::size_t>(out_end - out)) {
         throw CodecError("heavylz: match overrun");
       }
-      // Overlap-correct for any dist >= 1; exact copy within kWildCopyPad
-      // of the block end (decode buffers are exact-size).
-      kernels.copy_match(out, dist, len, out_end);
+      detail::copy_match(out, dist, len, out_end);
       out += len;
       prev_byte = out[-1];
       last_was_match = 1;

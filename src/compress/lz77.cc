@@ -4,13 +4,10 @@
 #include <cstring>
 #include <vector>
 
-#include "common/simd.h"
 #include "compress/lz_common.h"
 
 namespace strato::compress {
 namespace {
-
-namespace simd = common::simd;
 
 constexpr std::size_t kMinMatch = 4;
 // Match search stops kMatchGuard before the end of a block, and no match
@@ -23,23 +20,21 @@ constexpr int kSkipShift = 6;
 // already kLazyCutoff or longer (a strictly better match one byte later
 // would have to beat it by 2, which long matches essentially never see).
 constexpr std::size_t kLazyCutoff = 32;
-// Decoder fast path. A sequence with fewer than 15 literals copies them
-// in one fixed move of kFastLiteralCopy bytes, when that many bytes of
-// input and of output remain after its token. A match with
-// kFastMatchSlack bytes of output past its end replays inline in 8- or
-// 16-byte moves. Longer literal runs, and anything nearer the end of
-// either buffer, go through the kernel table as before.
+// Literal runs move in fixed-size copies of kFastLiteralCopy bytes where
+// both buffers have the bytes past the run: in the encoder any run whose
+// source has them, in the decoder a token count below 15 (one copy) with
+// that many bytes of input and of output left after the token. Every
+// other run is one exact memcpy.
 constexpr std::size_t kFastLiteralCopy = 16;
-constexpr std::size_t kFastMatchSlack = 32;
 
-/// Byte sink: LZ4-style token emission. Literal runs whose source has
-/// kWildCopyPad bytes of in-buffer margin go through the wild-copy kernel
-/// (full-register strides); the destination always has margin because
-/// lz77_max_compressed_size over-allocates by kWildCopyPad + 16.
+/// Byte sink: LZ4-style token emission. The destination always has room
+/// for the 15 bytes a literal copy may write past its run, because
+/// lz77_max_compressed_size over-allocates by 32 bytes past the format's
+/// worst case.
 class SeqWriter {
  public:
   SeqWriter(common::MutableByteSpan dst, const std::uint8_t* src_end)
-      : dst_(dst), src_end_(src_end), kernels_(simd::kernels()) {}
+      : dst_(dst), src_end_(src_end) {}
 
   /// Emit one sequence: literals [lit, lit+lit_len) followed by a match of
   /// `match_len` (0 = final literal-only sequence) at distance `offset`.
@@ -53,12 +48,12 @@ class SeqWriter {
     if (lit_len >= 15) put_ext(lit_len - 15);
     if (lit_len != 0) {
       std::uint8_t* d = dst_.data() + pos_;
-      if (lit + lit_len + simd::kWildCopyPad <= src_end_) {
-        if (lit_len <= 16) {
-          std::memcpy(d, lit, 16);  // wild fixed-size copy, inlined
-        } else {
-          kernels_.wild_copy(d, lit, lit_len);
-        }
+      if (lit + lit_len + kFastLiteralCopy <= src_end_) {
+        std::size_t i = 0;
+        do {
+          std::memcpy(d + i, lit + i, kFastLiteralCopy);
+          i += kFastLiteralCopy;
+        } while (i < lit_len);
       } else {
         std::memcpy(d, lit, lit_len);
       }
@@ -84,7 +79,6 @@ class SeqWriter {
 
   common::MutableByteSpan dst_;
   const std::uint8_t* src_end_;
-  const simd::Kernels& kernels_;
   std::size_t pos_ = 0;
 };
 
@@ -218,7 +212,6 @@ std::size_t lz77_decompress_with_history(common::ByteSpan src,
   if (history_len + raw_size > buffer.size()) {
     throw CodecError("lz77: history buffer too small");
   }
-  const simd::Kernels& kernels = simd::kernels();
   const std::uint8_t* in = src.data();
   const std::uint8_t* in_end = in + src.size();
   std::uint8_t* const base = buffer.data();
@@ -262,18 +255,7 @@ std::size_t lz77_decompress_with_history(common::ByteSpan src,
         throw CodecError("lz77: literal overrun");
       }
       if (lit_len != 0) {
-        // Wild literal copy when both the compressed input (read side)
-        // and the block (write side) have a full pad of margin; the
-        // garbage written past out + lit_len is overwritten by the next
-        // sequence before anything can observe it.
-        if (lit_len + simd::kWildCopyPad <=
-                static_cast<std::size_t>(in_end - in) &&
-            lit_len + simd::kWildCopyPad <=
-                static_cast<std::size_t>(out_end - out)) {
-          kernels.wild_copy(out, in, lit_len);
-        } else {
-          std::memcpy(out, in, lit_len);
-        }
+        std::memcpy(out, in, lit_len);
         in += lit_len;
         out += lit_len;
       }
@@ -292,37 +274,8 @@ std::size_t lz77_decompress_with_history(common::ByteSpan src,
     if (match_len > static_cast<std::size_t>(out_end - out)) {
       throw CodecError("lz77: match overrun");
     }
-    std::uint8_t* const match_end = out + match_len;
-    if (match_len + kFastMatchSlack <=
-        static_cast<std::size_t>(out_end - out)) {
-      // Fast path: fixed-size copies at a distance of at least their own
-      // width never read a byte they write. The loops may run up to 31
-      // bytes past match_end, inside the slack.
-      if (offset >= 16) {
-        const std::uint8_t* from = out - offset;
-        do {
-          std::memcpy(out, from, 16);
-          std::memcpy(out + 16, from + 16, 16);
-          out += 32;
-          from += 32;
-        } while (out < match_end);
-      } else {
-        std::size_t dist = offset;
-        if (dist < 8) {
-          dist = simd::detail::spread_period(out, dist);
-          out += 8;
-        }
-        while (out < match_end) {
-          std::memcpy(out, out - dist, 8);
-          out += 8;
-        }
-      }
-    } else {
-      // Overlap-correct for any offset >= 1 (overlap-widening inside the
-      // kernel); degrades to an exact copy within kWildCopyPad of out_end.
-      kernels.copy_match(out, offset, match_len, out_end);
-    }
-    out = match_end;
+    detail::copy_match(out, offset, match_len, out_end);
+    out += match_len;
   }
   if (out != out_end) throw CodecError("lz77: short output");
   return raw_size;

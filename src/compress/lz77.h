@@ -69,10 +69,10 @@ std::size_t lz77_decompress_with_history(common::ByteSpan src,
                                          std::size_t history_len,
                                          std::size_t raw_size);
 
-/// Worst-case output bound for `n` input bytes. Includes
-/// simd::kWildCopyPad of slack beyond the tight bound so the encoder's
-/// literal copies can run in full-register strides (the bytes past the
-/// returned compressed size are scratch garbage, never part of the wire).
+/// Worst-case output bound for `n` input bytes. Includes 32 bytes of
+/// slack beyond the tight bound so the encoder can move literal runs in
+/// fixed-size 16-byte copies (the bytes past the returned compressed size
+/// are scratch garbage, never part of the wire).
 constexpr std::size_t lz77_max_compressed_size(std::size_t n) {
   return n + n / 255 + 48;
 }

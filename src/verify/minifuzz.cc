@@ -48,7 +48,7 @@ common::Bytes fuzz_payload(common::Xoshiro256& rng, std::size_t target) {
       }
       case 4: {
         // Small-period run: decodes as overlapped match copies at
-        // distances 1..64, the wild-copy widening hazard class. The
+        // distances 1..64, copy_match's short-distance hazard class. The
         // resize below truncates the last run at the payload tail, so
         // these copies also routinely end within the final 32 bytes of
         // the exact-size decode scratch.

@@ -16,6 +16,7 @@
 // and commit the diff — which makes the wire-format change reviewable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -341,6 +342,64 @@ TEST(GoldenDigest, ExtendedRungsAtBlockScale) {
         << "encoder output changed — if intentional, print the new table "
            "with STRATO_REGEN_GOLDEN=1 and paste it";
     EXPECT_EQ(got[i].bytes, want.bytes);
+  }
+}
+
+/// A copy of `v` in an allocation of exactly its size, so a read past
+/// its end is a heap overflow under ASan.
+common::Bytes exact_copy(const common::Bytes& v) {
+  return common::Bytes(v.begin(), v.end());
+}
+
+// The digests above pin what the encoders write. This decodes the same
+// inputs back into exact-size buffers, so every decoder replays matches
+// that end 0-32 bytes before the end of its output (5-32 for LIGHT,
+// MEDIUM and DEFLATE, whose last 5 bytes are literals), on both sides of
+// detail::copy_match's fast/exact boundary, where a write past the end is
+// an ASan heap-buffer-overflow.
+TEST(GoldenDigest, ExtendedRungsRoundTripAtBlockScale) {
+  const auto& registry = CodecRegistry::extended();
+  std::vector<std::size_t> every_size;
+  for (std::size_t n = 0; n <= 300; ++n) every_size.push_back(n);
+  for (const auto c :
+       {corpus::Compressibility::kHigh, corpus::Compressibility::kModerate,
+        corpus::Compressibility::kLow}) {
+    const std::string corpus_name = corpus::to_string(c);
+    std::vector<common::Bytes> inputs =
+        seed7_inputs(c, std::vector<std::size_t>(8, 128 << 10));
+    for (common::Bytes& in : seed7_inputs(c, every_size)) {
+      inputs.push_back(std::move(in));
+    }
+    for (std::size_t l = 1; l < registry.level_count(); ++l) {
+      const auto& rung = registry.level(l);
+      for (const common::Bytes& in : inputs) {
+        common::Bytes out(rung.codec->max_compressed_size(in.size()));
+        out.resize(rung.codec->compress(in, out));
+        const common::Bytes wire = exact_copy(out);
+        common::Bytes back(in.size());
+        ASSERT_EQ(rung.codec->decompress(wire, back), in.size());
+        ASSERT_EQ(back, in) << corpus_name << "/" << rung.label
+                            << " n=" << in.size();
+      }
+    }
+    // The streaming pair, with the decoder's window rebuilt in an
+    // exact-size buffer (history, then the block) for each block.
+    StreamingLzCompressor streaming;
+    common::Bytes history;
+    for (const common::Bytes& in :
+         seed7_inputs(c, std::vector<std::size_t>(64, 8 << 10))) {
+      const common::Bytes wire = exact_copy(streaming.compress_block(in));
+      common::Bytes buffer(history.size() + in.size());
+      std::copy(history.begin(), history.end(), buffer.begin());
+      lz77_decompress_with_history(wire, buffer, history.size(), in.size());
+      ASSERT_TRUE(std::equal(in.begin(), in.end(),
+                             buffer.begin() + static_cast<std::ptrdiff_t>(
+                                                  history.size())))
+          << corpus_name << "/stream/LIGHT";
+      history.assign(buffer.end() - static_cast<std::ptrdiff_t>(std::min(
+                                        buffer.size(), kStreamingWindow)),
+                     buffer.end());
+    }
   }
 }
 

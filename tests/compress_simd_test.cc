@@ -4,10 +4,11 @@
 // paths are an implementation detail: every ISA emits the exact scalar
 // wire and decodes it back byte-for-byte. Three layers of checks:
 //
-//   * kernel level — match_length / copy_match / hash4_bulk forced to
-//     each supported ISA against the scalar table, sweeping the hazard
-//     classes (copy distances 1..64, lengths and tails straddling the
-//     16/32-byte vector widths, buffers ending within the wild-copy pad);
+//   * kernel level — match_length / hash4_bulk forced to each supported
+//     ISA against the scalar table, and the one match replay every
+//     decoder shares (compress::detail::copy_match) over its hazard
+//     classes (distances 1..64, lengths straddling its 8/16/32-byte
+//     moves, buffers ending within its 32-byte fast-path margin);
 //   * wire level — verify::Oracle::check_simd_identity over corpora at
 //     block sizes straddling 16/32-byte multiples, all registry levels;
 //   * dispatch level — ScopedIsa forcing and restoring.
@@ -23,6 +24,7 @@
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "compress/lz_common.h"
 #include "compress/registry.h"
 #include "corpus/generator.h"
 #include "verify/oracle.h"
@@ -95,39 +97,32 @@ TEST(SimdKernels, MatchLengthAgreesWithScalarAtEveryDivergence) {
 }
 
 TEST(SimdKernels, CopyMatchSweepsDistancesLengthsAndTails) {
-  // The overlap hazard class: every distance 1..64 (below both vector
-  // widths), lengths straddling 16/32-byte multiples, and scratch that
-  // ends within 0..33 bytes of the copy — the exact-tail fallback
-  // boundary. The buffer is sized exactly to wild_end, so a write past
-  // it is an out-of-bounds store the sanitizer job catches.
+  // The overlap hazard class: every distance 1..64 (the spread_period,
+  // 8-byte and 16-byte paths), lengths straddling 8/16/32-byte
+  // multiples, and buffers that end 0..33 bytes past the copy — both
+  // sides of the fast/exact boundary at kWildCopyPad. The buffer is sized
+  // exactly to out_end, so a write past it is an out-of-bounds store the
+  // sanitizer job catches.
   common::Xoshiro256 rng(0xC0B1);
-  for (const simd::Isa isa : supported_isas()) {
-    simd::ScopedIsa forced(isa);
-    const simd::Kernels& k = simd::kernels();
-    for (std::size_t dist = 1; dist <= 64; ++dist) {
-      for (const std::size_t len :
-           {std::size_t{1}, std::size_t{4}, std::size_t{15}, std::size_t{16},
-            std::size_t{17}, std::size_t{31}, std::size_t{32},
-            std::size_t{33}, std::size_t{95}, std::size_t{259}}) {
-        for (const std::size_t slack :
-             {std::size_t{0}, std::size_t{1}, std::size_t{15},
-              std::size_t{16}, std::size_t{17}, std::size_t{31},
-              std::size_t{32}, std::size_t{33}}) {
-          const std::size_t prefix = dist + rng.below(32);
-          std::vector<std::uint8_t> buf(prefix + len + slack);
-          for (auto& v : buf) v = static_cast<std::uint8_t>(rng());
-          std::vector<std::uint8_t> ref = buf;
-          for (std::size_t i = 0; i < len; ++i) {
-            ref[prefix + i] = ref[prefix + i - dist];
-          }
-          k.copy_match(buf.data() + prefix, dist, len,
-                       buf.data() + buf.size());
-          // Copied region exact; bytes past dst+len inside the slack are
-          // wild (the contract allows clobbering up to wild_end).
-          ASSERT_EQ(std::memcmp(buf.data(), ref.data(), prefix + len), 0)
-              << "isa=" << simd::to_string(isa) << " dist=" << dist
-              << " len=" << len << " slack=" << slack;
+  for (std::size_t dist = 1; dist <= 64; ++dist) {
+    for (const std::size_t len :
+         {std::size_t{1}, std::size_t{4}, std::size_t{15}, std::size_t{16},
+          std::size_t{17}, std::size_t{31}, std::size_t{32}, std::size_t{33},
+          std::size_t{95}, std::size_t{259}}) {
+      for (std::size_t slack = 0; slack <= 33; ++slack) {
+        const std::size_t prefix = dist + rng.below(32);
+        std::vector<std::uint8_t> buf(prefix + len + slack);
+        for (auto& v : buf) v = static_cast<std::uint8_t>(rng());
+        std::vector<std::uint8_t> ref = buf;
+        for (std::size_t i = 0; i < len; ++i) {
+          ref[prefix + i] = ref[prefix + i - dist];
         }
+        compress::detail::copy_match(buf.data() + prefix, dist, len,
+                                     buf.data() + buf.size());
+        // Copied region exact; bytes past dst+len inside the slack may be
+        // overwritten (the next sequence's bytes in a real decode).
+        ASSERT_EQ(std::memcmp(buf.data(), ref.data(), prefix + len), 0)
+            << "dist=" << dist << " len=" << len << " slack=" << slack;
       }
     }
   }

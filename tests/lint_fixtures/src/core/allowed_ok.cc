@@ -50,3 +50,9 @@ void fixture_allowed_lz_finder() {
   // strato-lint: allow(lz-finder)
   strato::compress::detail::match_scratch().prepare(14, 0);
 }
+
+bool fixture_allowed_kernels() {
+  // Dispatch report in a standalone diagnostics tool; sanctioned.
+  // strato-lint: allow(kernels)
+  return strato::common::simd::kernels().isa == strato::common::simd::Isa::kAvx2;
+}
