@@ -30,6 +30,9 @@ TESTS=(
   compress_lz77_test
   compress_pipeline_test
   compress_decode_pipeline_test
+  # The recv_span/commit torture: re-chunked reads at 3 workers with
+  # 1 KiB segments, so segments seal and recycle on most reads.
+  compress_fragment_test
   verify_oracle_test
   verify_minifuzz_test
   verify_chaos_test

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build with -DSTRATO_SANITIZE=thread and run the concurrency-sensitive
-# tests (thread pool, buffer pool, parallel pipeline, stream, channels,
-# async transport + loopback soak) under ThreadSanitizer.
+# tests (thread pool, buffer pool, both block pipelines, the receive
+# fragment torture, stream, channels, async transport + loopback soak)
+# under ThreadSanitizer.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -18,6 +19,9 @@ TESTS=(
   common_lockgraph_test
   compress_pipeline_test
   compress_decode_pipeline_test
+  # The recv_span/commit torture: re-chunked reads at 3 workers with
+  # 1 KiB segments, so segments seal and recycle on most reads.
+  compress_fragment_test
   core_stream_test
   core_transport_test
   transport_soak_test

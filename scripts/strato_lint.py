@@ -95,6 +95,12 @@ into every presubmit script (check_static.sh runs this first):
                    finder), so per-ISA code stays limited to what differs
                    per ISA and no decoder grows a second copy mechanism
                    behind a function pointer again.
+  reorder          blocks re-sequence in one place: in src/compress,
+                   Mutex, MutexLock, CondVar and ThreadPool are banned
+                   outside compress/reorder_window.h, where
+                   detail::ReorderWindow owns the lock, the condition
+                   variable and the worker pool, so neither block
+                   pipeline grows a private reorder ring again.
   env              environment reads have two homes: std::getenv (and
                    secure_getenv) is banned in src/ outside
                    common/simd.h (the STRATO_SIMD dispatch override) and
@@ -167,6 +173,11 @@ LZ_FINDER_ALLOWED = "compress/lz_common.h"
 
 # The kernel table's definition and its one caller, the match finder.
 KERNELS_ALLOWED = {"common/simd.h", "compress/lz_common.h"}
+
+# src/compress's one owner of locks, condition variables and worker
+# threads: the reorder window both block pipelines share.
+REORDER_BANNED_PREFIX = "compress/"
+REORDER_ALLOWED = "compress/reorder_window.h"
 
 # The sanctioned readers of the environment.
 ENV_ALLOWED = {"common/simd.h", "verify/seed.h"}
@@ -253,6 +264,13 @@ RULES = {
          "detail::copy_match)"),
         (re.compile(r"(?<![A-Za-z0-9_])Kernels\b"),
          "simd::Kernels outside common/simd.h and compress/lz_common.h"),
+    ],
+    "reorder": [
+        (re.compile(
+            r"(?<![A-Za-z0-9_])(?:Mutex(?:Lock)?|CondVar|ThreadPool)\b"),
+         "lock, condition variable or thread pool in src/compress outside "
+         "compress/reorder_window.h (re-sequence through "
+         "detail::ReorderWindow)"),
     ],
     "env": [
         (re.compile(r"(?<![A-Za-z0-9_])(?:std::)?(?:secure_)?getenv\s*\("),
@@ -647,6 +665,8 @@ def lint_file(path: Path, rel: str):
             check("lz-finder", RULES["lz-finder"])
         if rel not in KERNELS_ALLOWED:
             check("kernels", RULES["kernels"])
+        if rel.startswith(REORDER_BANNED_PREFIX) and rel != REORDER_ALLOWED:
+            check("reorder", RULES["reorder"])
         if rel not in ENV_ALLOWED:
             check("env", RULES["env"])
         check("using-namespace", RULES["using-namespace"])
@@ -704,6 +724,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("core/bad_env.cc", "env"): 3,
     ("compress/bad_lz_finder.cc", "lz-finder"): 3,
     ("compress/bad_kernels.cc", "kernels"): 3,
+    ("compress/bad_reorder.cc", "reorder"): 4,
     ("compress/bad_simd.cc", "simd"): 5,
     ("vsim/fleet.cc", "fleet-alloc"): 3,
     ("compress/bad_lifetime.cc", "lifetime"): 6,

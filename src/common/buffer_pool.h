@@ -93,8 +93,9 @@ class BufferPool {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// Process-wide pool used by the serial compression paths (the parallel
-  /// pipeline owns a private pool sized to its reorder window).
+  /// Process-wide pool. No library path acquires from it since the
+  /// streaming pair dropped its work buffer; the block pipelines own
+  /// private pools sized to their reorder windows.
   static BufferPool& shared();
 
  private:

@@ -1,7 +1,9 @@
 // Minimal fixed-size thread pool.
 //
-// The dataflow executor runs each task vertex on a pool thread; benches use
-// it to run independent experiment repetitions concurrently.
+// The dataflow executor runs each task vertex on a pool thread; the block
+// pipelines' reorder window (compress/reorder_window.h) runs block jobs on
+// one; benches use it to run independent experiment repetitions
+// concurrently.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +21,7 @@ namespace strato::common {
 
 /// Fixed-size pool executing std::function jobs FIFO.
 ///
-/// Shutdown semantics (relied on by compress::ParallelBlockPipeline): every
+/// Shutdown semantics (relied on by compress::detail::ReorderWindow): every
 /// job accepted by submit() runs to completion before shutdown() returns —
 /// queued jobs are drained, never discarded — and submit() after shutdown
 /// throws instead of silently enqueueing work that would never run (which

@@ -10,29 +10,25 @@ namespace strato::compress {
 ParallelBlockDecodePipeline::ParallelBlockDecodePipeline(
     const CodecRegistry& registry, DecodePipelineConfig config)
     : registry_(registry),
-      depth_(2 * std::max<std::size_t>(1, config.worker_count)),
       segment_size_(config.segment_size == 0 ? kDefaultDecodeSegmentSize
                                              : config.segment_size),
-      slots_(depth_),
       // One output buffer per in-flight block plus a few receive segments
       // cycling through seal/retire.
-      pool_(2 * depth_ + 4),
-      workers_(config.worker_count > 1
-                   ? std::make_unique<common::ThreadPool>(config.worker_count)
-                   : nullptr) {}
-
-ParallelBlockDecodePipeline::~ParallelBlockDecodePipeline() {
-  // ThreadPool (constructed last, destroyed first) drains every accepted
-  // decode before the slots and segments those jobs touch are destroyed.
-  // Undelivered blocks are simply dropped.
-  if (workers_ != nullptr) workers_->shutdown();
-  drop_lease();
-}
+      pool_(2 * detail::ReorderWindow<Slot>::depth_for(config.worker_count) +
+            4),
+      window_(config.worker_count) {}
 
 void ParallelBlockDecodePipeline::feed(common::ByteSpan data) {
-  append_wire(data);
-  parse_available();
-  dispatch_available();
+  // recv_span() asks for at least one byte, so an empty feed could seal a
+  // full segment for nothing; past a poisoned header nothing parses, so
+  // commit() only counts the bytes.
+  if (!data.empty() && parse_error_ == nullptr) {
+    // The receive append: the one sanctioned wire-byte copy on this path
+    // (recv_span()/commit() callers skip even this one).
+    const common::MutableByteSpan span = recv_span(data.size());
+    std::memcpy(span.data(), data.data(), data.size());
+  }
+  commit(data.size());
 }
 
 ParallelBlockDecodePipeline::Segment* ParallelBlockDecodePipeline::ensure_free(
@@ -48,18 +44,12 @@ ParallelBlockDecodePipeline::Segment* ParallelBlockDecodePipeline::ensure_free(
   }
   Segment* seg = &segments_.back();
 
-  // Fully-drained active segment: restart it in place (the FrameAssembler
-  // "reset the offset, move nothing" case).
-  if (seg->parse_off == seg->fill && seg->parse_off != 0) {
-    bool drained;
-    {
-      common::MutexLock lk(mu_);
-      drained = seg->outstanding == 0;
-    }
-    if (drained) {
-      seg->fill = 0;
-      seg->parse_off = 0;
-    }
+  // Fully-parsed active segment that delivery has moved past: restart it
+  // in place (the FrameAssembler "reset the offset, move nothing" case).
+  if (seg->parse_off == seg->fill && seg->parse_off != 0 &&
+      window_.delivered() >= seg->frames_end) {
+    seg->fill = 0;
+    seg->parse_off = 0;
   }
 
   if (seg->fill + n > seg->data.size()) {
@@ -89,23 +79,10 @@ ParallelBlockDecodePipeline::Segment* ParallelBlockDecodePipeline::ensure_free(
   return seg;
 }
 
-void ParallelBlockDecodePipeline::append_wire(common::ByteSpan data) {
-  wire_fed_ += data.size();
-  // A poisoned stream can never decode past the bad header; buffering more
-  // bytes would only grow memory for frames that are unreachable.
-  if (poisoned_ || data.empty()) return;
-
-  Segment* seg = ensure_free(data.size());
-  // The receive append: the one sanctioned wire-byte copy on this path
-  // (recv_span()/commit() skips even this one).
-  std::memcpy(seg->writable_tail().data(), data.data(), data.size());
-  seg->fill += data.size();
-}
-
 common::MutableByteSpan ParallelBlockDecodePipeline::recv_span(
     std::size_t min_bytes) {
   if (min_bytes == 0) min_bytes = 1;
-  if (poisoned_) {
+  if (parse_error_ != nullptr) {
     // Nothing past the poison frame can ever parse; let the reader drain
     // its socket into scratch instead of growing dead segments.
     if (poison_scratch_.size() < min_bytes) poison_scratch_.resize(min_bytes);
@@ -121,7 +98,7 @@ void ParallelBlockDecodePipeline::commit(std::size_t n) {
   wire_fed_ += n;
   if (n == 0) return;
   if (recv_seg_ == nullptr) {
-    if (poisoned_) return;  // drained into scratch, dropped by design
+    if (parse_error_ != nullptr) return;  // scratch bytes, dropped by design
     throw std::logic_error(
         "ParallelBlockDecodePipeline::commit without recv_span");
   }
@@ -137,7 +114,7 @@ void ParallelBlockDecodePipeline::commit(std::size_t n) {
 }
 
 void ParallelBlockDecodePipeline::parse_available() {
-  if (poisoned_ || segments_.empty()) return;
+  if (parse_error_ != nullptr || segments_.empty()) return;
   // Invariant: only the active (last) segment holds unparsed bytes —
   // sealing moves the unparsed tail forward.
   Segment& seg = segments_.back();
@@ -152,7 +129,6 @@ void ParallelBlockDecodePipeline::parse_available() {
       } catch (...) {
         // Poison at this exact frame position; rethrown (sticky) once
         // every preceding frame has been delivered — serial order.
-        poisoned_ = true;
         parse_error_ = std::current_exception();
         return;
       }
@@ -160,117 +136,68 @@ void ParallelBlockDecodePipeline::parse_available() {
     }
     if (avail < pending_frame_size_) return;
 
-    ParsedFrame pf;
-    pf.header = pending_hdr_;
-    pf.payload = seg.unparsed().subspan(kFrameHeaderSize,
-                                        pending_hdr_.comp_size);
-    pf.segment = &seg;
-    pf.frame_size = pending_frame_size_;
-    {
-      common::MutexLock lk(mu_);
-      ++seg.outstanding;
-    }
+    FrameView frame;
+    frame.header = pending_hdr_;
+    frame.payload = seg.unparsed().subspan(kFrameHeaderSize,
+                                           pending_hdr_.comp_size);
+    frame.frame_size = pending_frame_size_;
     seg.parse_off += pending_frame_size_;
     pending_frame_size_ = 0;
-    ++parsed_seq_;
+    seg.frames_end = ++parsed_seq_;
     // The parsed frame's payload span legitimately outlives this
-    // statement: Segment::outstanding was incremented above, so the
-    // segment cannot retire to the pool until the frame's decode
-    // finishes — the queued borrow is lease-backed by construction.
-    parsed_.push_back(pf);  // strato-lint: allow(lifetime)
+    // statement: the segment cannot retire to the pool until delivery
+    // passes seg.frames_end, and a delivered frame has finished decoding
+    // — the queued borrow is lease-backed by construction.
+    parsed_.push_back(frame);  // strato-lint: allow(lifetime)
   }
 }
 
 void ParallelBlockDecodePipeline::dispatch_available() {
-  while (!parsed_.empty() && next_seq_ - deliver_seq_ < depth_) {
-    const ParsedFrame pf = parsed_.front();
+  while (!parsed_.empty() && !window_.full()) {
+    Slot& slot = window_.next_slot();
+    slot.frame = parsed_.front();
     parsed_.pop_front();
-    const std::uint64_t seq = next_seq_++;
-    Slot& slot = slots_[seq % depth_];
-    slot.state = Slot::State::kPending;
-    slot.header = pf.header;
-    slot.payload = pf.payload;
-    slot.segment = pf.segment;
-    slot.frame_size = pf.frame_size;
-    slot.error = nullptr;
-    slot.out = pool_.acquire(pf.header.raw_size);
-    if (workers_ != nullptr) {
-      workers_->submit([this, seq] { decode_slot(seq); });
-    } else {
-      decode_slot(seq);
-    }
+    slot.out = pool_.acquire(slot.frame.header.raw_size);
+    window_.start([this](Slot& s) {
+      decode_frame_into(s.frame, registry_, s.out);
+    });
   }
-}
-
-void ParallelBlockDecodePipeline::decode_slot(std::uint64_t seq) {
-  Slot& slot = slots_[seq % depth_];
-  std::exception_ptr error;
-  try {
-    FrameView view;
-    view.header = slot.header;
-    view.payload = slot.payload;
-    view.frame_size = slot.frame_size;
-    decode_frame_into(view, registry_, slot.out);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  {
-    common::MutexLock lk(mu_);
-    slot.error = error;
-    // The payload span is dead from here on; its segment can recycle once
-    // its siblings finish too.
-    --slot.segment->outstanding;
-    slot.state = Slot::State::kReady;
-  }
-  ready_cv_.notify_all();
 }
 
 std::optional<DecodedBlock> ParallelBlockDecodePipeline::next_block() {
   drop_lease();
   dispatch_available();
-  if (deliver_seq_ == next_seq_) {
+  if (window_.empty()) {
     // Nothing in flight. If parsing hit a malformed header and every frame
     // before it has been delivered, this is exactly where the serial path
     // throws.
-    if (poisoned_ && parsed_.empty() && parse_error_ != nullptr) {
+    if (parse_error_ != nullptr && parsed_.empty()) {
       std::rethrow_exception(parse_error_);
     }
     retire_segments();
     return std::nullopt;
   }
-  Slot& slot = slots_[deliver_seq_ % depth_];
-  {
-    common::MutexLock lk(mu_);
-    while (slot.state != Slot::State::kReady) ready_cv_.wait(mu_);
-  }
-  // Past this point the slot belongs to the feeding thread again: the
-  // worker finished (kReady) and no dispatch can reuse it before
-  // deliver_seq_ advances.
-  if (slot.error != nullptr) {
+  window_.head_ready(/*wait=*/true);
+  if (const std::exception_ptr error = window_.head_error()) {
     // Sticky, like the serial path: the failed block stays at the head of
     // the window and every further call rethrows the same error.
-    std::rethrow_exception(slot.error);
+    std::rethrow_exception(error);
   }
-  last_ = slot.header;
+  Slot& slot = window_.head();
+  last_ = slot.frame.header;
   lease_ = std::move(slot.out);
   lease_active_ = true;
-  wire_delivered_ += slot.frame_size;
-  slot = Slot{};
-  ++deliver_seq_;
+  wire_delivered_ += slot.frame.frame_size;
+  window_.pop();
   retire_segments();
   dispatch_available();
   return DecodedBlock{common::ByteSpan(lease_), last_};
 }
 
 void ParallelBlockDecodePipeline::retire_segments() {
-  while (!segments_.empty()) {
-    Segment& front = segments_.front();
-    if (!front.sealed) return;
-    {
-      common::MutexLock lk(mu_);
-      if (front.outstanding != 0) return;
-    }
-    pool_.release(std::move(front.data));
+  while (!segments_.empty() && segments_.front().sealed &&
+         window_.delivered() >= segments_.front().frames_end) {
+    pool_.release(std::move(segments_.front().data));
     segments_.pop_front();
   }
 }

@@ -5,10 +5,10 @@
 // decoded independently. The feeding thread appends wire bytes into pooled
 // receive segments, parses frame boundaries in place (zero-copy: each
 // frame's payload is a span into the segment it arrived in), dispatches
-// complete frames out of order to common::ThreadPool workers for
-// decompress + checksum verify, and delivers decoded blocks strictly in
-// wire order through the same bounded slot/state reorder window the send
-// side uses. The delivered byte stream — including which error is thrown,
+// complete frames out of order to worker threads for decompress +
+// checksum verify, and delivers decoded blocks strictly in wire order
+// through detail::ReorderWindow, the bounded reorder window the send side
+// uses too. The delivered byte stream — including which error is thrown,
 // and when — is identical to the serial FrameAssembler path at every
 // worker count.
 //
@@ -17,8 +17,10 @@
 //   * workers only decode and verify; they never touch segments' layout,
 //     the parse cursor, or delivery state;
 //   * worker_count <= 1 runs no threads at all — frames decode inline at
-//     dispatch, through the same slot machinery, so there is exactly one
-//     code path to test.
+//     dispatch, through the same window states, so there is exactly one
+//     code path to test;
+//   * the pipeline holds no lock of its own: a worker writes only the
+//     slot of its own window cell.
 //
 // Zero-copy ownership rules (DESIGN.md section 9):
 //   * wire bytes are copied ONCE, into the active receive segment; frames
@@ -26,8 +28,9 @@
 //   * a segment's data() never moves: appends stop at reserved capacity
 //     and open a fresh segment instead (the partial-frame tail is the only
 //     bytes ever re-copied — wraparound-only compaction);
-//   * a segment is recycled through the pool only when every frame parsed
-//     from it has finished decoding and delivery has moved past it;
+//   * a segment is recycled through the pool only once delivery has moved
+//     past its last frame (`frames_end`): frames parse, dispatch and
+//     deliver in one order, and a delivered frame has finished decoding;
 //   * the span returned by next_block() is a lease on the slot's pooled
 //     output buffer, valid until the next next_block() call.
 //
@@ -42,18 +45,14 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/buffer_pool.h"
 #include "common/bytes.h"
 #include "common/lifetime_annotations.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "compress/framing.h"
 #include "compress/registry.h"
+#include "compress/reorder_window.h"
 
 namespace strato::compress {
 
@@ -85,7 +84,6 @@ class ParallelBlockDecodePipeline {
  public:
   ParallelBlockDecodePipeline(const CodecRegistry& registry,
                               DecodePipelineConfig config);
-  ~ParallelBlockDecodePipeline();
 
   ParallelBlockDecodePipeline(const ParallelBlockDecodePipeline&) = delete;
   ParallelBlockDecodePipeline& operator=(const ParallelBlockDecodePipeline&) =
@@ -133,12 +131,12 @@ class ParallelBlockDecodePipeline {
   }
 
   [[nodiscard]] std::size_t worker_count() const {
-    return workers_ == nullptr ? 0 : workers_->size();
+    return window_.worker_count();
   }
-  [[nodiscard]] std::size_t depth() const { return depth_; }
+  [[nodiscard]] std::size_t depth() const { return window_.depth(); }
   [[nodiscard]] std::uint64_t blocks_parsed() const { return parsed_seq_; }
   [[nodiscard]] std::uint64_t blocks_delivered() const {
-    return deliver_seq_;
+    return window_.delivered();
   }
   /// Bytes re-copied by wraparound tail moves — the ONLY wire bytes that
   /// ever move twice. Tests pin this to < one frame per sealed segment.
@@ -158,17 +156,15 @@ class ParallelBlockDecodePipeline {
   /// it is resized to its full capacity once at acquire, and `fill` marks
   /// how much of it holds wire bytes — the tail [fill, size) is the
   /// writable space recv_span() hands to socket readers. Only the feeding
-  /// thread touches layout; `outstanding` (frames parsed from the segment
-  /// whose decode has not finished) is the one field workers update,
-  /// under mu_.
+  /// thread touches a segment; workers merely read payload spans in it.
   struct Segment {
-    common::Bytes data;          // pooled; never reallocates after acquire
-    std::size_t fill = 0;        // wire bytes present: [0, fill)
-    std::size_t parse_off = 0;   // feeding-thread parse cursor
-    std::uint32_t outstanding = 0;  // under mu_ once workers exist
-    bool sealed = false;         // no further appends
+    common::Bytes data;            // pooled; never reallocates
+    std::size_t fill = 0;          // wire bytes present: [0, fill)
+    std::size_t parse_off = 0;     // feeding-thread parse cursor
+    std::uint64_t frames_end = 0;  // parse seq one past its last frame
+    bool sealed = false;           // no further appends
 
-    /// Writable space past the wire bytes — the recv_span()/append target.
+    /// Writable space past the wire bytes — the recv_span() target.
     /// Borrows the segment's pooled storage; dead once the segment is
     /// retired to the pool.
     [[nodiscard]] common::MutableByteSpan writable_tail()
@@ -181,71 +177,41 @@ class ParallelBlockDecodePipeline {
     }
   };
 
-  /// A parsed frame waiting for a free reorder-window slot. The payload
-  /// span borrows from `segment`; `outstanding` was already incremented.
-  struct ParsedFrame {
-    FrameHeader header;
-    common::ByteSpan payload;
-    Segment* segment = nullptr;
-    std::size_t frame_size = 0;
-  };
-
   struct Slot {
-    enum class State { kFree, kPending, kReady };
-    State state = State::kFree;
-    FrameHeader header;
-    common::ByteSpan payload;    // into the segment; worker-owned in kPending
-    Segment* segment = nullptr;
-    std::size_t frame_size = 0;
-    common::Bytes out;           // pooled: decoded block (valid when kReady)
-    std::exception_ptr error;
+    FrameView frame;    // payload borrows a segment; read by the job
+    common::Bytes out;  // pooled: the decoded block
   };
 
   /// Active segment with >= n bytes of writable tail, sealing + opening
   /// segments on wraparound so no frame ever straddles two segments.
   Segment* ensure_free(std::size_t n);
-  /// Copy wire bytes into the active segment (the feed() path).
-  void append_wire(common::ByteSpan data);
   /// Parse every complete frame at the cursor into parsed_; on a malformed
   /// header, record the poison and stop (order-exact with serial).
   void parse_available();
-  /// Move parsed frames into free slots and start their decodes.
+  /// Move parsed frames into free window cells and start their decodes.
   void dispatch_available();
-  void decode_slot(std::uint64_t seq);
-  /// Release fully-drained front segments back to the pool.
+  /// Release sealed front segments delivery has moved past to the pool.
   void retire_segments();
   void drop_lease();
 
   const CodecRegistry& registry_;
-  std::size_t depth_;
   std::size_t segment_size_;
+  std::uint64_t parsed_seq_ = 0;  // frames parsed off the wire so far
 
-  common::Mutex mu_{"ParallelBlockDecodePipeline::mu_"};
-  common::CondVar ready_cv_;
-  // Not GUARDED_BY(mu_): slots are handed off by protocol — a kPending
-  // slot belongs to its worker, a kReady slot to the feeding thread; only
-  // the state transition itself (and Segment::outstanding) happens under
-  // mu_. Mirrors ParallelBlockPipeline.
-  std::vector<Slot> slots_;        // ring indexed by seq % depth_
-  std::uint64_t next_seq_ = 0;     // next sequence number to dispatch
-  std::uint64_t deliver_seq_ = 0;  // next sequence number to deliver
-  std::uint64_t parsed_seq_ = 0;   // frames parsed off the wire so far
-
-  // Feeding-thread state: receive segments (deque => stable element
-  // addresses for the Segment* held by slots), parsed-frame queue, and the
+  // Feeding-thread state: receive segments (deque => recv_seg_ survives
+  // push_back), frames parsed but not yet dispatched, and the
   // once-per-frame header cache shared with FrameAssembler's design.
   std::deque<Segment> segments_;
-  std::deque<ParsedFrame> parsed_;
+  std::deque<FrameView> parsed_;
   std::size_t pending_frame_size_ = 0;
   FrameHeader pending_hdr_;
-  bool poisoned_ = false;
-  std::exception_ptr parse_error_;
-  Segment* recv_seg_ = nullptr;    // segment behind the outstanding recv_span
-  common::Bytes poison_scratch_;   // recv_span target once poisoned
+  std::exception_ptr parse_error_;  // set: poisoned at the parse cursor
+  Segment* recv_seg_ = nullptr;   // segment behind the outstanding recv_span
+  common::Bytes poison_scratch_;  // recv_span target once poisoned
 
   FrameHeader last_;
   bool lease_active_ = false;
-  common::Bytes lease_;            // the buffer behind the delivered view
+  common::Bytes lease_;  // the buffer behind the delivered view
 
   std::uint64_t wire_fed_ = 0;
   std::uint64_t wire_delivered_ = 0;
@@ -253,7 +219,8 @@ class ParallelBlockDecodePipeline {
   std::uint64_t segments_sealed_ = 0;
 
   common::BufferPool pool_;
-  std::unique_ptr<common::ThreadPool> workers_;  // last: joins before state
+  // Last: its workers join before the segments they read die.
+  detail::ReorderWindow<Slot> window_;
 };
 
 }  // namespace strato::compress

@@ -4,11 +4,12 @@
 // channel block is *self-contained* — it carries its own codec id and
 // metadata — precisely so blocks can be (de)compressed independently. This
 // pipeline exploits that: the submitting thread hands each raw block to a
-// common::ThreadPool worker, workers encode frames concurrently (codecs
-// are stateless; per-thread match-finder scratch keeps them share-free),
-// and completed frames are re-sequenced into submission order through a
-// bounded reorder window before reaching the sink. On the wire the output
-// is byte-identical to the serial path — receivers cannot tell the
+// worker, workers encode frames concurrently (codecs are stateless;
+// per-thread match-finder scratch keeps them share-free), and completed
+// frames are re-sequenced into submission order through
+// detail::ReorderWindow, the bounded reorder window the decode pipeline
+// shares, before reaching the sink. On the wire the output is
+// byte-identical to the serial path — receivers cannot tell the
 // difference.
 //
 // Threading contract:
@@ -26,23 +27,19 @@
 //
 // worker_count <= 1 runs no threads at all, like the decode pipeline:
 // submit() encodes straight from the caller's payload into one reused
-// frame buffer and hands it to the sink before returning. This inline
-// mode is the serial send path of every front-end, so level clamping and
-// frame encoding live only here.
+// frame buffer and hands it to the sink before returning; nothing is
+// left to re-sequence, so the window stays empty. This inline mode is
+// the serial send path of every front-end, so level clamping and frame
+// encoding live only here.
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "common/buffer_pool.h"
 #include "common/bytes.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "compress/registry.h"
+#include "compress/reorder_window.h"
 
 namespace strato::compress {
 
@@ -59,7 +56,6 @@ class ParallelBlockPipeline {
   ///                     blocks.
   ParallelBlockPipeline(const CodecRegistry& registry,
                         std::size_t worker_count, FrameSink sink);
-  ~ParallelBlockPipeline();
 
   ParallelBlockPipeline(const ParallelBlockPipeline&) = delete;
   ParallelBlockPipeline& operator=(const ParallelBlockPipeline&) = delete;
@@ -76,12 +72,14 @@ class ParallelBlockPipeline {
 
   /// Encode workers actually running (0 = inline).
   [[nodiscard]] std::size_t worker_count() const {
-    return workers_ == nullptr ? 0 : workers_->size();
+    return window_.worker_count();
   }
-  [[nodiscard]] std::size_t depth() const { return depth_; }
-  [[nodiscard]] std::uint64_t blocks_submitted() const { return next_seq_; }
+  [[nodiscard]] std::size_t depth() const { return window_.depth(); }
+  [[nodiscard]] std::uint64_t blocks_submitted() const {
+    return window_.started() + inline_blocks_;
+  }
   [[nodiscard]] std::uint64_t blocks_delivered() const {
-    return deliver_seq_;
+    return window_.delivered() + inline_blocks_;
   }
   /// Buffer-recycling counters of the private pool.
   [[nodiscard]] common::BufferPool::Stats pool_stats() const {
@@ -90,36 +88,23 @@ class ParallelBlockPipeline {
 
  private:
   struct Slot {
-    enum class State { kFree, kPending, kReady };
-    State state = State::kFree;
     common::Bytes raw;    // pooled: copy of the submitted payload
-    common::Bytes frame;  // pooled: encoded frame (valid when kReady)
+    common::Bytes frame;  // pooled: encoded frame
     std::size_t raw_size = 0;
     int level = 0;
-    std::exception_ptr error;
   };
 
-  void compress_slot(std::uint64_t seq);
-  /// Deliver in-order ready frames; with `wait_for_one`, block until the
-  /// head frame is ready first. Returns after delivering what it can.
+  /// Deliver in-order finished frames; with `wait_for_one`, block until
+  /// the head frame is finished first. Returns after delivering what it
+  /// can.
   void deliver_ready(bool wait_for_one);
 
   const CodecRegistry& registry_;
   FrameSink sink_;
-  std::size_t depth_;
-
-  common::Mutex mu_{"ParallelBlockPipeline::mu_"};
-  common::CondVar ready_cv_;
-  // Not GUARDED_BY(mu_): slots are handed off by protocol — a kPending
-  // slot belongs to its worker, a kReady slot to the submitting thread;
-  // only the state transition itself happens under mu_.
-  std::vector<Slot> slots_;        // ring indexed by seq % depth_
-  std::uint64_t next_seq_ = 0;     // next sequence number to submit
-  std::uint64_t deliver_seq_ = 0;  // next sequence number to deliver
-
+  common::Bytes inline_frame_;       // inline mode's one reused frame
+  std::uint64_t inline_blocks_ = 0;  // blocks encoded inline
   common::BufferPool pool_;
-  common::Bytes inline_frame_;  // the reused frame buffer when inline
-  std::unique_ptr<common::ThreadPool> workers_;  // last: joins before state
+  detail::ReorderWindow<Slot> window_;  // last: joins before the pool dies
 };
 
 }  // namespace strato::compress

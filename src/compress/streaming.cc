@@ -1,17 +1,11 @@
 #include "compress/streaming.h"
 
-#include <algorithm>
-
-#include "common/buffer_pool.h"
-
 namespace strato::compress {
 
 namespace {
 
-/// Keep only the trailing kStreamingWindow bytes of `history` after
-/// appending `added`.
-void roll(common::Bytes& history, common::ByteSpan added) {
-  history.insert(history.end(), added.begin(), added.end());
+/// Keep only the trailing kStreamingWindow bytes of `history`.
+void trim_to_window(common::Bytes& history) {
   if (history.size() > kStreamingWindow) {
     history.erase(history.begin(),
                   history.begin() + static_cast<std::ptrdiff_t>(
@@ -22,30 +16,31 @@ void roll(common::Bytes& history, common::ByteSpan added) {
 }  // namespace
 
 common::Bytes StreamingLzCompressor::compress_block(common::ByteSpan raw) {
-  // Contiguous work buffer (retained window followed by the new block),
-  // recycled through the shared pool — one fewer per-block allocation.
-  common::PoolLease buffer(common::BufferPool::shared(),
-                              history_.size() + raw.size());
-  buffer->insert(buffer->end(), history_.begin(), history_.end());
-  buffer->insert(buffer->end(), raw.begin(), raw.end());
-
+  // The window and the new block are one contiguous buffer: append, then
+  // compress the block over the window before it.
+  const std::size_t history_len = history_.size();
+  history_.insert(history_.end(), raw.begin(), raw.end());
   common::Bytes out(lz77_max_compressed_size(raw.size()));
-  out.resize(lz77_compress_with_history(*buffer, history_.size(), out));
-  roll(history_, raw);
+  out.resize(lz77_compress_with_history(history_, history_len, out));
+  trim_to_window(history_);
   return out;
 }
 
 common::Bytes StreamingLzDecompressor::decompress_block(
     common::ByteSpan comp, std::size_t raw_size) {
-  common::PoolLease buffer(common::BufferPool::shared(),
-                              history_.size() + raw_size);
-  buffer->resize(history_.size() + raw_size);
-  std::copy(history_.begin(), history_.end(), buffer->begin());
-  lz77_decompress_with_history(comp, *buffer, history_.size(), raw_size);
-  common::Bytes raw(buffer->begin() +
-                        static_cast<std::ptrdiff_t>(history_.size()),
-                    buffer->end());
-  roll(history_, raw);
+  // Decode straight past the window; a failed block leaves it as it was.
+  const std::size_t history_len = history_.size();
+  history_.resize(history_len + raw_size);
+  try {
+    lz77_decompress_with_history(comp, history_, history_len, raw_size);
+  } catch (...) {
+    history_.resize(history_len);
+    throw;
+  }
+  common::Bytes raw(
+      history_.begin() + static_cast<std::ptrdiff_t>(history_len),
+      history_.end());
+  trim_to_window(history_);
   return raw;
 }
 

@@ -317,6 +317,63 @@ TEST(ParallelBlockDecodePipeline, WraparoundCopiesOnlyPartialFrameTails) {
   EXPECT_GT(stats.reuses, 0u);
 }
 
+TEST(ParallelBlockDecodePipeline, SealedSegmentsReturnToThePool) {
+  // Every sealed segment must go back to the pool once delivery passes its
+  // last frame. One that never did would miss the pool on every seal, so
+  // the misses (acquires - reuses) would grow with the stream instead of
+  // staying within the pool's own bound.
+  const CodecRegistry& registry = CodecRegistry::standard();
+  const auto blocks = make_blocks(corpus::Compressibility::kLow, 200, 8 * 1024);
+  const common::Bytes wire = make_wire(registry, blocks);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    DecodePipelineConfig cfg;
+    cfg.worker_count = workers;
+    cfg.segment_size = 20 * 1024;
+    ParallelBlockDecodePipeline pipeline(registry, cfg);
+    std::size_t delivered = 0;
+    for (std::size_t off = 0; off < wire.size(); off += 3000) {
+      const std::size_t n = std::min<std::size_t>(3000, wire.size() - off);
+      pipeline.feed(common::ByteSpan(wire.data() + off, n));
+      while (pipeline.next_block()) ++delivered;
+    }
+    EXPECT_EQ(delivered, blocks.size());
+    EXPECT_GT(pipeline.segments_sealed(), blocks.size() / 4);
+    const auto stats = pipeline.pool_stats();
+    EXPECT_LE(stats.acquires - stats.reuses, 2 * pipeline.depth() + 4);
+  }
+}
+
+TEST(ParallelBlockDecodePipeline, SegmentsOutliveTheirUndeliveredFrames) {
+  // Feeding many segments' worth before draining leaves sealed segments
+  // whose frames are still queued or decoding. None may retire (and be
+  // recycled, or poisoned in sanitizer builds) before delivery passes its
+  // last frame.
+  const CodecRegistry& registry = CodecRegistry::standard();
+  const auto blocks = make_blocks(corpus::Compressibility::kLow, 24, 8 * 1024);
+  const common::Bytes wire = make_wire(registry, blocks);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    DecodePipelineConfig cfg;
+    cfg.worker_count = workers;
+    cfg.segment_size = 20 * 1024;
+    ParallelBlockDecodePipeline pipeline(registry, cfg);
+    for (std::size_t off = 0; off < wire.size(); off += 3000) {
+      const std::size_t n = std::min<std::size_t>(3000, wire.size() - off);
+      pipeline.feed(common::ByteSpan(wire.data() + off, n));
+    }
+    EXPECT_GT(pipeline.segments_sealed(), 2u);
+    std::size_t delivered = 0;
+    while (auto block = pipeline.next_block()) {
+      ASSERT_LT(delivered, blocks.size());
+      EXPECT_EQ(common::Bytes(block->data.begin(), block->data.end()),
+                blocks[delivered]);
+      ++delivered;
+    }
+    EXPECT_EQ(delivered, blocks.size());
+  }
+}
+
 TEST(ParallelBlockDecodePipeline, LeaseIsInvalidatedByNextCall) {
   const CodecRegistry& registry = CodecRegistry::standard();
   const auto blocks = make_blocks(corpus::Compressibility::kHigh, 2, 1024);

@@ -105,6 +105,22 @@ TEST(StreamingLz, SynchronizedResetRecovers) {
   EXPECT_EQ(dec.decompress_block(packed, raw.size()), raw);
 }
 
+TEST(StreamingLz, FailedBlockLeavesWindowIntact) {
+  // A block that fails to decode must leave the window as it was, so the
+  // real block still decodes against the same history afterwards.
+  auto gen = corpus::make_generator(corpus::Compressibility::kModerate, 8);
+  StreamingLzCompressor comp;
+  StreamingLzDecompressor dec;
+  const auto b1 = corpus::take(*gen, 8000);
+  const auto b2 = corpus::take(*gen, 8000);
+  const auto p1 = comp.compress_block(b1);
+  const auto p2 = comp.compress_block(b2);
+  EXPECT_EQ(dec.decompress_block(p1, b1.size()), b1);
+  const common::ByteSpan truncated(p2.data(), p2.size() / 2);
+  EXPECT_THROW((void)dec.decompress_block(truncated, b2.size()), CodecError);
+  EXPECT_EQ(dec.decompress_block(p2, b2.size()), b2);
+}
+
 TEST(StreamingLz, EmptyBlocksAreHarmless) {
   StreamingLzCompressor comp;
   StreamingLzDecompressor dec;
