@@ -19,6 +19,11 @@
 //   * `metrics_digest` (FNV-1a over the full FleetMetrics JSON) and the
 //     per-tenant flow counts are det fields and must reproduce exactly
 //     between runs; `kflows_per_s` is a timing field (bench_json.h).
+//   * `peak_rss_mib` (getrusage ru_maxrss) and `flow_rows` (FlowTable
+//     rows written) are info fields: the engine's memory follows the
+//     flows queued and in flight, not the flows spawned.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -83,7 +88,6 @@ FleetConfig fleet_compat_100k() {
   cfg.topology = Topology::rack_spine_wan(Topology::FleetShape{});
   cfg.seed = 424242;
   cfg.horizon = SimTime::seconds(600);
-  cfg.expected_flows = 100'000;
 
   cfg.tenants.push_back(transfer_tenant("analytics", 2.0,
                                         TenantPolicy::dynamic(),
@@ -120,7 +124,6 @@ FleetConfig fleet_large(std::uint64_t transfer_flows) {
   cfg.seed = 424242;
   cfg.horizon = SimTime::seconds(600);
   cfg.drain_factor = 20.0;  // capacity-bound drain runs long past arrivals
-  cfg.expected_flows = transfer_flows + transfer_flows / 16 + 1024;
 
   const std::uint64_t per_tenant = transfer_flows / 4;
   // Arrivals complete within the horizon (~566 s at the 1M default);
@@ -193,6 +196,10 @@ int main(int argc, char** argv) {
   out.det("p999_s", m.completion_all_s.quantile(0.999), 6);
   out.det("metrics_digest", digest);
   out.info("wall_s", wall_s, 3);
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  out.info("peak_rss_mib", static_cast<double>(ru.ru_maxrss) / 1024.0, 1);
+  out.info("flow_rows", static_cast<std::uint64_t>(engine.flow_rows()));
   out.timing("kflows_per_s",
              static_cast<double>(m.flows_completed) / 1e3 /
                  (wall_s > 0.0 ? wall_s : 1.0),

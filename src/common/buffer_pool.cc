@@ -65,9 +65,9 @@ BufferPool::~BufferPool() {
   // Poisoned shadow must not outlive the allocations: unpoison everything
   // still parked here before the vectors free their storage. No lock:
   // destruction implies exclusive access (Clang's analysis likewise
-  // leaves destructors unchecked), and a static-duration pool — e.g.
-  // shared() — is destroyed during exit teardown, after this thread's
-  // TLS (and with it the LockGraph held-stack) is already gone.
+  // leaves destructors unchecked), and a pool with static storage
+  // duration is destroyed during exit teardown, after this thread's TLS
+  // (and with it the LockGraph held-stack) is already gone.
   for (Bytes& buf : free_) asan_unpoison_region(buf);
   for (Bytes& buf : quarantine_) asan_unpoison_region(buf);
 }
@@ -185,11 +185,6 @@ BufferPool::Stats BufferPool::stats() const {
   s.quarantined = quarantine_.size();
   s.generations = generations_;
   return s;
-}
-
-BufferPool& BufferPool::shared() {
-  static BufferPool pool(64);
-  return pool;
 }
 
 }  // namespace strato::common

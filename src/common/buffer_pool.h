@@ -93,11 +93,6 @@ class BufferPool {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// Process-wide pool. No library path acquires from it since the
-  /// streaming pair dropped its work buffer; the block pipelines own
-  /// private pools sized to their reorder windows.
-  static BufferPool& shared();
-
  private:
   /// Stamp + tag + ASan-poison under mu_; returns false when the buffer
   /// has no backing allocation (capacity 0 — nothing to poison).

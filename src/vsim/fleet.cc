@@ -58,7 +58,6 @@ FleetEngine::FleetEngine(FleetConfig config)
       io_cpu_s_per_byte_(profile(VirtTech::kKvmPara).net_cpu_s_per_byte),
       hard_stop_(SimTime::seconds(cfg_.horizon.to_seconds() *
                                   std::max(1.0, cfg_.drain_factor))) {
-  if (cfg_.expected_flows > 0) flows_.reserve(cfg_.expected_flows);
   runs_.resize(cfg_.tenants.size());
   metrics_.tenants.resize(cfg_.tenants.size());
   tenant_active_.assign(cfg_.tenants.size(), 0);
@@ -141,36 +140,31 @@ void FleetEngine::spawn_flow(std::uint16_t t, SimTime at) {
     }
   }
 
-  FlowTable::Id id;
+  QueuedFlow q;
+  q.arrival = at;
+  q.path = path;
   if (spec.kind == FlowKind::kDwell) {
-    const SimTime dwell = SimTime::seconds(
+    q.dwell = SimTime::seconds(
         exponential_interval_s(run.rng, spec.mean_dwell_s));
-    id = flows_.add_dwell(t, path, spec.weight, at, dwell);
   } else {
     // Corpus class from the tenant's mix (cumulative draw, normalized).
     const double msum = std::max(
         1e-12, spec.class_mix[0] + spec.class_mix[1] + spec.class_mix[2]);
     const double u = run.rng.uniform() * msum;
-    corpus::Compressibility cls = corpus::Compressibility::kLow;
     if (u < spec.class_mix[0]) {
-      cls = corpus::Compressibility::kHigh;
+      q.cls = corpus::Compressibility::kHigh;
     } else if (u < spec.class_mix[0] + spec.class_mix[1]) {
-      cls = corpus::Compressibility::kModerate;
+      q.cls = corpus::Compressibility::kModerate;
     }
     const double drawn = exponential_interval_s(
         run.rng, static_cast<double>(spec.mean_flow_bytes));
-    const std::uint64_t raw = std::max(
-        spec.min_flow_bytes, static_cast<std::uint64_t>(drawn));
+    q.raw_bytes = std::max(spec.min_flow_bytes,
+                           static_cast<std::uint64_t>(drawn));
     const BlockJitter jit = draw_block_jitter(run.rng);
-    id = flows_.add_transfer(t, path, cls, raw, spec.weight, at, jit.ratio,
-                             jit.speed);
-    if (spec.policy.kind == TenantPolicy::Kind::kStatic) {
-      flows_.level[id] = static_cast<std::int8_t>(std::clamp(
-          spec.policy.static_level, 0, CodecModel::kNumLevels - 1));
-    }
-    refresh_flow_kernel(id);
+    q.ratio_jit = jit.ratio;
+    q.speed_jit = jit.speed;
   }
-  run.pending.push_back(id);
+  run.pending.push_back(q);
 }
 
 void FleetEngine::generate_arrivals(SimTime now) {
@@ -210,25 +204,32 @@ void FleetEngine::admit(SimTime now) {
     TenantMetrics& tm = metrics_.tenants[t];
     while (!run.pending.empty() &&
            (spec.max_in_flight <= 0 || run.in_flight < spec.max_in_flight)) {
-      const FlowTable::Id id = run.pending.front();
-      run.pending.pop_front();
-      flows_.phase[id] = FlowPhase::kActive;
-      flows_.admitted[id] = now;
-      flows_.window[id] = core::DecisionWindow{now, 0.0, true};
-      tm.queue_wait_s_total += (now - flows_.arrival[id]).to_seconds();
-      ++tm.admitted;
-      ++run.in_flight;
-      ++tenant_active_[t];
+      const QueuedFlow& q = run.pending.front();
       // Per-tenant flows carry weight / active-count; assign the cached
       // value now so a count-stable epoch can skip the rewrite pass (the
       // pass overwrites this when the count did change).
-      if (tenant_per_tenant_[t]) flows_.weight[id] = tenant_flow_w_[t];
-      alloc_.add_flow(id, flows_.path[id]);
-      if (flows_.kind[id] == FlowKind::kTransfer) {
-        active_transfer_.push_back(id);
-      } else {
+      const double w = tenant_per_tenant_[t] ? tenant_flow_w_[t] : spec.weight;
+      const auto tid = static_cast<std::uint16_t>(t);
+      FlowTable::Id id;
+      if (spec.kind == FlowKind::kDwell) {
+        id = flows_.add_dwell(tid, q.path, w, q.arrival, now, q.dwell);
         active_dwell_.push_back(id);
+      } else {
+        id = flows_.add_transfer(tid, q.path, q.cls, q.raw_bytes, w,
+                                 q.arrival, now, q.ratio_jit, q.speed_jit);
+        if (spec.policy.kind == TenantPolicy::Kind::kStatic) {
+          flows_.level[id] = static_cast<std::int8_t>(std::clamp(
+              spec.policy.static_level, 0, CodecModel::kNumLevels - 1));
+        }
+        refresh_flow_kernel(id);
+        active_transfer_.push_back(id);
       }
+      tm.queue_wait_s_total += (now - q.arrival).to_seconds();
+      run.pending.pop_front();
+      ++tm.admitted;
+      ++run.in_flight;
+      ++tenant_active_[t];
+      alloc_.add_flow(id, flows_.path[id]);
     }
   }
 }
@@ -279,6 +280,11 @@ void FleetEngine::recompute_rates(SimTime now) {
 
   alloc_.allocate_incremental(link_cap_, caps_changed, flows_.path,
                               flows_.weight, flows_.alloc_rate);
+  // Rows retired by the last drain may be reused from the next admit on:
+  // their remove_flow dirtied every link they crossed, so the refold
+  // above compacted their tombstones. Reused any sooner, add_flow would
+  // revive a tombstone and the link would count that flow twice.
+  flows_.release_retired();
 
   // Sender-CPU bound: a flow cannot push wire bytes faster than its one
   // vCPU can compress them — wire rate <= comp_speed * wire_factor (the
@@ -313,8 +319,6 @@ void FleetEngine::drain(SimTime from, SimTime dt) {
                        wire_moved * io_cpu_s_per_byte_;
 
     flows_.raw_remaining[id] -= raw_moved;
-    flows_.wire_bytes[id] += wire_moved;
-    flows_.cpu_s[id] += cpu;
     tm.raw_bytes += raw_moved;
     tm.wire_bytes += wire_moved;
     tm.cpu_s += cpu;
@@ -352,13 +356,10 @@ void FleetEngine::drain(SimTime from, SimTime dt) {
 }
 
 void FleetEngine::finish_flow(FlowTable::Id f, SimTime at) {
-  flows_.phase[f] = FlowPhase::kDone;
-  flows_.finished[f] = at;
-  flows_.rate[f] = 0.0;
-  flows_.alloc_rate[f] = 0.0;
   const std::uint16_t t = flows_.tenant[f];
   --tenant_active_[t];
   alloc_.remove_flow(f, flows_.path[f]);
+  flows_.retire(f);
   TenantMetrics& tm = metrics_.tenants[t];
   ++tm.completed;
   --runs_[t].in_flight;
@@ -418,9 +419,9 @@ FleetMetrics FleetEngine::run() {
     metrics_.completion_all_s.merge(tm.completion_s);
     const bool ok = metrics_.goodput_all_mbit_s.merge(tm.goodput_mbit_s);
     (void)ok;  // every histogram has the TenantMetrics layout
+    metrics_.flows_total += tm.spawned - tm.rejected;
     metrics_.flows_completed += tm.completed;
   }
-  metrics_.flows_total = flows_.size();
   return metrics_;
 }
 

@@ -1,21 +1,22 @@
 // Fleet-scale multi-tenant transfer service in virtual time.
 //
 // The paper's experiment is one foreground job against a handful of
-// background flows on one NIC. This engine runs thousands-to-millions of
-// concurrent adaptive-compression flows: many tenants share a
-// rack -> spine -> WAN Topology, every flow carries its own Algorithm 1
-// controller (embedded POD in the FlowTable), link shares are weighted
-// max-min across tenants, and admission control bounds each tenant's
-// in-flight flow count.
+// background flows on one NIC. This engine runs up to millions of
+// adaptive-compression flows, thousands of them in flight at once: many
+// tenants share a rack -> spine -> WAN Topology, every flow in flight
+// carries its own Algorithm 1 controller (embedded POD in the
+// FlowTable), link shares are weighted max-min across tenants, and
+// admission control bounds each tenant's in-flight flow count.
 //
 // Advancement is *batched*: instead of one event per flow step, run()
 // steps a plain loop over epoch times (kFleetEpoch = 50 ms of virtual
 // time). Each epoch it
 //
 //   1. materializes newly arrived flows (per-tenant Poisson processes,
-//      drawn lazily — no per-arrival events),
-//   2. admits pending flows FIFO up to each tenant's in-flight cap
-//      (rejecting beyond the queue bound),
+//      drawn lazily — no per-arrival events) as spawn records in their
+//      tenant's queue (rejecting beyond the queue bound),
+//   2. admits queued flows FIFO up to each tenant's in-flight cap,
+//      writing each into a FlowTable row,
 //   3. recomputes every link's fluctuating capacity and all flow rates in
 //      one incremental weighted max-min pass (MaxMinAllocator), clamps
 //      each flow by its sender-CPU compression-throughput bound,
@@ -23,6 +24,12 @@
 //      kFleetWindow-long controller decision windows
 //      (application-data-rate only, exactly the paper's signal), and
 //   5. retires finished flows into FleetMetrics.
+//
+// Memory follows the flows queued and in flight: a queued flow is a
+// 48-byte QueuedFlow, a row lives from admission to finish, and a
+// finished row is reused by an admission after the next allocation's
+// refold (DESIGN §15), so the table holds at most 2 × Σ max_in_flight
+// rows when every tenant caps its in-flight count.
 //
 // Determinism: everything derives from FleetConfig::seed; two runs emit
 // byte-identical FleetMetrics JSON. A 100k-flow day takes seconds of
@@ -136,7 +143,10 @@ struct FleetConfig {
   /// Safety stop: no epoch runs past horizon * drain_factor.
   double drain_factor = 20.0;
   std::uint64_t seed = 1;
-  std::size_t expected_flows = 0;  ///< FlowTable reserve hint
+  /// Ignored by the engine: the flow table grows with flows in flight,
+  /// not with this budget. Kept because bench/suite's fleet workload
+  /// still sets it.
+  std::size_t expected_flows = 0;
 };
 
 /// Aggregates for one tenant.
@@ -184,14 +194,30 @@ class FleetEngine {
 
   [[nodiscard]] const FleetConfig& config() const { return cfg_; }
 
+  /// FlowTable rows written so far (in flight, retired or free). Not a
+  /// FleetMetrics field: the metrics JSON is digested.
+  [[nodiscard]] std::size_t flow_rows() const { return flows_.size(); }
+
  private:
+  /// A queued flow: spawn_flow's draws, kept until admission writes them
+  /// into a FlowTable row.
+  struct QueuedFlow {
+    common::SimTime arrival;
+    common::SimTime dwell;        ///< kDwell holding time
+    std::uint64_t raw_bytes = 0;  ///< kTransfer size
+    double ratio_jit = 1.0;
+    double speed_jit = 1.0;
+    std::uint32_t path = 0;
+    corpus::Compressibility cls = corpus::Compressibility::kLow;
+  };
+
   /// Per-tenant mutable run state (RNG, arrival clock, admission queue).
   struct TenantRun {
     common::Xoshiro256 rng{0};
     common::SimTime next_arrival = common::SimTime::max();
     std::uint64_t spawned = 0;
     int in_flight = 0;
-    std::deque<std::uint32_t> pending;
+    std::deque<QueuedFlow> pending;
     bool exhausted = false;  ///< flow_limit reached or horizon passed
   };
 
@@ -201,7 +227,8 @@ class FleetEngine {
   void recompute_rates(common::SimTime now);
   void drain(common::SimTime from, common::SimTime dt);
   /// Re-derive the cached (wf, comp_speed, cpu_bound) triple for one
-  /// flow from its current level — at spawn and on level switches only.
+  /// flow from its current level — at admission and on level switches
+  /// only.
   void refresh_flow_kernel(std::uint32_t f);
   void finish_flow(std::uint32_t f, common::SimTime at);
   [[nodiscard]] bool work_remains() const;

@@ -1,15 +1,22 @@
-// Structs-of-arrays flow store for the fleet simulator.
+// Structs-of-arrays store of the fleet simulator's flows in flight.
 //
 // The original TransferExperiment keeps one heap object per transfer
-// (policy, link, timeline). At fleet scale — 10^5..10^6 concurrent
-// flows — that layout dies by pointer chasing and allocator pressure:
-// every epoch touches every active flow, so the state an epoch reads
-// (phase, remaining bytes, rate, level) must be contiguous. FlowTable
-// stores each field as its own parallel vector; a flow is an index, not
-// an object. The adaptive controller rides along as embedded POD
-// (core::ControllerState, 40 bytes) and its decision window as
-// core::DecisionWindow, so one million DYNAMIC flows are two flat arrays
-// rather than two million heap objects.
+// (policy, link, timeline). At fleet scale that layout dies by pointer
+// chasing and allocator pressure: every epoch touches every active flow,
+// so the state an epoch reads (phase, remaining bytes, rate, level) must
+// be contiguous. FlowTable stores each field as its own parallel vector;
+// a flow is an index, not an object. The adaptive controller rides along
+// as embedded POD (core::ControllerState, 40 bytes) and its decision
+// window as core::DecisionWindow, so a million DYNAMIC flows are two flat
+// arrays rather than two million heap objects.
+//
+// A row exists from admission to finish. A queued flow is not a row but
+// a spawn record in its tenant's queue (FleetEngine), and a finished row
+// is handed to a later admission, so the table grows with the flows in
+// flight, not with every flow ever spawned. retire() parks a finished
+// row; release_retired() makes the parked rows reusable once nothing
+// still holds their ids (the fleet: after the allocator's next refold,
+// DESIGN §15).
 //
 // The fleet-alloc lint rule bans `new` / make_unique / make_shared in
 // this layer; growth happens only through the column vectors.
@@ -24,11 +31,10 @@
 
 namespace strato::vsim {
 
-/// Flow lifecycle.
+/// Row lifecycle.
 enum class FlowPhase : std::uint8_t {
-  kPending = 0,  ///< spawned, waiting for admission
-  kActive,       ///< admitted, competing for link shares
-  kDone,         ///< finished (or rejected before admission)
+  kActive = 0,  ///< admitted, competing for link shares
+  kDone,        ///< finished; the row waits for reuse
 };
 
 /// What the flow transports.
@@ -39,24 +45,33 @@ enum class FlowKind : std::uint8_t {
 };
 
 /// Structs-of-arrays store. All columns are index-parallel; FlowTable
-/// only guards the invariant that they grow together.
+/// guards the invariant that they grow together and owns the free list.
 class FlowTable {
  public:
   using Id = std::uint32_t;
 
-  /// Pre-size every column (fleet configs know their flow budget).
-  void reserve(std::size_t n);
-
-  /// Append a transfer flow in kPending phase; returns its id.
+  /// Write an admitted transfer flow into a free row, or append a row
+  /// when none is free; returns its id. Every column is written: kActive,
+  /// level 0, rates 0, decision window opened at `admitted`.
   Id add_transfer(std::uint16_t tenant, std::uint32_t path,
                   corpus::Compressibility cls, std::uint64_t raw_bytes,
-                  double weight, common::SimTime arrival, double ratio_jit,
+                  double weight, common::SimTime arrival,
+                  common::SimTime admitted, double ratio_jit,
                   double speed_jit);
 
-  /// Append a dwell (background) flow in kPending phase; returns its id.
+  /// Write an admitted dwell (background) flow; returns its id.
   Id add_dwell(std::uint16_t tenant, std::uint32_t path, double weight,
-               common::SimTime arrival, common::SimTime dwell);
+               common::SimTime arrival, common::SimTime admitted,
+               common::SimTime dwell);
 
+  /// Mark a finished flow's row kDone. Its columns stay readable, and it
+  /// is not reused before the next release_retired().
+  void retire(Id id);
+
+  /// Make every row retired so far reusable.
+  void release_retired();
+
+  /// Rows ever written: in flight, retired or free.
   [[nodiscard]] std::size_t size() const { return phase.size(); }
 
   // --- columns (index-parallel; the engine iterates these directly) ----
@@ -72,22 +87,23 @@ class FlowTable {
   std::vector<common::SimTime> dwell_remaining;  ///< kDwell only
   std::vector<common::SimTime> arrival;
   std::vector<common::SimTime> admitted;
-  std::vector<common::SimTime> finished;
   std::vector<double> rate;               ///< allocated wire bytes/s
   std::vector<double> alloc_rate;         ///< max-min share before CPU clamp
-  std::vector<double> wire_bytes;         ///< framed bytes moved so far
-  std::vector<double> cpu_s;              ///< compress + I/O CPU charged
   std::vector<double> ratio_jitter;       ///< per-flow multiplicative jitter
   std::vector<double> speed_jitter;
   std::vector<core::ControllerState> ctrl;  ///< Algorithm 1 state (POD)
   std::vector<core::DecisionWindow> window; ///< Algorithm 1 window t (POD)
 
   // Cached epoch kernel (transfers): derived from (level, cls) + jitters,
-  // refreshed only at spawn and on a controller level switch so the hot
-  // epoch loop reads three doubles instead of re-deriving the model.
+  // refreshed only at admission and on a controller level switch so the
+  // hot epoch loop reads three doubles instead of re-deriving the model.
   std::vector<double> wf;          ///< wire factor incl. frame overhead
   std::vector<double> comp_speed;  ///< effective compress bytes/s
   std::vector<double> cpu_bound;   ///< comp_speed * wf (wire-rate ceiling)
+
+ private:
+  std::vector<Id> retired_;  ///< finished since the last release
+  std::vector<Id> free_;     ///< reusable rows, taken last-in first-out
 };
 
 }  // namespace strato::vsim

@@ -70,12 +70,6 @@ TEST(BufferPool, PoolLeaseReturnsOnScopeExit) {
   pool.release(std::move(again));
 }
 
-TEST(BufferPool, SharedSingletonIsUsable) {
-  common::Bytes buf = common::BufferPool::shared().acquire(64);
-  EXPECT_GE(buf.capacity(), 64u);
-  common::BufferPool::shared().release(std::move(buf));
-}
-
 // ---------------------------------------------------------------------------
 // Pipeline helpers
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <latch>
 #include <numeric>
 #include <thread>
 
@@ -114,13 +115,16 @@ TEST(NetworkChannel, ParallelWireBytesMatchSerial) {
 TEST(NetworkChannel, StatsPollableMidRun) {
   // A monitor thread polls stats() while the writer task pumps records.
   // The writer's counters are atomics, so the polls race nothing (the
-  // TSan sweep runs this test) and the final counts still add up.
+  // TSan sweep runs this test) and the final counts still add up. The
+  // writer starts only after the first poll, so a pump that ends before
+  // the monitor is scheduled cannot leave `polls` at 0.
   constexpr std::size_t kBlock = 16 * 1024;
   const auto records =
       make_records(corpus::Compressibility::kModerate, 200, 3000);
   auto ch = make_network_channel(nullptr, CompressionSpec::fixed(1),
                                  compress::CodecRegistry::standard(), kBlock);
   std::atomic<bool> done{false};
+  std::latch first_poll(1);
   std::uint64_t polls = 0;
   std::thread monitor([&] {
     std::uint64_t last_raw = 0;
@@ -128,10 +132,11 @@ TEST(NetworkChannel, StatsPollableMidRun) {
       const ChannelStats s = ch->stats();
       EXPECT_GE(s.raw_bytes, last_raw);
       last_raw = s.raw_bytes;
-      ++polls;
+      if (++polls == 1) first_poll.count_down();
       std::this_thread::yield();
     }
   });
+  first_poll.wait();
   pump(*ch, records);
   done.store(true, std::memory_order_relaxed);
   monitor.join();

@@ -1,6 +1,7 @@
 // MaxMinAllocator: the incremental drive mode must be bit-identical to
-// the stateless full rebuild under arbitrary churn, and the fill must
-// never leave a stale rate behind (the frozen-short bug).
+// the stateless full rebuild under arbitrary churn, also when finished
+// ids are reused the way the fleet reuses FlowTable rows, and the fill
+// must never leave a stale rate behind (the frozen-short bug).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,13 +30,31 @@ struct Churn {
   std::vector<std::uint32_t> active;  // full-mode list, admission order
   std::vector<double> rate_full;
   std::vector<double> rate_inc;
+  // Id reuse, the fleet's FlowTable rule: a finished id waits in
+  // `retired` until the next epoch() has refolded its links, then admit
+  // takes it from `free_ids` before appending a new one.
+  bool reuse_ids = false;
+  std::vector<std::uint32_t> retired;
+  std::vector<std::uint32_t> free_ids;
+  std::size_t reused = 0;
 
   std::uint32_t admit(std::uint32_t path_id, double w) {
-    const auto f = static_cast<std::uint32_t>(path.size());
-    path.push_back(path_id);
-    weight.push_back(w);
-    rate_full.push_back(0.0);
-    rate_inc.push_back(0.0);
+    std::uint32_t f;
+    if (!free_ids.empty()) {
+      f = free_ids.back();
+      free_ids.pop_back();
+      path[f] = path_id;
+      weight[f] = w;
+      rate_full[f] = 0.0;
+      rate_inc[f] = 0.0;
+      ++reused;
+    } else {
+      f = static_cast<std::uint32_t>(path.size());
+      path.push_back(path_id);
+      weight.push_back(w);
+      rate_full.push_back(0.0);
+      rate_inc.push_back(0.0);
+    }
     active.push_back(f);
     inc.add_flow(f, path_id);
     return f;
@@ -45,6 +64,7 @@ struct Churn {
     const std::uint32_t f = active[active_idx];
     active.erase(active.begin() + static_cast<std::ptrdiff_t>(active_idx));
     inc.remove_flow(f, path[f]);
+    if (reuse_ids) retired.push_back(f);
   }
 
   void reweight(std::uint32_t f, double w) {
@@ -56,6 +76,8 @@ struct Churn {
   void epoch(const std::vector<double>& caps, bool caps_changed) {
     full.allocate(caps, path, weight, active, rate_full);
     inc.allocate_incremental(caps, caps_changed, path, weight, rate_inc);
+    free_ids.insert(free_ids.end(), retired.begin(), retired.end());
+    retired.clear();
     ASSERT_EQ(active.size(), inc.live_flows());
     for (const std::uint32_t f : active) {
       ASSERT_EQ(rate_inc[f], rate_full[f]) << "flow " << f;
@@ -124,6 +146,58 @@ TEST(MaxMinIncremental, MatchesFullRebuildUnderChurn) {
   // The churn schedule must actually have produced quiet epochs, or the
   // skip path went untested.
   EXPECT_GT(skipped_epochs, 5);
+}
+
+// The same churn property with ids reused: finished ids return to a
+// free list only after the next epoch(), whose refold compacted their
+// tombstones. Reusing one sooner revives its tombstone, the link counts
+// the flow twice, and the rates leave the full rebuild's.
+TEST(MaxMinIncremental, ReusedIdsMatchFullRebuild) {
+  Churn c;
+  c.reuse_ids = true;
+  common::Xoshiro256 rng(0x5EC7C1ED);
+  std::vector<double> caps(c.topo.link_count());
+  for (std::size_t l = 0; l < caps.size(); ++l) {
+    caps[l] = c.topo.link(static_cast<Topology::LinkId>(l)).capacity_bytes_s;
+  }
+  const auto pick_path = [&] {
+    const auto h = static_cast<std::size_t>(rng() % c.topo.host_count());
+    return (rng() & 1u) ? c.topo.wan_path(h) : c.topo.intra_path(h);
+  };
+  const auto pick_weight = [&] {
+    return 0.25 + 0.25 * static_cast<double>(rng() % 8);
+  };
+
+  for (int i = 0; i < 32; ++i) c.admit(pick_path(), pick_weight());
+  for (int e = 0; e < 250; ++e) {
+    // Finishes before admissions: an id recycled at once is then re-added
+    // ahead of the refold, as a fleet admission would be in the epoch
+    // after the finish.
+    const std::uint64_t n_fin = rng() % 4;
+    for (std::uint64_t i = 0; i < n_fin && c.active.size() > 4; ++i) {
+      c.finish(static_cast<std::size_t>(rng() % c.active.size()));
+    }
+    const std::uint64_t n_admit = rng() % 4;
+    for (std::uint64_t i = 0; i < n_admit; ++i) {
+      c.admit(pick_path(), pick_weight());
+    }
+    if (rng() % 5 == 0 && !c.active.empty()) {
+      c.reweight(c.active[static_cast<std::size_t>(rng() % c.active.size())],
+                 pick_weight());
+    }
+    bool caps_changed = false;
+    if (e % 3 == 0) {
+      const std::size_t l = static_cast<std::size_t>(rng() % caps.size());
+      caps[l] = c.topo.link(static_cast<Topology::LinkId>(l))
+                    .capacity_bytes_s *
+                (0.7 + 0.01 * static_cast<double>(rng() % 60));
+      caps_changed = true;
+    }
+    c.epoch(caps, caps_changed);
+    if (HasFatalFailure()) return;
+  }
+  // Most admissions took a reused id.
+  EXPECT_GT(c.reused, 200u) << c.path.size() << " ids";
 }
 
 // A no-change epoch must skip the fill (return false) and still serve

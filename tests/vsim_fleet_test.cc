@@ -1,7 +1,7 @@
 // Fleet-engine invariants: deterministic replay, weighted max-min shares
 // (the single-link case against the Table II closed form), per-tenant
-// fairness, admission control, the flow limit, the hard stop and the
-// adaptive ladder bound.
+// fairness, admission control, the flow limit, the hard stop, the
+// adaptive ladder bound and the flow-table row bound.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -328,6 +328,62 @@ TEST(Fleet, BackgroundTenantIsJustAnotherTenant) {
   // into the transfer-latency sample.
   EXPECT_EQ(bg.completion_s.count(), 0u);
   EXPECT_EQ(bg.raw_bytes, 0.0);
+}
+
+// An overloaded four-host fabric: arrivals outpace service, so most
+// flows wait in the admission queues. Every tenant caps its in-flight
+// count; `flows_per_tenant` scales the run and nothing else.
+FleetConfig queued_fleet(std::uint64_t flows_per_tenant) {
+  Topology::FleetShape shape;
+  shape.racks = 2;
+  shape.hosts_per_rack = 2;
+  FleetConfig cfg;
+  cfg.topology = Topology::rack_spine_wan(shape);
+  cfg.seed = 17;
+  cfg.horizon = SimTime::seconds(120);
+  for (const int cap : {8, 6}) {
+    TenantSpec t;
+    t.name = "t" + std::to_string(cap);
+    t.policy = cap == 8 ? TenantPolicy::dynamic() : TenantPolicy::fixed(1);
+    t.arrival_per_s = 50.0;
+    t.flow_limit = flows_per_tenant;
+    t.max_in_flight = cap;
+    t.mean_flow_bytes = 8ull << 20;
+    t.class_mix = {0.4, 0.3, 0.3};
+    cfg.tenants.push_back(t);
+  }
+  BgTrafficConfig bg;
+  bg.arrival_per_s = 2.0;
+  bg.mean_holding_s = 5.0;
+  bg.initial_flows = 2;
+  bg.max_flows = 4;
+  TenantSpec bgt = background_tenant(bg);
+  bgt.flow_limit = flows_per_tenant / 10;
+  cfg.tenants.push_back(bgt);
+  return cfg;
+}
+
+TEST(Fleet, RowsTrackFlowsInFlight) {
+  // A FlowTable row is in flight or was retired in the previous epoch
+  // (DESIGN §15), so the table never holds more than twice the tenants'
+  // summed in-flight caps, at any flow count.
+  std::size_t cap_sum = 0;
+  for (const TenantSpec& t : queued_fleet(1).tenants) {
+    cap_sum += static_cast<std::size_t>(t.max_in_flight);
+  }
+  const std::size_t bound = 2 * cap_sum;
+
+  std::uint64_t total[2] = {};
+  for (const std::uint64_t n : {100u, 1000u}) {
+    FleetEngine engine(queued_fleet(n));
+    const FleetMetrics m = engine.run();
+    total[n == 1000u] = m.flows_total;
+    EXPECT_EQ(m.flows_completed, m.flows_total) << n;
+    EXPECT_GT(engine.flow_rows(), 0u) << n;
+    EXPECT_LE(engine.flow_rows(), bound) << n << " flows per tenant";
+  }
+  EXPECT_GE(total[1], 9 * total[0]);
+  EXPECT_LE(total[1], 11 * total[0]);
 }
 
 // ---------------------------------------------------------------------------
