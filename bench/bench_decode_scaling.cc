@@ -4,11 +4,13 @@
 // stdout and mirrors it to the file named by argv[1] (the committed
 // BENCH_decode.json trajectory, gated by scripts/check_bench.sh).
 //
-// Acceptance floor: on a machine with >= 4 hardware threads the best
-// 4-worker row must reach 2.0x the inline serial baseline, or the bench
-// exits 1 after printing its JSON. `corpus_seed`, `blocks` and `ratio` are
-// det fields and must reproduce exactly between runs; `mib_per_s` is a
-// timing field (bench_json.h).
+// Each level is timed in rounds over every worker count
+// (scaling_rounds.h); every run's output must hash to the 1-worker
+// digest. Acceptance floor: on a machine with >= 4 hardware threads the
+// best 4-worker row's median must reach 2.0x the inline serial median,
+// or the bench exits 1 after printing its JSON. `corpus_seed`, `blocks`
+// and `ratio` are det fields and must reproduce exactly between runs;
+// `mib_per_s` is a timing field (bench_json.h).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -22,6 +24,7 @@
 #include "compress/framing.h"
 #include "compress/registry.h"
 #include "corpus/generator.h"
+#include "scaling_rounds.h"
 
 namespace {
 
@@ -35,7 +38,6 @@ constexpr std::size_t kBlockSize = 128 * 1024;
 constexpr std::uint64_t kCorpusSeed = 1234;
 constexpr std::size_t kTotalBytes = 16ull * 1024 * 1024;  // per level
 constexpr std::size_t kFeedChunk = 1 << 20;  // receive in 1 MiB reads
-constexpr double kSpeedupFloor = 2.0;  // best 4-worker row vs 1 worker
 
 /// Serially encode `total_bytes` of the corpus at `level` into one wire.
 Bytes make_wire(const CodecRegistry& registry, int level,
@@ -56,17 +58,10 @@ Bytes make_wire(const CodecRegistry& registry, int level,
   return wire;
 }
 
-struct RunResult {
-  double secs = -1.0;
-  std::uint64_t digest = 0;
-  std::uint64_t blocks = 0;
-};
-
 /// Decode the whole wire, feeding in chunks and draining eagerly enough to
 /// keep the reorder window full without stalling on the in-order head.
-RunResult run_once(const CodecRegistry& registry, const Bytes& wire,
-                   std::size_t workers) {
-  RunResult r;
+strato::bench::RoundResult run_once(const CodecRegistry& registry,
+                                    const Bytes& wire, std::size_t workers) {
   ParallelBlockDecodePipeline pipeline(registry, {.worker_count = workers});
   strato::common::Xxh64State hash;
   const auto start = std::chrono::steady_clock::now();
@@ -80,17 +75,11 @@ RunResult run_once(const CodecRegistry& registry, const Bytes& wire,
       const auto block = pipeline.next_block();
       if (!block) break;
       hash.update(block->data);
-      ++r.blocks;
     }
   }
-  while (const auto block = pipeline.next_block()) {
-    hash.update(block->data);
-    ++r.blocks;
-  }
+  while (const auto block = pipeline.next_block()) hash.update(block->data);
   const auto end = std::chrono::steady_clock::now();
-  r.digest = hash.digest();
-  r.secs = std::chrono::duration<double>(end - start).count();
-  return r;
+  return {std::chrono::duration<double>(end - start).count(), hash.digest()};
 }
 
 /// Parallel delivery must be byte-identical to the serial FrameAssembler.
@@ -143,37 +132,20 @@ int main(int argc, char** argv) {
     std::size_t blocks = 0;
     const Bytes wire = make_wire(registry, level, kTotalBytes, &blocks);
     const double raw = static_cast<double>(blocks * kBlockSize);
-    const double mib = raw / (1024.0 * 1024.0);
-    double base = -1.0;
-    std::uint64_t digest0 = 0;
-    for (const std::size_t workers : worker_counts) {
-      run_once(registry, wire, workers);  // warm-up (pools, page faults)
-      const RunResult r = run_once(registry, wire, workers);
-      if (workers == 1) {
-        base = r.secs;
-        digest0 = r.digest;
-      } else if (r.digest != digest0) {
-        std::fprintf(stderr, "digest mismatch at workers=%zu\n", workers);
-        return 1;
-      }
-      if (workers == 4) best_at_4 = std::max(best_at_4, base / r.secs);
+    const auto rows = strato::bench::time_rounds(
+        worker_counts, raw / (1024.0 * 1024.0),
+        [&](std::size_t workers) { return run_once(registry, wire, workers); });
+    if (!rows) return 1;
+    for (const auto& row : *rows) {
+      if (row.workers == 4) best_at_4 = std::max(best_at_4, row.speedup);
       out.row();
       out.det("level", registry.level(static_cast<std::size_t>(level)).label);
-      out.det("workers", workers);
+      out.det("workers", row.workers);
       out.det("blocks", blocks);
       out.det("ratio", static_cast<double>(wire.size()) / raw, 4);
-      out.info("seconds", r.secs, 4);
-      out.timing("mib_per_s", mib / r.secs, 1);
-      out.info("speedup_vs_1", base / r.secs, 2);
+      strato::bench::write_timing(out, row);
     }
   }
-  const int rc = out.write(argc, argv);
-  if (std::thread::hardware_concurrency() >= 4 && best_at_4 < kSpeedupFloor) {
-    std::fprintf(stderr,
-                 "decode_scaling: best speedup at 4 workers %.2f is below "
-                 "the %.1fx floor\n",
-                 best_at_4, kSpeedupFloor);
-    return 1;
-  }
-  return rc;
+  return strato::bench::floor_status("decode_scaling", best_at_4,
+                                     out.write(argc, argv));
 }

@@ -4,12 +4,15 @@
 // file named by argv[1] (the committed BENCH_pipeline.json trajectory,
 // gated by scripts/check_bench.sh).
 //
-// Acceptance floor: on a machine with >= 4 hardware threads the best
-// 4-worker row must reach 2.0x its corpus's 1-worker throughput, or the
-// bench exits 1 after printing its JSON. The best row is the codec-bound
-// one; the fast corpora can be bound by the feeding thread. `corpus_seed`,
-// `blocks` and `ratio` are det fields and must reproduce exactly between
-// runs; `mib_per_s` is a timing field (bench_json.h).
+// Each corpus is timed in rounds over every worker count
+// (scaling_rounds.h); every run's frames must hash to the 1-worker
+// digest. Acceptance floor: on a machine with >= 4 hardware threads the
+// best 4-worker row's median must reach 2.0x its corpus's 1-worker
+// median, or the bench exits 1 after printing its JSON. The best row is
+// the codec-bound one; the fast corpora can be bound by the feeding
+// thread. `corpus_seed`, `blocks` and `ratio` are det fields and must
+// reproduce exactly between runs; `mib_per_s` is a timing field
+// (bench_json.h).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -18,10 +21,12 @@
 
 #include "bench_json.h"
 #include "common/bytes.h"
+#include "common/checksum.h"
 #include "compress/framing.h"
 #include "compress/pipeline.h"
 #include "compress/registry.h"
 #include "corpus/generator.h"
+#include "scaling_rounds.h"
 
 namespace {
 
@@ -34,7 +39,6 @@ constexpr std::size_t kBlockSize = 128 * 1024;
 constexpr int kLevel = 2;  // MEDIUM: enough codec work for scaling to show
 constexpr std::uint64_t kCorpusSeed = 1234;
 constexpr std::size_t kTotalBytes = 16ull * 1024 * 1024;  // per corpus
-constexpr double kSpeedupFloor = 2.0;  // best 4-worker row vs 1 worker
 
 std::vector<Bytes> make_corpus(strato::corpus::Compressibility c,
                                std::size_t total_bytes) {
@@ -46,26 +50,24 @@ std::vector<Bytes> make_corpus(strato::corpus::Compressibility c,
   return blocks;
 }
 
-struct RunResult {
-  double secs = -1.0;
-  std::size_t wire_bytes = 0;
-};
-
-RunResult run_once(const CodecRegistry& registry,
-                   const std::vector<Bytes>& blocks, std::size_t workers) {
-  RunResult r;
+/// Encode every block; the digest hashes the frames in delivery order.
+strato::bench::RoundResult run_once(const CodecRegistry& registry,
+                                    const std::vector<Bytes>& blocks,
+                                    std::size_t workers,
+                                    std::size_t* wire_bytes) {
+  strato::common::Xxh64State hash;
+  *wire_bytes = 0;
   ParallelBlockPipeline pipeline(
       registry, workers,
       [&](strato::common::ByteSpan frame, std::size_t, int) {
-        r.wire_bytes += frame.size();
+        hash.update(frame);
+        *wire_bytes += frame.size();
       });
   const auto start = std::chrono::steady_clock::now();
   for (const auto& b : blocks) pipeline.submit(kLevel, b);
   pipeline.flush();
   const auto end = std::chrono::steady_clock::now();
-  if (r.wire_bytes == 0) return r;  // keep the sink observable
-  r.secs = std::chrono::duration<double>(end - start).count();
-  return r;
+  return {std::chrono::duration<double>(end - start).count(), hash.digest()};
 }
 
 /// Parallel frames must be byte-identical to the serial encoder's at every
@@ -125,30 +127,22 @@ int main(int argc, char** argv) {
   for (const auto c : corpora) {
     const auto blocks = make_corpus(c, kTotalBytes);
     const double raw = static_cast<double>(blocks.size() * kBlockSize);
-    const double mib = raw / (1024.0 * 1024.0);
-    double base = -1.0;
-    for (const std::size_t workers : worker_counts) {
-      run_once(registry, blocks, workers);  // warm-up (pools, page faults)
-      const RunResult r = run_once(registry, blocks, workers);
-      if (workers == 1) base = r.secs;
-      if (workers == 4) best_at_4 = std::max(best_at_4, base / r.secs);
+    std::size_t wire_bytes = 0;  // equal in every run: the digests match
+    const auto rows = strato::bench::time_rounds(
+        worker_counts, raw / (1024.0 * 1024.0), [&](std::size_t workers) {
+          return run_once(registry, blocks, workers, &wire_bytes);
+        });
+    if (!rows) return 1;
+    for (const auto& row : *rows) {
+      if (row.workers == 4) best_at_4 = std::max(best_at_4, row.speedup);
       out.row();
       out.det("corpus", strato::corpus::to_string(c));
-      out.det("workers", workers);
+      out.det("workers", row.workers);
       out.det("blocks", blocks.size());
-      out.det("ratio", static_cast<double>(r.wire_bytes) / raw, 4);
-      out.info("seconds", r.secs, 4);
-      out.timing("mib_per_s", mib / r.secs, 1);
-      out.info("speedup_vs_1", base / r.secs, 2);
+      out.det("ratio", static_cast<double>(wire_bytes) / raw, 4);
+      strato::bench::write_timing(out, row);
     }
   }
-  const int rc = out.write(argc, argv);
-  if (std::thread::hardware_concurrency() >= 4 && best_at_4 < kSpeedupFloor) {
-    std::fprintf(stderr,
-                 "pipeline_scaling: best speedup at 4 workers %.2f is below "
-                 "the %.1fx floor\n",
-                 best_at_4, kSpeedupFloor);
-    return 1;
-  }
-  return rc;
+  return strato::bench::floor_status("pipeline_scaling", best_at_4,
+                                     out.write(argc, argv));
 }

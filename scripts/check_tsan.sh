@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Build with -DSTRATO_SANITIZE=thread and run the concurrency-sensitive
-# tests (thread pool, buffer pool, both block pipelines, the receive
-# fragment torture, stream, channels, async transport + loopback soak)
-# under ThreadSanitizer.
+# tests (thread pool, buffer pool, both block pipelines and their
+# allocation count, the receive fragment torture, stream, channels, async
+# transport + loopback soak) under ThreadSanitizer.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -19,6 +19,9 @@ TESTS=(
   common_lockgraph_test
   compress_pipeline_test
   compress_decode_pipeline_test
+  # Allocations per threaded block: both pipelines at 2 workers, with a
+  # counting operator new.
+  compress_alloc_test
   # The recv_span/commit torture: re-chunked reads at 3 workers with
   # 1 KiB segments, so segments seal and recycle on most reads.
   compress_fragment_test

@@ -101,6 +101,13 @@ into every presubmit script (check_static.sh runs this first):
                    detail::ReorderWindow owns the lock, the condition
                    variable and the worker pool, so neither block
                    pipeline grows a private reorder ring again.
+  future           the thread pool runs posted jobs and hands back no
+                   handle: <future>, std::future, std::shared_future,
+                   std::promise, std::packaged_task and std::async are
+                   banned in src/, so no path grows per-job shared state
+                   (heap allocations per block) again; a job publishes its
+                   own result, as compress::detail::ReorderWindow does
+                   through its cells.
   env              environment reads have two homes: std::getenv (and
                    secure_getenv) is banned in src/ outside
                    common/simd.h (the STRATO_SIMD dispatch override) and
@@ -271,6 +278,15 @@ RULES = {
          "lock, condition variable or thread pool in src/compress outside "
          "compress/reorder_window.h (re-sequence through "
          "detail::ReorderWindow)"),
+    ],
+    "future": [
+        (re.compile(r"#\s*include\s+<future>"), "<future> include"),
+        (re.compile(r"std::(?:shared_)?future\b"),
+         "std::future/std::shared_future (post a job that publishes its "
+         "own result)"),
+        (re.compile(r"std::(?:promise|packaged_task|async)\b"),
+         "std::promise/std::packaged_task/std::async (post a job that "
+         "publishes its own result)"),
     ],
     "env": [
         (re.compile(r"(?<![A-Za-z0-9_])(?:std::)?(?:secure_)?getenv\s*\("),
@@ -667,6 +683,7 @@ def lint_file(path: Path, rel: str):
             check("kernels", RULES["kernels"])
         if rel.startswith(REORDER_BANNED_PREFIX) and rel != REORDER_ALLOWED:
             check("reorder", RULES["reorder"])
+        check("future", RULES["future"])
         if rel not in ENV_ALLOWED:
             check("env", RULES["env"])
         check("using-namespace", RULES["using-namespace"])
@@ -725,6 +742,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("compress/bad_lz_finder.cc", "lz-finder"): 3,
     ("compress/bad_kernels.cc", "kernels"): 3,
     ("compress/bad_reorder.cc", "reorder"): 4,
+    ("core/bad_future.cc", "future"): 6,
     ("compress/bad_simd.cc", "simd"): 5,
     ("vsim/fleet.cc", "fleet-alloc"): 3,
     ("compress/bad_lifetime.cc", "lifetime"): 6,

@@ -1,5 +1,8 @@
 #include "common/thread_pool.h"
 
+#include <stdexcept>
+#include <utility>
+
 namespace strato::common {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -11,6 +14,15 @@ ThreadPool::ThreadPool(std::size_t threads) {
 }
 
 ThreadPool::~ThreadPool() { shutdown(); }
+
+void ThreadPool::post(std::function<void()> job) {
+  {
+    MutexLock lk(mu_);
+    if (stop_) throw std::runtime_error("thread pool: post after shutdown");
+    jobs_.push_back(std::move(job));
+  }
+  cv_.notify_one();
+}
 
 void ThreadPool::shutdown() {
   {
@@ -31,10 +43,7 @@ void ThreadPool::worker_loop() {
     {
       MutexLock lk(mu_);
       while (!stop_ && jobs_.empty()) cv_.wait(mu_);
-      if (jobs_.empty()) {
-        if (stop_) return;
-        continue;
-      }
+      if (jobs_.empty()) return;  // stopped, and the queue is drained
       job = std::move(jobs_.front());
       jobs_.pop_front();
     }

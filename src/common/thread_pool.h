@@ -1,16 +1,13 @@
 // Minimal fixed-size thread pool.
 //
-// The dataflow executor runs each task vertex on a pool thread; the block
-// pipelines' reorder window (compress/reorder_window.h) runs block jobs on
-// one; benches use it to run independent experiment repetitions
-// concurrently.
+// The block pipelines' reorder window (compress/reorder_window.h) runs
+// block jobs on one. Jobs are posted and forgotten: a caller that needs a
+// result or an error publishes it itself, as the window does in its cells.
 #pragma once
 
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -19,13 +16,15 @@
 
 namespace strato::common {
 
-/// Fixed-size pool executing std::function jobs FIFO.
+/// Fixed-size pool executing posted jobs FIFO.
 ///
 /// Shutdown semantics (relied on by compress::detail::ReorderWindow): every
-/// job accepted by submit() runs to completion before shutdown() returns —
-/// queued jobs are drained, never discarded — and submit() after shutdown
-/// throws instead of silently enqueueing work that would never run (which
-/// used to surface as a broken-promise future at some later get()).
+/// job accepted by post() runs to completion before shutdown() returns —
+/// queued jobs are drained, never discarded — and post() after shutdown
+/// throws instead of silently enqueueing work that would never run.
+///
+/// A job must not throw. An exception escaping a job ends the process
+/// through std::terminate, as it would on a plain std::thread.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t threads);
@@ -34,28 +33,13 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a job; returns a future for its completion. Exceptions thrown
-  /// by the job are captured into the future; the worker survives.
+  /// Enqueue a job. std::function keeps a small capture (two pointers)
+  /// inline, so such a job costs no allocation beyond the queue's own.
   /// @throws std::runtime_error after shutdown().
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    auto fut = task->get_future();
-    {
-      MutexLock lk(mu_);
-      if (stop_) {
-        throw std::runtime_error("thread pool: submit after shutdown");
-      }
-      jobs_.emplace_back([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
+  void post(std::function<void()> job);
 
   /// Drain all queued jobs, then join the workers. Idempotent; invoked by
-  /// the destructor. Further submit() calls throw.
+  /// the destructor. Further post() calls throw.
   void shutdown();
 
   /// Number of worker threads.

@@ -16,7 +16,9 @@ ParallelBlockDecodePipeline::ParallelBlockDecodePipeline(
       // cycling through seal/retire.
       pool_(2 * detail::ReorderWindow<Slot>::depth_for(config.worker_count) +
             4),
-      window_(config.worker_count) {}
+      window_(config.worker_count, [this](Slot& s) {
+        decode_frame_into(s.frame, registry_, s.out);
+      }) {}
 
 void ParallelBlockDecodePipeline::feed(common::ByteSpan data) {
   // recv_span() asks for at least one byte, so an empty feed could seal a
@@ -158,9 +160,7 @@ void ParallelBlockDecodePipeline::dispatch_available() {
     slot.frame = parsed_.front();
     parsed_.pop_front();
     slot.out = pool_.acquire(slot.frame.header.raw_size);
-    window_.start([this](Slot& s) {
-      decode_frame_into(s.frame, registry_, s.out);
-    });
+    window_.start();
   }
 }
 

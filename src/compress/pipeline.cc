@@ -16,17 +16,25 @@ ParallelBlockPipeline::ParallelBlockPipeline(const CodecRegistry& registry,
       // raw + frame per in-flight block, both usually back in the free
       // list while a block is between acquire points.
       pool_(2 * detail::ReorderWindow<Slot>::depth_for(worker_count) + 2),
-      window_(worker_count) {}
+      window_(worker_count, [this](Slot& s) {
+        s.frame = pool_.acquire(kFrameHeaderSize + s.raw_size +
+                                s.raw_size / 128 + 64);
+        encode(s.level, s.raw, s.frame);
+      }) {}
+
+void ParallelBlockPipeline::encode(int level, common::ByteSpan raw,
+                                   common::Bytes& frame) const {
+  encode_block_into(*registry_.level(static_cast<std::size_t>(level)).codec,
+                    static_cast<std::uint8_t>(level), raw, frame);
+}
 
 void ParallelBlockPipeline::submit(int level, common::ByteSpan payload) {
   level = std::clamp(level, 0, static_cast<int>(registry_.level_count()) - 1);
-  const Codec& codec = *registry_.level(static_cast<std::size_t>(level)).codec;
-  const auto tag = static_cast<std::uint8_t>(level);
   if (window_.worker_count() == 0) {
     // Inline: no raw copy, no window cell; the sink sees the frame before
     // submit returns, and an encode error propagates from here.
     ++inline_blocks_;
-    encode_block_into(codec, tag, payload, inline_frame_);
+    encode(level, payload, inline_frame_);
     sink_(inline_frame_, payload.size(), level);
     return;
   }
@@ -40,11 +48,7 @@ void ParallelBlockPipeline::submit(int level, common::ByteSpan payload) {
   slot.level = level;
   slot.raw = pool_.acquire(payload.size());
   slot.raw.assign(payload.begin(), payload.end());
-  window_.start([this, &codec, tag](Slot& s) {
-    s.frame =
-        pool_.acquire(kFrameHeaderSize + s.raw_size + s.raw_size / 128 + 64);
-    encode_block_into(codec, tag, s.raw, s.frame);
-  });
+  window_.start();
 }
 
 void ParallelBlockPipeline::deliver_ready(bool wait_for_one) {

@@ -94,6 +94,8 @@ class ParallelBlockPipeline {
     int level = 0;
   };
 
+  /// Encode at a clamped level: the inline path and the window's job.
+  void encode(int level, common::ByteSpan raw, common::Bytes& frame) const;
   /// Deliver in-order finished frames; with `wait_for_one`, block until
   /// the head frame is finished first. Returns after delivering what it
   /// can.

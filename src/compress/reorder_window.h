@@ -5,12 +5,14 @@
 // order. This window is what they share: a ring of
 // depth = 2 × max(1, workers) cells indexed by seq % depth, each walking
 // kFree → kPending → kReady. The owner thread (the submitting or feeding
-// thread) fills next_slot(), start()s a job on it and later takes the
-// head cell back with head_ready()/head()/pop(), strictly in start order.
-// With workers > 1 jobs run on a private common::ThreadPool; otherwise
-// start() runs the job on the owner thread, through the same states, so
-// the decode pipeline's inline and threaded paths are one code path
-// (inline encode has nothing to re-sequence and bypasses the window).
+// thread) fills next_slot(), start()s the window's one job, bound at
+// construction, on it and later takes the head cell back with
+// head_ready()/head()/pop(), strictly in start order. With workers > 1
+// start() posts [this, &cell] to a private common::ThreadPool, a closure
+// std::function stores without allocating; otherwise it runs the job on
+// the owner thread, through the same states, so the decode pipeline's
+// inline and threaded paths are one code path (inline encode has nothing
+// to re-sequence and bypasses the window).
 //
 // Ownership is partitioned by state, not locked: a kPending cell's slot
 // belongs to its job, a kReady or kFree one to the owner. mu_ guards only
@@ -24,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -41,8 +44,11 @@ class ReorderWindow {
     return 2 * std::max<std::size_t>(1, workers);
   }
 
-  explicit ReorderWindow(std::size_t workers)
-      : cells_(depth_for(workers)),
+  using Job = std::function<void(Slot&)>;
+
+  ReorderWindow(std::size_t workers, Job job)
+      : job_(std::move(job)),
+        cells_(depth_for(workers)),
         pool_(workers > 1 ? std::make_unique<common::ThreadPool>(workers)
                           : nullptr) {}
 
@@ -64,17 +70,15 @@ class ReorderWindow {
   /// inputs first. Requires !full().
   [[nodiscard]] Slot& next_slot() { return cell(next_seq_).slot; }
 
-  /// Run job(next_slot()) on a worker, or on this thread when inline.
-  /// Requires !full().
-  template <typename Job>
-  void start(Job job) {
+  /// Run the job on next_slot(), on a worker or on this thread when
+  /// inline. Requires !full().
+  void start() {
     Cell& c = cell(next_seq_++);
     c.state = State::kPending;  // no job can see the cell yet
     if (pool_ == nullptr) {
-      run(c, job);
+      run(c);
     } else {
-      pool_->submit(
-          [this, &c, job = std::move(job)]() mutable { run(c, job); });
+      pool_->post([this, &c] { run(c); });
     }
   }
 
@@ -115,11 +119,10 @@ class ReorderWindow {
 
   Cell& cell(std::uint64_t seq) { return cells_[seq % cells_.size()]; }
 
-  template <typename Job>
-  void run(Cell& c, Job& job) {
+  void run(Cell& c) {
     std::exception_ptr error;
     try {
-      job(c.slot);
+      job_(c.slot);
     } catch (...) {
       error = std::current_exception();
     }
@@ -131,6 +134,7 @@ class ReorderWindow {
     ready_cv_.notify_one();  // only the owner ever waits
   }
 
+  const Job job_;  // called concurrently from every worker
   common::Mutex mu_{"ReorderWindow::mu_"};
   common::CondVar ready_cv_;
   // Not GUARDED_BY(mu_): a cell is handed off by protocol (see the file

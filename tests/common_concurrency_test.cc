@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/buffer_pool.h"
@@ -78,26 +81,24 @@ TEST(ThreadPool, ExecutesAllJobs) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3u);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
   for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&] { counter.fetch_add(1); }));
+    pool.post([&] { counter.fetch_add(1); });
   }
-  for (auto& f : futures) f.get();
+  pool.shutdown();
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPool, ReturnsValues) {
+  // post() returns nothing: a job hands its result back through its
+  // capture, and shutdown()'s join makes the write visible here.
   ThreadPool pool(2);
-  auto f1 = pool.submit([] { return 6 * 7; });
-  auto f2 = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(1);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
+  int answer = 0;
+  std::string word;
+  pool.post([&answer] { answer = 6 * 7; });
+  pool.post([&word] { word = "ok"; });
+  pool.shutdown();
+  EXPECT_EQ(answer, 42);
+  EXPECT_EQ(word, "ok");
 }
 
 TEST(ThreadPool, DestructorJoinsCleanly) {
@@ -105,7 +106,7 @@ TEST(ThreadPool, DestructorJoinsCleanly) {
   {
     ThreadPool pool(2);
     for (int i = 0; i < 10; ++i) {
-      pool.submit([&] { done.fetch_add(1); });
+      pool.post([&] { done.fetch_add(1); });
     }
   }
   // Destruction drains the queue: every accepted job ran.
@@ -117,13 +118,12 @@ TEST(ThreadPool, ShutdownDrainsQueuedJobs) {
   ThreadPool pool(1);
   // The first job parks the single worker so the rest provably sit in the
   // queue when shutdown() is called.
-  std::promise<void> release;
-  auto released = release.get_future().share();
-  pool.submit([released] { released.wait(); });
+  std::latch release(1);
+  pool.post([&release] { release.wait(); });
   for (int i = 0; i < 50; ++i) {
-    pool.submit([&] { done.fetch_add(1); });
+    pool.post([&] { done.fetch_add(1); });
   }
-  release.set_value();
+  release.count_down();
   pool.shutdown();
   EXPECT_EQ(done.load(), 50);
   // Idempotent.
@@ -131,36 +131,42 @@ TEST(ThreadPool, ShutdownDrainsQueuedJobs) {
   EXPECT_EQ(done.load(), 50);
 }
 
-TEST(ThreadPool, SubmitAfterShutdownThrows) {
+TEST(ThreadPool, PostAfterShutdownThrowsRepeatablyAndKeepsResults) {
   ThreadPool pool(2);
+  int before = 0;
+  pool.post([&before] { before = 41; });
   pool.shutdown();
-  EXPECT_THROW(pool.submit([] { return 1; }), std::runtime_error);
-}
-
-TEST(ThreadPool, SubmitAfterShutdownThrowsRepeatablyAndKeepsResults) {
-  ThreadPool pool(2);
-  auto before = pool.submit([] { return 41; });
-  pool.shutdown();
-  // Rejection is stable (no partial enqueue, no state corruption) and
-  // work accepted before shutdown still yields its result.
+  // Rejection is stable (no partial enqueue, no state corruption), a
+  // rejected job never runs, and work accepted before shutdown still
+  // delivered its result.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_THROW(pool.submit([] { return 1; }), std::runtime_error);
+    EXPECT_THROW(pool.post([&before] { before = -1; }), std::runtime_error);
   }
-  EXPECT_EQ(before.get(), 41);
-}
-
-TEST(ThreadPool, ExceptionInTaskDoesNotKillWorker) {
-  ThreadPool pool(1);
-  auto bad = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The same (only) worker must still execute later jobs.
-  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+  EXPECT_EQ(before, 41);
 }
 
 TEST(ThreadPool, ZeroThreadsCoercedToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
+  std::atomic<int> ran{0};
+  pool.post([&ran] { ran.store(1); });
+  pool.shutdown();
+  EXPECT_EQ(ran.load(), 1);
+}
+
+// The pool captures no errors: a job that throws ends the process, as on
+// a plain std::thread. Block jobs cannot throw into it, because
+// compress::detail::ReorderWindow publishes their exceptions in its cells
+// (ParallelBlockPipeline.WorkerExceptionPropagatesToSubmitter).
+TEST(ThreadPoolDeathTest, ThrowingJobTerminates) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(1);
+        pool.post([] { throw std::runtime_error("boom"); });
+        pool.shutdown();
+      },
+      "boom");
 }
 
 // --- BufferPool -------------------------------------------------------------
