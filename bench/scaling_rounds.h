@@ -1,14 +1,15 @@
-// Worker-count rounds for the scaling benches (bench_pipeline_scaling,
-// bench_decode_scaling).
+// Timed rounds for the rate benches: the scaling benches
+// (bench_pipeline_scaling, bench_decode_scaling) and bench_corpus.
 //
-// One timing per worker count lets a slow stretch of host time decide a
-// row, and with it the 2.0x floor: a 1-worker pass that lands on a slow
-// stretch inflates every speedup, a 4-worker one hides the parallelism.
-// So each row is timed in kScalingRounds rounds, and each round runs
-// every worker count once, in order, so that host drift hits every row
-// alike. A row reports the median rate of its rounds (the timing field)
-// and their interquartile range (an info field), and speedups and the
-// floor are ratios of medians.
+// One timing per row lets a slow stretch of host time decide a row, and
+// with it the scaling benches' 2.0x floor: a 1-worker pass that lands on
+// a slow stretch inflates every speedup, a 4-worker one hides the
+// parallelism. So each row is timed in kScalingRounds rounds, and each
+// round runs every row once, in order, so that host drift hits every row
+// alike (time_rows). A row reports the median rate of its rounds (the
+// timing field) and their interquartile range (an info field); in the
+// scaling benches a row is a worker count, and speedups and the floor
+// are ratios of medians (time_rounds).
 //
 // Acceptance floor: on a host with >= 4 hardware threads, the best
 // 4-worker row must reach kSpeedupFloor times its 1-worker median, or the
@@ -32,18 +33,25 @@ namespace strato::bench {
 inline constexpr int kScalingRounds = 5;
 inline constexpr double kSpeedupFloor = 2.0;
 
-/// One run at one worker count: wall seconds and a digest of its output.
+/// One run of one row: wall seconds and a digest of its output.
 struct RoundResult {
   double secs = 0.0;
   std::uint64_t digest = 0;
 };
 
-/// A worker count's rate over the timed rounds, in MiB/s, and its median
-/// over the baseline's.
-struct ScalingRow {
-  std::size_t workers = 0;
+/// A row's rate over the timed rounds, in MiB/s, and the digest all of
+/// its runs produced.
+struct RoundStats {
   double median_mib_s = 0.0;
   double iqr_mib_s = 0.0;
+  std::uint64_t digest = 0;
+};
+
+/// A worker count's rate over the timed rounds and its median over the
+/// baseline's.
+struct ScalingRow {
+  std::size_t workers = 0;
+  RoundStats rate;
   double speedup = 0.0;
 };
 
@@ -60,46 +68,72 @@ inline double quantile(const std::vector<double>& sorted, double p) {
 
 }  // namespace detail
 
-/// Runs run(workers) -> RoundResult for every worker count in each round
-/// and returns one row per count, in the order given; the first count is
-/// the speedup baseline. Every run's digest must equal the first run's:
-/// on a mismatch this names the run on stderr and returns nullopt.
-/// `mib` is the data each run processes.
+/// Runs run(i) -> RoundResult for every row i < `rows` in each round and
+/// returns each row's stats. Every run's digest must equal its row's
+/// first: on a mismatch this names the row and round on stderr and
+/// returns nullopt. `mib` is the data each run processes.
 template <typename Run>
-std::optional<std::vector<ScalingRow>> time_rounds(
-    std::span<const std::size_t> worker_counts, double mib, Run run) {
-  std::vector<std::vector<double>> rates(worker_counts.size());
-  std::optional<std::uint64_t> digest0;
+std::optional<std::vector<RoundStats>> time_rows(std::size_t rows, double mib,
+                                                 Run run) {
+  std::vector<std::vector<double>> rates(rows);
+  std::vector<RoundStats> stats(rows);
   for (int round = -1; round < kScalingRounds; ++round) {
-    for (std::size_t i = 0; i < worker_counts.size(); ++i) {
-      const RoundResult r = run(worker_counts[i]);
-      if (!digest0) digest0 = r.digest;
-      if (r.digest != *digest0) {
-        std::fprintf(stderr, "digest mismatch at workers=%zu, round %d\n",
-                     worker_counts[i], round);
+    for (std::size_t i = 0; i < rows; ++i) {
+      const RoundResult r = run(i);
+      if (round < 0) stats[i].digest = r.digest;
+      if (r.digest != stats[i].digest) {
+        std::fprintf(stderr, "digest mismatch at row %zu, round %d\n", i,
+                     round);
         return std::nullopt;
       }
       if (round >= 0) rates[i].push_back(mib / r.secs);
     }
   }
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::sort(rates[i].begin(), rates[i].end());
+    stats[i].median_mib_s = detail::quantile(rates[i], 0.5);
+    stats[i].iqr_mib_s = detail::quantile(rates[i], 0.75) -
+                         detail::quantile(rates[i], 0.25);
+  }
+  return stats;
+}
+
+/// time_rows over worker counts, run(workers) -> RoundResult, one row per
+/// count in the order given; the first count is the speedup baseline, and
+/// every count's digest must equal its digest.
+template <typename Run>
+std::optional<std::vector<ScalingRow>> time_rounds(
+    std::span<const std::size_t> worker_counts, double mib, Run run) {
+  const auto stats = time_rows(worker_counts.size(), mib, [&](std::size_t i) {
+    return run(worker_counts[i]);
+  });
+  if (!stats) return std::nullopt;
+  const RoundStats& base = (*stats)[0];
   std::vector<ScalingRow> rows;
   for (std::size_t i = 0; i < worker_counts.size(); ++i) {
-    std::sort(rates[i].begin(), rates[i].end());
-    const double median = detail::quantile(rates[i], 0.5);
-    rows.push_back({worker_counts[i], median,
-                    detail::quantile(rates[i], 0.75) -
-                        detail::quantile(rates[i], 0.25),
-                    median / (rows.empty() ? median : rows[0].median_mib_s)});
+    const RoundStats& rate = (*stats)[i];
+    if (rate.digest != base.digest) {
+      std::fprintf(stderr, "digest mismatch at workers=%zu\n",
+                   worker_counts[i]);
+      return std::nullopt;
+    }
+    rows.push_back(
+        {worker_counts[i], rate, rate.median_mib_s / base.median_mib_s});
   }
   return rows;
+}
+
+/// Write a row's median rate (timing) and its IQR (info).
+inline void write_rate(JsonWriter& out, const RoundStats& rate) {
+  out.timing("mib_per_s", rate.median_mib_s, 1);
+  out.info("mib_per_s_iqr", rate.iqr_mib_s, 1);
 }
 
 /// Write a row's timing fields after its det fields: the median rate, its
 /// IQR, its speedup and whether the row runs more workers than the host
 /// has hardware threads.
 inline void write_timing(JsonWriter& out, const ScalingRow& row) {
-  out.timing("mib_per_s", row.median_mib_s, 1);
-  out.info("mib_per_s_iqr", row.iqr_mib_s, 1);
+  write_rate(out, row.rate);
   out.info("speedup_vs_1", row.speedup, 2);
   out.info("oversubscribed",
            std::uint64_t{row.workers > std::thread::hardware_concurrency()});

@@ -109,6 +109,11 @@ Bytes BufferPool::acquire(std::size_t min_capacity) {
 void BufferPool::release(Bytes buf) {
   MutexLock lk(mu_);
   if (poison_) poison_locked(buf);
+  if (quarantine_depth_ == 0) {
+    // No hold: straight to the free list, with no FIFO node to allocate.
+    park_locked(std::move(buf));
+    return;
+  }
   quarantine_.push_back(std::move(buf));
   drain_quarantine_locked();
 }
@@ -130,18 +135,22 @@ void BufferPool::unpoison_locked(Bytes& buf) {
   ++unpoisons_;
 }
 
+void BufferPool::park_locked(Bytes buf) {
+  if (free_.size() >= max_buffers_) {
+    ++drops_;
+    // The allocation is about to be freed: shadow and tag die with it.
+    asan_unpoison_region(buf);
+    gen_.erase(buf.data());
+    return;  // buf freed on scope exit
+  }
+  free_.push_back(std::move(buf));
+}
+
 void BufferPool::drain_quarantine_locked() {
   while (quarantine_.size() > quarantine_depth_) {
     Bytes buf = std::move(quarantine_.front());
     quarantine_.pop_front();
-    if (free_.size() >= max_buffers_) {
-      ++drops_;
-      // The allocation is about to be freed: shadow and tag die with it.
-      asan_unpoison_region(buf);
-      gen_.erase(buf.data());
-      continue;  // buf freed on loop scope exit
-    }
-    free_.push_back(std::move(buf));
+    park_locked(std::move(buf));
   }
 }
 

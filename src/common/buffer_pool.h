@@ -100,6 +100,9 @@ class BufferPool {
   /// Undo the ASan poisoning and drop the quarantine hold before a buffer
   /// is handed out or freed.
   void unpoison_locked(Bytes& buf) STRATO_REQUIRES(mu_);
+  /// Put a released buffer on the free list, or drop (free) it when the
+  /// list is full.
+  void park_locked(Bytes buf) STRATO_REQUIRES(mu_);
   /// Move quarantined buffers whose hold expired onto the free list (or
   /// drop them when the list is full).
   void drain_quarantine_locked() STRATO_REQUIRES(mu_);

@@ -93,26 +93,26 @@ struct SeqList {
   }
 };
 
-/// The LZ77 parse of buffer[history_len..] at rung S into `out`. A
-/// chained rung (MEDIUM) matches lazily and registers every position
-/// inside a match; a single-probe rung (LIGHT) accelerates through
-/// literal runs and registers one position per match.
+/// Whether buffer[h..] of an n-byte buffer is long enough to search at
+/// rung S; a shorter run goes out as literals.
+template <detail::LzShape S>
+constexpr bool searchable(std::size_t n, std::size_t h) {
+  return n - h >= kMatchGuard + S.tail;
+}
+
+/// The LZ77 parse of buffer[h..] at rung S into `out`, searching through
+/// `finder`, which holds the positions before h that matches may reach
+/// (searchable<S>(buffer.size(), h) must hold). A chained rung (MEDIUM)
+/// matches lazily and registers every position inside a match; a
+/// single-probe rung (LIGHT) accelerates through literal runs and
+/// registers one position per match.
 template <detail::LzShape S, class Sink>
-void parse(common::ByteSpan buffer, std::size_t history_len, Sink& out) {
+void parse(detail::HashChainFinder<S>& finder, common::ByteSpan buffer,
+           std::size_t h, Sink& out) {
   constexpr bool kChained = S.chain_depth > 0;
   static_assert(kMatchGuard >= 4 + S.tail, "find(i) needs i + 4 + tail <= n");
   const std::size_t n = buffer.size();
-  const std::size_t h = std::min(history_len, n);
   const std::uint8_t* const src = buffer.data();
-  if (n - h < kMatchGuard + S.tail) {
-    out.emit(src + h, n - h, 0, 0);
-    return;
-  }
-
-  detail::HashChainFinder<S> finder(buffer);
-  // Pre-warm the hash structures with the retained window so matches can
-  // reach back into previous blocks.
-  finder.insert_range(0, h);
   const std::size_t search_end = n - kMatchGuard;
   std::size_t anchor = h;
   std::size_t i = h;
@@ -171,11 +171,21 @@ void parse(common::ByteSpan buffer, std::size_t history_len, Sink& out) {
   out.emit(src + anchor, n - anchor, 0, 0);
 }
 
+/// The parse of one self-contained block.
+template <detail::LzShape S, class Sink>
+void parse_block(common::ByteSpan src, Sink& out) {
+  if (!searchable<S>(src.size(), 0)) {
+    out.emit(src.data(), src.size(), 0, 0);
+    return;
+  }
+  detail::HashChainFinder<S> finder(src);
+  parse(finder, src, 0, out);
+}
+
 template <detail::LzShape S>
-std::size_t compress_at(common::ByteSpan buffer, std::size_t history_len,
-                        common::MutableByteSpan dst) {
-  SeqWriter out(dst, buffer.data() + buffer.size());
-  parse<S>(buffer, history_len, out);
+std::size_t compress_at(common::ByteSpan src, common::MutableByteSpan dst) {
+  SeqWriter out(dst, src.data() + src.size());
+  parse_block<S>(src, out);
   return out.written();
 }
 
@@ -184,20 +194,35 @@ std::size_t compress_at(common::ByteSpan buffer, std::size_t history_len,
 std::size_t lz77_compress(common::ByteSpan src, common::MutableByteSpan dst,
                           LzEffort effort) {
   return effort == LzEffort::kLight
-             ? compress_at<detail::kLightShape>(src, 0, dst)
-             : compress_at<detail::kMediumShape>(src, 0, dst);
+             ? compress_at<detail::kLightShape>(src, dst)
+             : compress_at<detail::kMediumShape>(src, dst);
 }
 
 std::size_t lz77_compress_with_history(common::ByteSpan buffer,
                                        std::size_t history_len,
-                                       common::MutableByteSpan dst) {
-  return compress_at<detail::kLightShape>(buffer, history_len, dst);
+                                       common::MutableByteSpan dst,
+                                       detail::LightWindowHeads& heads) {
+  const std::size_t n = buffer.size();
+  const std::size_t h = std::min(history_len, n);
+  SeqWriter out(dst, buffer.data() + n);
+  // The window's last positions gained their 4th byte with this block.
+  heads.extend(buffer, h);
+  if (searchable<detail::kLightShape>(n, h)) {
+    auto finder = heads.finder(buffer);
+    parse(finder, buffer, h, out);
+  } else {
+    out.emit(buffer.data() + h, n - h, 0, 0);
+  }
+  // The parse inserted some of the block's positions; inserting them all,
+  // in order, leaves the table as inserting the whole buffer would.
+  heads.extend(buffer, n);
+  return out.written();
 }
 
 void lz77_medium_sequences(common::ByteSpan src, std::vector<LzSeq>& seqs) {
   seqs.clear();
   SeqList out{seqs};
-  parse<detail::kMediumShape>(src, 0, out);
+  parse_block<detail::kMediumShape>(src, out);
 }
 
 std::size_t lz77_decompress(common::ByteSpan src,

@@ -26,6 +26,10 @@
 
 namespace strato::compress {
 
+namespace detail {
+class LightWindowHeads;
+}  // namespace detail
+
 /// The rung an LZ77 parse runs at.
 enum class LzEffort { kLight, kMedium };
 
@@ -40,13 +44,17 @@ std::size_t lz77_decompress(common::ByteSpan src, common::MutableByteSpan dst);
 
 /// History-aware LIGHT variant: compress buffer[history_len..] with
 /// matches allowed to reach back into buffer[0..history_len) (the
-/// retained window of previous blocks). With history_len = 0 this is
-/// lz77_compress at LzEffort::kLight. Used by the streaming
+/// retained window of previous blocks). `heads` is the window's match
+/// table (detail::LightWindowHeads), carried from the call that compressed
+/// the previous block: this call inserts the positions it gained and
+/// leaves it indexing the whole buffer. With history_len = 0 and a fresh
+/// table this is lz77_compress at LzEffort::kLight. Used by the streaming
 /// (non-self-contained) mode that ablates the paper's block-independence
 /// design choice.
 std::size_t lz77_compress_with_history(common::ByteSpan buffer,
                                        std::size_t history_len,
-                                       common::MutableByteSpan dst);
+                                       common::MutableByteSpan dst,
+                                       detail::LightWindowHeads& heads);
 
 /// One sequence of a parse: a literal run followed by a match (length 0
 /// marks the final, literal-only sequence). `lit` points into the source.

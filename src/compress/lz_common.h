@@ -99,6 +99,16 @@ class HashChainFinder {
     scratch_.prepare(S.hash_bits, kChained ? n_ : 0);
   }
 
+  /// A finder over `src` that searches and extends `kept` as it stands,
+  /// a head table indexing positions of `src` (LightWindowHeads).
+  HashChainFinder(common::ByteSpan src, MatchScratch& kept)
+      : src_(src.data()),
+        n_(src.size()),
+        scratch_(kept),
+        kernels_(common::simd::kernels()) {
+    static_assert(!kChained, "a kept table holds heads, not chains");
+  }
+
   /// Best match at i among the inserted positions, len 0 if none.
   /// Requires i + 4 + S.tail <= n, so a candidate that passes the 4-byte
   /// check is a match of at least 4 bytes.
@@ -174,6 +184,62 @@ class HashChainFinder {
   std::size_t n_;
   MatchScratch& scratch_;
   const common::simd::Kernels& kernels_;
+};
+
+/// LIGHT's head table over a rolling window, kept across calls by the
+/// streaming encoder so that each block hashes only its own positions
+/// instead of the whole window. Before every parse it must equal what
+/// insert_range(0, h) builds in a fresh table: for each hash, the last
+/// window position with that hash among those whose 4 bytes are in the
+/// buffer. extend() inserts positions in order once their 4 bytes exist,
+/// so the window's last 3 wait for the next block; extending past a parse
+/// re-inserts the block's positions in order, which overrides the parse's
+/// own partial inserts; trim() follows the buffer when it drops its
+/// oldest bytes.
+class LightWindowHeads {
+ public:
+  LightWindowHeads() { reset(); }
+
+  /// Forget every position.
+  void reset() {
+    scratch_.prepare(kLightShape.hash_bits, 0);
+    inserted_ = 0;
+  }
+
+  /// Insert, in order, each position of `buffer` from the first one not
+  /// yet inserted up to `end` that has 4 bytes in `buffer`.
+  void extend(common::ByteSpan buffer, std::size_t end) {
+    end = std::min(end, buffer.size() < 3 ? 0 : buffer.size() - 3);
+    if (end <= inserted_) return;
+    finder(buffer).insert_range(inserted_, end);
+    inserted_ = end;
+  }
+
+  /// The buffer dropped its first `d` bytes: entry e becomes e - d, and
+  /// entries below d index nothing.
+  void trim(std::size_t d) {
+    if (d == 0) return;
+    const auto d32 = static_cast<std::uint32_t>(d);
+    std::uint32_t* const head = scratch_.head.data();
+    // A branch-free body over a fixed count, so the loop vectorizes.
+    for (std::size_t k = 0; k < kHeads; ++k) {
+      const std::uint32_t e = head[k];
+      head[k] = e >= d32 && e != kLzNoPos ? e - d32 : kLzNoPos;
+    }
+    inserted_ = inserted_ > d ? inserted_ - d : 0;
+  }
+
+  /// A finder over `buffer` that searches this table.
+  HashChainFinder<kLightShape> finder(common::ByteSpan buffer) {
+    return HashChainFinder<kLightShape>(buffer, scratch_);
+  }
+
+ private:
+  static constexpr std::size_t kHeads = std::size_t{1}
+                                        << kLightShape.hash_bits;
+
+  MatchScratch scratch_;      // head only: LIGHT keeps no prev chain
+  std::size_t inserted_ = 0;  // positions [0, inserted_) are in the table
 };
 
 /// copy_match's fixed-size moves run up to 31 bytes past a match's end,

@@ -4,13 +4,14 @@ namespace strato::compress {
 
 namespace {
 
-/// Keep only the trailing kStreamingWindow bytes of `history`.
-void trim_to_window(common::Bytes& history) {
-  if (history.size() > kStreamingWindow) {
-    history.erase(history.begin(),
-                  history.begin() + static_cast<std::ptrdiff_t>(
-                                        history.size() - kStreamingWindow));
-  }
+/// Keep only the trailing kStreamingWindow bytes of `history`; returns
+/// how many bytes it dropped from the front.
+std::size_t trim_to_window(common::Bytes& history) {
+  if (history.size() <= kStreamingWindow) return 0;
+  const std::size_t d = history.size() - kStreamingWindow;
+  history.erase(history.begin(),
+                history.begin() + static_cast<std::ptrdiff_t>(d));
+  return d;
 }
 
 }  // namespace
@@ -21,8 +22,8 @@ common::Bytes StreamingLzCompressor::compress_block(common::ByteSpan raw) {
   const std::size_t history_len = history_.size();
   history_.insert(history_.end(), raw.begin(), raw.end());
   common::Bytes out(lz77_max_compressed_size(raw.size()));
-  out.resize(lz77_compress_with_history(history_, history_len, out));
-  trim_to_window(history_);
+  out.resize(lz77_compress_with_history(history_, history_len, out, heads_));
+  heads_.trim(trim_to_window(history_));
   return out;
 }
 
@@ -40,7 +41,7 @@ common::Bytes StreamingLzDecompressor::decompress_block(
   common::Bytes raw(
       history_.begin() + static_cast<std::ptrdiff_t>(history_len),
       history_.end());
-  trim_to_window(history_);
+  (void)trim_to_window(history_);
   return raw;
 }
 

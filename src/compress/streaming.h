@@ -18,6 +18,7 @@
 
 #include "common/bytes.h"
 #include "compress/lz77.h"
+#include "compress/lz_common.h"
 
 namespace strato::compress {
 
@@ -33,12 +34,16 @@ class StreamingLzCompressor {
   common::Bytes compress_block(common::ByteSpan raw);
 
   /// Drop all history (e.g. after a downstream resync).
-  void reset() { history_.clear(); }
+  void reset() {
+    history_.clear();
+    heads_.reset();
+  }
 
   [[nodiscard]] std::size_t history_size() const { return history_.size(); }
 
  private:
-  common::Bytes history_;  // rolling raw-byte window
+  common::Bytes history_;           // rolling raw-byte window
+  detail::LightWindowHeads heads_;  // match table over history_
 };
 
 /// Stateful decompressor mirroring StreamingLzCompressor block for block.

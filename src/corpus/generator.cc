@@ -30,15 +30,12 @@ common::Bytes take(Generator& gen, std::size_t n) {
 // ---------------------------------------------------------------------------
 
 namespace {
-// One scanline of a 1728-pixel bilevel page = 216 bytes.
-constexpr std::size_t kLineWidth = 216;
 // Fresh random bytes overlaid per emitted line ("halftone noise"). The
 // noise is transient — it does not persist into the next line — so every
 // noisy position causes two inter-line differences (appear + revert).
 // Together with the run drift this pins the LIGHT-codec ratio in the
 // paper's 10-15 % band for ptt5-class data.
 constexpr std::size_t kNoisePerLine = 1;
-constexpr std::size_t kRunCount = 4;
 }  // namespace
 
 FaxGenerator::FaxGenerator(std::uint64_t seed) { reset(seed); }
@@ -46,46 +43,51 @@ FaxGenerator::FaxGenerator(std::uint64_t seed) { reset(seed); }
 void FaxGenerator::reset(std::uint64_t seed) {
   seed_ = seed;
   rng_ = common::Xoshiro256(seed ^ 0xFA80000000000001ULL);
-  runs_.clear();
-  for (std::size_t r = 0; r < kRunCount; ++r) {
-    runs_.push_back({rng_.below(kLineWidth - 16), 2 + rng_.below(8)});
+  for (Run& run : runs_) {
+    run.start = rng_.below(kLineWidth - 16);
+    run.len = 2 + rng_.below(8);
   }
-  line_.assign(kLineWidth, 0x00);
-  line_pos_ = 0;
   next_line();
 }
 
 void FaxGenerator::next_line() {
   // Rebuild the scanline from the run structure: long white (0x00) runs
   // with a handful of black (0xFF) runs whose edges drift line to line —
-  // the shape of a bilevel fax page.
-  std::fill(line_.begin(), line_.end(), 0x00);
-  for (auto& run : runs_) {
-    if (rng_.uniform() < 0.5) {
-      const std::size_t step = rng_.below(3);  // 0,1,2 -> -1,0,+1
+  // the shape of a bilevel fax page. The generator runs on a local copy:
+  // byte stores through `line` may alias a member, which would make the
+  // compiler write back and reload its state around every store.
+  common::Xoshiro256 rng = rng_;
+  std::uint8_t* const line = line_.data();
+  std::memset(line, 0x00, kLineWidth);
+  for (Run& run : runs_) {
+    if (rng.uniform() < 0.5) {
+      const std::size_t step = rng.below(3);  // 0,1,2 -> -1,0,+1
       run.start = std::min<std::size_t>(
           kLineWidth - 16,
           std::max<std::size_t>(1, run.start + step) - 1);
     }
-    if (rng_.uniform() < 0.15) {
+    if (rng.uniform() < 0.15) {
       run.len = 2 + (run.len - 1) % 10;  // slow length wobble
     }
     const std::size_t end = std::min(kLineWidth, run.start + run.len);
-    for (std::size_t i = run.start; i < end; ++i) line_[i] = 0xFF;
+    std::memset(line + run.start, 0xFF, end - run.start);
   }
-  // Transient halftone noise.
+  // Transient halftone noise. The stream was defined by
+  // `line_[rng_.below(kLineWidth)] = rng_()`, and C++17 evaluates the
+  // right operand of `=` first: the value is drawn before its position.
   for (std::size_t i = 0; i < kNoisePerLine; ++i) {
-    line_[rng_.below(kLineWidth)] = static_cast<std::uint8_t>(rng_());
+    const auto noise = static_cast<std::uint8_t>(rng());
+    line[rng.below(kLineWidth)] = noise;
   }
+  rng_ = rng;
   line_pos_ = 0;
 }
 
 void FaxGenerator::generate(common::MutableByteSpan out) {
   std::size_t done = 0;
   while (done < out.size()) {
-    if (line_pos_ >= line_.size()) next_line();
-    const std::size_t n =
-        std::min(out.size() - done, line_.size() - line_pos_);
+    if (line_pos_ >= kLineWidth) next_line();
+    const std::size_t n = std::min(out.size() - done, kLineWidth - line_pos_);
     std::memcpy(out.data() + done, line_.data() + line_pos_, n);
     done += n;
     line_pos_ += n;
@@ -97,81 +99,106 @@ void FaxGenerator::generate(common::MutableByteSpan out) {
 // ---------------------------------------------------------------------------
 
 namespace {
-constexpr std::size_t kVocabSize = 800;
 constexpr double kZipfExponent = 1.05;
 }  // namespace
 
-TextGenerator::TextGenerator(std::uint64_t seed) {
+TextGenerator::TextGenerator(std::uint64_t seed)
+    : vocab_(kVocabSize),
+      vocab_len_(kVocabSize),
+      zipf_cdf_(kVocabSize),
+      guide_(kGuideSize) {
   // The vocabulary is the "language" and stays fixed across seeds so two
   // streams with different seeds still share word shapes (like two English
   // texts do); the seed only controls word order.
   common::Xoshiro256 vocab_rng(0xA11CE29ULL);
-  vocab_.reserve(kVocabSize);
   for (std::size_t i = 0; i < kVocabSize; ++i) {
     const std::size_t len = 2 + vocab_rng.below(8);
-    std::string w;
-    w.reserve(len);
+    vocab_len_[i] = static_cast<std::uint8_t>(len);
     for (std::size_t j = 0; j < len; ++j) {
-      w.push_back(static_cast<char>('a' + vocab_rng.below(26)));
+      vocab_[i][j] = static_cast<char>('a' + vocab_rng.below(26));
     }
-    vocab_.push_back(std::move(w));
   }
-  // Zipf CDF over ranks.
-  zipf_cdf_.resize(kVocabSize);
+  // Zipf CDF over ranks. Its last entry is acc / acc, exactly 1.0, so a
+  // forward scan for any u < 1 stops inside the table.
   double acc = 0.0;
   for (std::size_t i = 0; i < kVocabSize; ++i) {
     acc += 1.0 / std::pow(static_cast<double>(i + 1), kZipfExponent);
     zipf_cdf_[i] = acc;
   }
   for (auto& v : zipf_cdf_) v /= acc;
+  for (std::size_t k = 0; k < kGuideSize; ++k) {
+    const double lo = static_cast<double>(k) / kGuideSize;
+    guide_[k] = static_cast<std::uint16_t>(
+        std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), lo) -
+        zipf_cdf_.begin());
+  }
   reset(seed);
 }
 
 void TextGenerator::reset(std::uint64_t seed) {
   seed_ = seed;
   rng_ = common::Xoshiro256(seed ^ 0x7E870000000000A5ULL);
-  pending_.clear();
-  pending_pos_ = 0;
+  sentence_len_ = 0;
+  sentence_pos_ = 0;
   line_len_ = 0;
 }
 
 void TextGenerator::refill() {
-  pending_.clear();
-  pending_pos_ = 0;
-  // Emit a sentence-sized chunk of words.
-  const std::size_t words = 6 + rng_.below(12);
+  // Emit a sentence-sized chunk of words. The generator, the line length
+  // and the table pointers live in locals: char stores may alias any
+  // member, and would otherwise force a write-back and reload per byte.
+  common::Xoshiro256 rng = rng_;
+  std::size_t line_len = line_len_;
+  const auto* const vocab = vocab_.data();
+  const std::uint8_t* const vocab_len = vocab_len_.data();
+  const double* const cdf = zipf_cdf_.data();
+  const std::uint16_t* const guide = guide_.data();
+  char* const begin = sentence_.data();
+  char* p = begin;
+  const std::size_t words = 6 + rng.below(12);
   for (std::size_t w = 0; w < words; ++w) {
-    const double u = rng_.uniform();
-    const auto it =
-        std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
-    std::string word = vocab_[static_cast<std::size_t>(
-        std::distance(zipf_cdf_.begin(), it))];
-    if (w == 0) word[0] = static_cast<char>(word[0] - 'a' + 'A');
-    pending_ += word;
-    line_len_ += word.size() + 1;
+    // The rank std::lower_bound would find: u * kGuideSize is exact, so
+    // guide[floor(u * kGuideSize)] never lies past it, and the CDF does
+    // not decrease.
+    const double u = rng.uniform();
+    std::size_t rank = guide[static_cast<std::size_t>(u * kGuideSize)];
+    while (cdf[rank] < u) ++rank;
+    std::memcpy(p, vocab[rank].data(), kWordSlot);
+    if (w == 0) *p = static_cast<char>(*p - 'a' + 'A');
+    const std::size_t len = vocab_len[rank];
+    p += len;
+    line_len += len + 1;
     if (w + 1 == words) {
-      pending_ += rng_.uniform() < 0.85 ? ". " : "! ";
-    } else if (rng_.uniform() < 0.08) {
-      pending_ += ", ";
+      p[0] = rng.uniform() < 0.85 ? '.' : '!';
+      p[1] = ' ';
+      p += 2;
+    } else if (rng.uniform() < 0.08) {
+      p[0] = ',';
+      p[1] = ' ';
+      p += 2;
     } else {
-      pending_ += ' ';
+      *p++ = ' ';
     }
-    if (line_len_ > 68) {
-      pending_ += '\n';
-      line_len_ = 0;
+    if (line_len > 68) {
+      *p++ = '\n';
+      line_len = 0;
     }
   }
+  rng_ = rng;
+  line_len_ = line_len;
+  sentence_len_ = static_cast<std::size_t>(p - begin);
+  sentence_pos_ = 0;
 }
 
 void TextGenerator::generate(common::MutableByteSpan out) {
   std::size_t done = 0;
   while (done < out.size()) {
-    if (pending_pos_ >= pending_.size()) refill();
+    if (sentence_pos_ >= sentence_len_) refill();
     const std::size_t n =
-        std::min(out.size() - done, pending_.size() - pending_pos_);
-    std::memcpy(out.data() + done, pending_.data() + pending_pos_, n);
+        std::min(out.size() - done, sentence_len_ - sentence_pos_);
+    std::memcpy(out.data() + done, sentence_.data() + sentence_pos_, n);
     done += n;
-    pending_pos_ += n;
+    sentence_pos_ += n;
   }
 }
 
@@ -221,10 +248,14 @@ void EntropyGenerator::generate(common::MutableByteSpan out) {
       marker_pos_ = 0;
       continue;
     }
+    // A local copy of the generator: the byte stores may alias `rng_`.
     const std::size_t n = std::min(out.size() - done, until_marker_);
+    common::Xoshiro256 rng = rng_;
+    std::uint8_t* const dst = out.data() + done;
     for (std::size_t i = 0; i < n; ++i) {
-      out[done + i] = static_cast<std::uint8_t>(rng_());
+      dst[i] = static_cast<std::uint8_t>(rng());
     }
+    rng_ = rng;
     done += n;
     until_marker_ -= n;
   }

@@ -12,9 +12,11 @@
 // byte content.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/rng.h"
@@ -60,6 +62,10 @@ class FaxGenerator final : public Generator {
   [[nodiscard]] std::string name() const override { return "fax(HIGH)"; }
 
  private:
+  // One scanline of a 1728-pixel bilevel page = 216 bytes.
+  static constexpr std::size_t kLineWidth = 216;
+  static constexpr std::size_t kRunCount = 4;
+
   struct Run {
     std::size_t start;
     std::size_t len;
@@ -68,9 +74,9 @@ class FaxGenerator final : public Generator {
   void next_line();
 
   common::Xoshiro256 rng_;
-  std::vector<Run> runs_;    // black runs; drift without accumulating noise
-  common::Bytes line_;       // emitted scanline = runs + transient noise
-  std::size_t line_pos_ = 0; // emit cursor within line_
+  std::array<Run, kRunCount> runs_{};  // black runs; drift without noise
+  std::array<std::uint8_t, kLineWidth> line_{};  // runs + transient noise
+  std::size_t line_pos_ = 0;  // emit cursor within line_
   std::uint64_t seed_;
 };
 
@@ -86,13 +92,25 @@ class TextGenerator final : public Generator {
   [[nodiscard]] std::string name() const override { return "text(MODERATE)"; }
 
  private:
+  static constexpr std::size_t kVocabSize = 800;
+  // A word is 2-9 letters, kept in a 16-byte slot so it copies as one move.
+  static constexpr std::size_t kWordSlot = 16;
+  // guide_[k] is the first rank whose CDF reaches k / kGuideSize.
+  static constexpr std::size_t kGuideSize = 4096;
+  // A sentence is at most 17 words, each followed by at most two separator
+  // bytes and a line break; the last slot copy may run 16 bytes past it.
+  static constexpr std::size_t kSentenceCap = 17 * (9 + 3) + kWordSlot;
+
   void refill();
 
   common::Xoshiro256 rng_;
-  std::vector<std::string> vocab_;
+  std::vector<std::array<char, kWordSlot>> vocab_;
+  std::vector<std::uint8_t> vocab_len_;
   std::vector<double> zipf_cdf_;
-  std::string pending_;
-  std::size_t pending_pos_ = 0;
+  std::vector<std::uint16_t> guide_;
+  std::array<char, kSentenceCap> sentence_{};
+  std::size_t sentence_len_ = 0;
+  std::size_t sentence_pos_ = 0;
   std::size_t line_len_ = 0;
   std::uint64_t seed_;
 };

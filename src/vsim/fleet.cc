@@ -144,8 +144,8 @@ void FleetEngine::spawn_flow(std::uint16_t t, SimTime at) {
   q.arrival = at;
   q.path = path;
   if (spec.kind == FlowKind::kDwell) {
-    q.dwell = SimTime::seconds(
-        exponential_interval_s(run.rng, spec.mean_dwell_s));
+    q.dwell_ns = SimTime::seconds(
+        exponential_interval_s(run.rng, spec.mean_dwell_s)).nanos();
   } else {
     // Corpus class from the tenant's mix (cumulative draw, normalized).
     const double msum = std::max(
@@ -212,7 +212,8 @@ void FleetEngine::admit(SimTime now) {
       const auto tid = static_cast<std::uint16_t>(t);
       FlowTable::Id id;
       if (spec.kind == FlowKind::kDwell) {
-        id = flows_.add_dwell(tid, q.path, w, q.arrival, now, q.dwell);
+        id = flows_.add_dwell(tid, q.path, w, q.arrival, now,
+                              SimTime::ns(q.dwell_ns));
         active_dwell_.push_back(id);
       } else {
         id = flows_.add_transfer(tid, q.path, q.cls, q.raw_bytes, w,

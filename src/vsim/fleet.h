@@ -26,7 +26,7 @@
 //   5. retires finished flows into FleetMetrics.
 //
 // Memory follows the flows queued and in flight: a queued flow is a
-// 48-byte QueuedFlow, a row lives from admission to finish, and a
+// 40-byte QueuedFlow, a row lives from admission to finish, and a
 // finished row is reused by an admission after the next allocation's
 // refold (DESIGN §15), so the table holds at most 2 × Σ max_in_flight
 // rows when every tenant caps its in-flight count.
@@ -200,16 +200,21 @@ class FleetEngine {
 
  private:
   /// A queued flow: spawn_flow's draws, kept until admission writes them
-  /// into a FlowTable row.
+  /// into a FlowTable row. A tenant's kind reads one of the two sizes, so
+  /// they share one field; `cls` and the jitters stay at their defaults
+  /// for kDwell.
   struct QueuedFlow {
     common::SimTime arrival;
-    common::SimTime dwell;        ///< kDwell holding time
-    std::uint64_t raw_bytes = 0;  ///< kTransfer size
+    union {
+      std::int64_t dwell_ns;        ///< kDwell holding time, nanoseconds
+      std::uint64_t raw_bytes = 0;  ///< kTransfer size
+    };
     double ratio_jit = 1.0;
     double speed_jit = 1.0;
     std::uint32_t path = 0;
     corpus::Compressibility cls = corpus::Compressibility::kLow;
   };
+  static_assert(sizeof(QueuedFlow) == 40);
 
   /// Per-tenant mutable run state (RNG, arrival clock, admission queue).
   struct TenantRun {

@@ -6,7 +6,8 @@
 // hand-off costs by counting every global operator new in the process
 // while 2-worker pipelines run stored 8 KiB blocks after a warm-up. A
 // hand-off that wrapped each job in a future and a shared task (four
-// allocations per block) fails the bound.
+// allocations per block) fails the bound, and so does a BufferPool that
+// allocates a FIFO node per 21 releases.
 //
 // The counting operator new replaces the sanitizers' own, so this test
 // lives in a binary of its own: no other test loses ASan's operator new
@@ -52,10 +53,13 @@ constexpr std::size_t kBlockSize = 8 * 1024;
 constexpr std::size_t kWorkers = 2;
 constexpr int kWarmupBlocks = 256;
 constexpr int kBlocks = 4096;
-// What remains is deque nodes: one per 16 jobs in the pool's queue, one per
-// 21 buffers in BufferPool's release queue and, on decode, the parsed-frame
-// queue's. That reads 0.16 per block on encode and 0.21 on decode.
-constexpr double kMaxAllocationsPerBlock = 0.5;
+// What remains is deque nodes: one per 16 jobs in the pool's queue and, on
+// decode, the parsed-frame queue's. That reads about 0.0625 per block on
+// encode and 0.163 on decode. A BufferPool that parks every release in its
+// quarantine FIFO, even at depth 0, adds one node per 21 releases and reads
+// 0.158 and 0.210.
+constexpr double kMaxEncodeAllocationsPerBlock = 0.1;
+constexpr double kMaxDecodeAllocationsPerBlock = 0.18;
 
 Bytes stored_block() {
   Bytes block(kBlockSize);
@@ -65,7 +69,7 @@ Bytes stored_block() {
   return block;
 }
 
-TEST(ThreadedHandOff, EncodeAllocatesUnderHalfPerBlock) {
+TEST(ThreadedHandOff, EncodeAllocatesOnlyPoolQueueNodes) {
   const CodecRegistry& registry = CodecRegistry::standard();
   const Bytes block = stored_block();
   std::uint64_t frames = 0;
@@ -82,11 +86,11 @@ TEST(ThreadedHandOff, EncodeAllocatesUnderHalfPerBlock) {
 
   ASSERT_EQ(frames, static_cast<std::uint64_t>(kWarmupBlocks + kBlocks));
   const double per_block = static_cast<double>(allocations) / kBlocks;
-  EXPECT_LE(per_block, kMaxAllocationsPerBlock)
+  EXPECT_LE(per_block, kMaxEncodeAllocationsPerBlock)
       << allocations << " allocations over " << kBlocks << " blocks";
 }
 
-TEST(ThreadedHandOff, DecodeAllocatesUnderHalfPerBlock) {
+TEST(ThreadedHandOff, DecodeAllocatesOnlyQueueNodes) {
   const CodecRegistry& registry = CodecRegistry::standard();
   const Bytes frame = encode_block(*registry.level(0).codec, 0, stored_block());
   ParallelBlockDecodePipeline pipeline(registry, {.worker_count = kWorkers});
@@ -117,7 +121,7 @@ TEST(ThreadedHandOff, DecodeAllocatesUnderHalfPerBlock) {
   ASSERT_EQ(blocks, static_cast<std::uint64_t>(kWarmupBlocks + kBlocks));
   ASSERT_EQ(short_blocks, 0u);
   const double per_block = static_cast<double>(allocations) / kBlocks;
-  EXPECT_LE(per_block, kMaxAllocationsPerBlock)
+  EXPECT_LE(per_block, kMaxDecodeAllocationsPerBlock)
       << allocations << " allocations over " << kBlocks << " blocks";
 }
 

@@ -2,6 +2,8 @@
 // ratio advantage over self-contained blocks.
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "compress/streaming.h"
 #include "corpus/generator.h"
@@ -130,6 +132,42 @@ TEST(StreamingLz, EmptyBlocksAreHarmless) {
   const auto raw = corpus::take(*gen, 3000);
   const auto p2 = comp.compress_block(raw);
   EXPECT_EQ(dec.decompress_block(p2, raw.size()), raw);
+}
+
+TEST(StreamingLz, ShortBlocksTrimsAndResetKeepPinnedWire) {
+  // The encoder's match table follows the window across blocks. Blocks too
+  // short to search, blocks of 1-3 bytes whose window positions only then
+  // gain their 4th byte, a block longer than the window and a reset must
+  // each leave every wire byte as it was when the table was rebuilt from
+  // the whole window for every block; the digest was recorded then. It
+  // covers each block's size and wire, on all three classes at seed 7.
+  const std::size_t sizes[] = {0, 1, 2, 3, 20, 8192, 70000};
+  StreamingLzCompressor comp;
+  StreamingLzDecompressor dec;
+  common::Xxh64State hash;
+  for (const auto c :
+       {corpus::Compressibility::kHigh, corpus::Compressibility::kModerate,
+        corpus::Compressibility::kLow}) {
+    auto gen = corpus::make_generator(c, 7);
+    // Twice with the window carried over, then again after a reset.
+    for (int pass = 0; pass < 3; ++pass) {
+      if (pass == 2) {
+        comp.reset();
+        dec.reset();
+      }
+      for (const std::size_t size : sizes) {
+        const auto raw = corpus::take(*gen, size);
+        const auto packed = comp.compress_block(raw);
+        ASSERT_EQ(dec.decompress_block(packed, raw.size()), raw)
+            << corpus::to_string(c) << " pass " << pass << " size " << size;
+        std::uint8_t len[8];
+        common::store_le64(len, packed.size());
+        hash.update(len);
+        hash.update(packed);
+      }
+    }
+  }
+  EXPECT_EQ(hash.digest(), 0x79680e2a2c972791ULL);
 }
 
 }  // namespace

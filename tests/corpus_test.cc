@@ -2,6 +2,11 @@
 // substitution contract), entropy probes, segmented switching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+
+#include "common/checksum.h"
 #include "compress/registry.h"
 #include "corpus/entropy.h"
 #include "corpus/generator.h"
@@ -58,6 +63,73 @@ INSTANTIATE_TEST_SUITE_P(Classes, AllClasses,
                          ::testing::Values(Compressibility::kHigh,
                                            Compressibility::kModerate,
                                            Compressibility::kLow));
+
+// --- pinned streams ---------------------------------------------------------
+
+std::string hex(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// The same bytes as one take, drawn in chunks of 1, 2, 5, 977 and 8,192
+// bytes, cycled, so every generator's carry-over state is crossed at many
+// offsets.
+std::uint64_t chunked_digest(Generator& gen, std::size_t total) {
+  constexpr std::size_t kChunks[] = {1, 2, 5, 977, 8192};
+  common::Bytes buf(total);
+  for (std::size_t off = 0, i = 0; off < total; ++i) {
+    const std::size_t n = std::min(kChunks[i % 5], total - off);
+    gen.generate(common::MutableByteSpan(buf).subspan(off, n));
+    off += n;
+  }
+  return common::xxh64(buf);
+}
+
+// Every bench, test and suite workload draws its input from these three
+// streams, so one moved byte moves every golden, ratio and digest
+// downstream. The constants were recorded before the generators' fast
+// paths existed; a faster generator must reproduce them, never re-record
+// them. The 32 MiB rows at seed 424242 (the suite's default seed) are the
+// digests `bench_corpus` reports and BENCH_corpus.json pins.
+TEST(CorpusGolden, StreamDigests) {
+  struct Pinned {
+    Compressibility c;
+    std::uint64_t seed;
+    std::size_t bytes;
+    std::uint64_t digest;
+  };
+  constexpr std::size_t k4M = 4 << 20;
+  constexpr std::size_t k32M = 32 << 20;
+  const Pinned rows[] = {
+      {Compressibility::kHigh, 1, k4M, 0x702ac0a8a608a73eULL},
+      {Compressibility::kHigh, 7, k4M, 0xfebc5ec2ad9640d2ULL},
+      {Compressibility::kHigh, 424242, k4M, 0x6376e071913e7015ULL},
+      {Compressibility::kModerate, 1, k4M, 0xab39e77fddf88faaULL},
+      {Compressibility::kModerate, 7, k4M, 0x621ea19aa98970a9ULL},
+      {Compressibility::kModerate, 424242, k4M, 0xd328e9fe090e7537ULL},
+      {Compressibility::kLow, 1, k4M, 0xdc55485d15bbeed0ULL},
+      {Compressibility::kLow, 7, k4M, 0xbe54b3d6116b6a3dULL},
+      {Compressibility::kLow, 424242, k4M, 0xe13f5f965b76d4a2ULL},
+      {Compressibility::kHigh, 424242, k32M, 0x82c184c0e86407a8ULL},
+      {Compressibility::kModerate, 424242, k32M, 0x2ac20e59a3bb3055ULL},
+      {Compressibility::kLow, 424242, k32M, 0x1b7252c92782de7aULL},
+  };
+  for (const Pinned& row : rows) {
+    SCOPED_TRACE(std::string(to_string(row.c)) + " seed " +
+                 std::to_string(row.seed) + " bytes " +
+                 std::to_string(row.bytes));
+    auto whole = make_generator(row.c, row.seed);
+    EXPECT_EQ(hex(common::xxh64(take(*whole, row.bytes))), hex(row.digest));
+    if (row.bytes != k4M) continue;
+    auto chunked = make_generator(row.c, row.seed);
+    EXPECT_EQ(hex(chunked_digest(*chunked, row.bytes)), hex(row.digest));
+    // Mid-stream (line, sentence or marker state carried over), a reset
+    // must restart the stream from its first byte.
+    chunked->reset(row.seed);
+    EXPECT_EQ(hex(common::xxh64(take(*chunked, row.bytes))), hex(row.digest));
+  }
+}
 
 // --- the ratio-band contract (paper Section IV-A) --------------------------
 
