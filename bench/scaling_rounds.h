@@ -1,5 +1,6 @@
 // Timed rounds for the rate benches: the scaling benches
-// (bench_pipeline_scaling, bench_decode_scaling) and bench_corpus.
+// (bench_pipeline_scaling, bench_decode_scaling), bench_corpus and
+// bench_codec_micro.
 //
 // One timing per row lets a slow stretch of host time decide a row, and
 // with it the scaling benches' 2.0x floor: a 1-worker pass that lands on

@@ -19,8 +19,15 @@ constexpr std::size_t kLitLenAlphabet = kEob + 1;
 // Distance alphabet: bit_width(offset) in [1, 16] -> 16 slots.
 constexpr std::size_t kDistAlphabet = 16;
 
+// Every coded block opens with the code lengths of all kTableSymbols
+// symbols, literal/length then distance, in one of two tables: dense, 4
+// bits per symbol; or sparse, one presence bit per symbol and then 4 bits
+// per present symbol, in symbol order. The encoder writes the sparse one
+// only when it is strictly shorter, so it never grows a block.
+constexpr std::size_t kTableSymbols = kLitLenAlphabet + kDistAlphabet;
 constexpr std::uint8_t kMarkerCoded = 0;
 constexpr std::uint8_t kMarkerStored = 1;
+constexpr std::uint8_t kMarkerSparse = 2;
 
 /// Per-thread scratch reused across blocks (parallel pipeline workers each
 /// hold their own copy). Literal runs stay spans into the source instead
@@ -73,13 +80,28 @@ std::size_t DeflateLz::compress(common::ByteSpan src,
   const HuffmanEncoder lit_enc(lit_lengths);
   const HuffmanEncoder dist_enc(dist_lengths);
 
+  const auto tables = {&lit_lengths, &dist_lengths};
+  std::size_t present = 0;
+  for (const auto* lengths : tables) {
+    for (const auto l : *lengths) present += l != 0;
+  }
+  const bool sparse = kTableSymbols + 4 * present < 4 * kTableSymbols;
+
   common::Bytes& out = scratch.coded;
   out.clear();
   out.reserve(src.size() / 2);
-  out.push_back(kMarkerCoded);
+  out.push_back(sparse ? kMarkerSparse : kMarkerCoded);
   BitWriter bw(out);
-  for (const auto l : lit_lengths) bw.write(l, 4);
-  for (const auto l : dist_lengths) bw.write(l, 4);
+  if (sparse) {
+    for (const auto* lengths : tables) {
+      for (const auto l : *lengths) bw.write(l != 0, 1);
+    }
+  }
+  for (const auto* lengths : tables) {
+    for (const auto l : *lengths) {
+      if (!sparse || l != 0) bw.write(l, 4);
+    }
+  }
   for (const LzSeq& s : scratch.seqs) {
     for (std::uint32_t i = 0; i < s.lit_len; ++i) {
       lit_enc.encode(bw, s.lit[i]);
@@ -120,13 +142,34 @@ std::size_t DeflateLz::decompress(common::ByteSpan src,
     if (!body.empty()) std::memcpy(dst.data(), body.data(), body.size());
     return dst.size();
   }
-  if (marker != kMarkerCoded) throw CodecError("deflatelz: bad marker");
+  if (marker != kMarkerCoded && marker != kMarkerSparse) {
+    throw CodecError("deflatelz: bad marker");
+  }
 
   BitReader br(body);
   std::vector<std::uint8_t> lit_lengths(kLitLenAlphabet);
   std::vector<std::uint8_t> dist_lengths(kDistAlphabet);
-  for (auto& l : lit_lengths) l = static_cast<std::uint8_t>(br.read(4));
-  for (auto& l : dist_lengths) l = static_cast<std::uint8_t>(br.read(4));
+  const auto tables = {&lit_lengths, &dist_lengths};
+  const bool sparse = marker == kMarkerSparse;
+  if (sparse) {
+    // The reader pads a short body with zero bits, which would read as
+    // absent symbols.
+    if (body.size() * 8 < kTableSymbols) {
+      throw CodecError("deflatelz: truncated presence map");
+    }
+    for (auto* lengths : tables) {
+      for (auto& l : *lengths) l = static_cast<std::uint8_t>(br.read(1));
+    }
+  }
+  for (auto* lengths : tables) {
+    for (auto& l : *lengths) {
+      if (sparse && l == 0) continue;
+      l = static_cast<std::uint8_t>(br.read(4));
+      if (sparse && l == 0) {
+        throw CodecError("deflatelz: present symbol with length 0");
+      }
+    }
+  }
   // Literals carry no extra bits, so any symbol < 256 may lead a
   // two-symbol LUT pair; length slots and EOB may not (their extra bits /
   // loop exit sit between the codes).

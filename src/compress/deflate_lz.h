@@ -8,9 +8,14 @@
 // (the paper's Algorithm 1 takes any number of ordered levels).
 //
 // Stream layout per block:
-//   byte 0      marker: 0 = coded, 1 = stored raw
+//   byte 0      marker: 0 = coded, 1 = stored raw, 2 = coded with a
+//               sparse table
 //   coded:      275 + 16 code lengths (4 bits each, packed LSB-first),
 //               then the Huffman bit stream terminated by EOB.
+//   sparse:     275 + 16 presence bits, then the 4-bit code length
+//               (1-15) of each present symbol in symbol order, then the
+//               same Huffman bit stream. The encoder writes it only when
+//               it is strictly shorter than the 291 dense lengths.
 // All tables are per block; blocks stay self-contained.
 #pragma once
 

@@ -16,10 +16,6 @@ constexpr std::size_t kMatchGuard = 12;
 // LIGHT's skip acceleration: after 2^kSkipShift straight misses the parse
 // steps 2 bytes, then 3, and so on through incompressible regions.
 constexpr int kSkipShift = 6;
-// MEDIUM skips the lazy one-ahead search when the current match is
-// already kLazyCutoff or longer (a strictly better match one byte later
-// would have to beat it by 2, which long matches essentially never see).
-constexpr std::size_t kLazyCutoff = 32;
 // Literal runs move in fixed-size copies of kFastLiteralCopy bytes where
 // both buffers have the bytes past the run: in the encoder any run whose
 // source has them, in the decoder a token count below 15 (one copy) with
@@ -102,10 +98,10 @@ constexpr bool searchable(std::size_t n, std::size_t h) {
 
 /// The LZ77 parse of buffer[h..] at rung S into `out`, searching through
 /// `finder`, which holds the positions before h that matches may reach
-/// (searchable<S>(buffer.size(), h) must hold). A chained rung (MEDIUM)
-/// matches lazily and registers every position inside a match; a
-/// single-probe rung (LIGHT) accelerates through literal runs and
-/// registers one position per match.
+/// (searchable<S>(buffer.size(), h) must hold). Both rungs parse greedily,
+/// taking the match find(i) returns. A chained rung (MEDIUM) registers
+/// every position inside a match; a single-probe rung (LIGHT) accelerates
+/// through literal runs and registers one position per match.
 template <detail::LzShape S, class Sink>
 void parse(detail::HashChainFinder<S>& finder, common::ByteSpan buffer,
            std::size_t h, Sink& out) {
@@ -118,37 +114,14 @@ void parse(detail::HashChainFinder<S>& finder, common::ByteSpan buffer,
   std::size_t i = h;
   std::size_t misses = 0;
 
-  detail::Match carried;  // lazy step's find(i + 1), reused as find(i)
-  bool have_carried = false;
-
   while (i < search_end) {
-    detail::Match m;
-    if (have_carried) {
-      m = carried;
-      have_carried = false;
-    } else {
-      m = finder.find(i);
-    }
+    detail::Match m = finder.find(i);
     finder.insert(i);
     if (m.len == 0) {
       // Skip acceleration: advance faster the longer we fail to match.
       ++misses;
       i += 1 + (kChained ? 0 : misses >> kSkipShift);
       continue;
-    }
-    // Lazy matching: if the next position has a strictly better match,
-    // emit this byte as a literal instead. The search result carries over
-    // to the next iteration verbatim: i is already inserted and i + 1 is
-    // not until the next iteration runs, so repeating find(i + 1) there
-    // would walk identical chains.
-    if (kChained && m.len < kLazyCutoff && i + 1 < search_end) {
-      const detail::Match m2 = finder.find(i + 1);
-      if (m2.len > m.len + 1) {
-        ++i;
-        carried = m2;
-        have_carried = true;
-        continue;  // i+1 gets inserted on the next loop iteration
-      }
     }
     misses = 0;
     // Extend the match backward over pending literals.

@@ -3,7 +3,7 @@
 // One parse serves both the LIGHT (FastLz) and MEDIUM (MediumLz) levels,
 // mirroring the paper's use of QuickLZ at two settings: the effort is
 // the rung, whose detail::LzShape (compress/lz_common.h) fixes the match
-// search; MEDIUM also parses lazily, LIGHT skips ahead through literal
+// search; both parse greedily, and LIGHT skips ahead through literal
 // runs. The parse writes either the LZ4-style bytes below or, for the
 // DEFLATE rung, MEDIUM's sequences; only lz77.cc knows the byte format:
 //
@@ -65,7 +65,7 @@ struct LzSeq {
   std::uint32_t offset = 0;
 };
 
-/// MEDIUM's parse of src as sequences: exactly the sequences
+/// MEDIUM's greedy parse of src as sequences: exactly the sequences
 /// lz77_compress(src, dst, LzEffort::kMedium) writes as bytes. The LZ
 /// stage of DeflateLz; `seqs` is cleared first.
 void lz77_medium_sequences(common::ByteSpan src, std::vector<LzSeq>& seqs);
@@ -101,8 +101,8 @@ class FastLz final : public Codec {
   using Codec::decompress;
 };
 
-/// Level 2, MEDIUM: hash chains + lazy matching, QuickLZ-ratio analogue —
-/// better ratio, a few times slower.
+/// Level 2, MEDIUM: greedy hash chains (8 candidates per search),
+/// QuickLZ-ratio analogue — better ratio, a few times slower.
 class MediumLz final : public Codec {
  public:
   [[nodiscard]] std::uint8_t id() const override { return kCodecMediumLz; }

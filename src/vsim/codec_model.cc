@@ -41,7 +41,10 @@ CodecModel CodecModel::defaults() {
   // cell moves every vsim golden. The decode column predates the LZ77
   // decoder's sequence fast path, which made LIGHT and MEDIUM decode
   // 1.5-2x faster on HIGH and MODERATE data; do not refresh it to match.
-  // calibrate() measures the live decoders for runs that want them.
+  // The MEDIUM row (level 2) likewise predates MEDIUM's greedy parse,
+  // which encodes 1.2-1.4x faster to ratios about 0.005-0.01 higher; do
+  // not refresh it either. calibrate() measures the live codecs for runs
+  // that want them.
   constexpr double MB = 1e6;
   CodecModel m;
   const auto fill = [&](int level, double hi_c, double hi_d, double hi_r,

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
 #include "compress/bitstream.h"
@@ -244,6 +245,24 @@ TEST(DeflateLz, MalformedInputRejected) {
   EXPECT_THROW(codec.decompress(bad, out), CodecError);
   const common::Bytes stored_short = {1, 'x'};
   EXPECT_THROW(codec.decompress(stored_short, out), CodecError);
+  // Sparse table (marker 2): a presence map cut short (36 of its 37
+  // bytes), then a whole map marking symbol 0 present and a zero length
+  // for it. Both would otherwise read on as absent symbols.
+  auto error_of = [&](const common::Bytes& wire) -> std::string {
+    try {
+      codec.decompress(wire, out);
+    } catch (const CodecError& e) {
+      return e.what();
+    }
+    return "decoded";
+  };
+  common::Bytes short_map(37, 0);
+  short_map[0] = 2;
+  EXPECT_EQ(error_of(short_map), "deflatelz: truncated presence map");
+  common::Bytes zero_length(39, 0);
+  zero_length[0] = 2;
+  zero_length[1] = 1;
+  EXPECT_EQ(error_of(zero_length), "deflatelz: present symbol with length 0");
 }
 
 TEST(DeflateLz, CorruptionNeverCrashes) {

@@ -11,7 +11,9 @@
 //   3. encoder determinism — encoding the reference payload today yields
 //      the golden bytes exactly.
 //
-// A deliberate encoder change invalidates only (3): regenerate with
+// A deliberate encoder change invalidates only (3): first move the
+// rung's file to a new name and list it in PreviousEncoderFramesStillDecode,
+// so the old encoder's frame keeps guarantee 1, then regenerate with
 //   STRATO_REGEN_GOLDEN=1 ./build/tests/compress_golden_test
 // and commit the diff — which makes the wire-format change reviewable.
 #include <gtest/gtest.h>
@@ -108,10 +110,20 @@ common::Bytes from_hex(const std::string& text) {
   return out;
 }
 
+/// The bytes of a checked-in hex file.
+common::Bytes load_hex(const std::string& name) {
+  const std::string path = data_path(name);
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "missing golden file " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return from_hex(text.str());
+}
+
 /// Load a golden file, or (re)write it when STRATO_REGEN_GOLDEN is set.
 common::Bytes golden(const std::string& name, const common::Bytes& current) {
-  const std::string path = data_path(name);
   if (regen()) {
+    const std::string path = data_path(name);
     std::ofstream out(path, std::ios::trunc);
     out << to_hex(current);
     EXPECT_TRUE(out.good()) << "failed to write " << path;
@@ -119,12 +131,7 @@ common::Bytes golden(const std::string& name, const common::Bytes& current) {
                  current.size());
     return current;
   }
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "missing golden file " << path
-                         << " — run with STRATO_REGEN_GOLDEN=1 to create it";
-  std::ostringstream text;
-  text << in.rdbuf();
-  return from_hex(text.str());
+  return load_hex(name);
 }
 
 std::string lower(std::string s) {
@@ -156,6 +163,23 @@ TEST(Golden, EveryExtendedLadderRung) {
     EXPECT_EQ(frame, gold)
         << "wire bytes changed — if intentional, regenerate goldens with "
            "STRATO_REGEN_GOLDEN=1 and commit the diff";
+  }
+}
+
+// Frames an earlier encoder wrote, kept under new names when the frames
+// above were regenerated: MEDIUM's lazy parse and DEFLATE before its
+// sparse code-length table. Old wire data must stay readable.
+TEST(Golden, PreviousEncoderFramesStillDecode) {
+  const auto& registry = CodecRegistry::extended();
+  const common::Bytes payload = reference_payload();
+  for (const char* name : {"frame_medium_lazy.hex", "frame_deflate_v1.hex"}) {
+    SCOPED_TRACE(name);
+    const common::Bytes frame = load_hex(name);
+    EXPECT_EQ(decode_block(frame, registry), payload);
+    // Not what today's encoder writes, or the file would test nothing new.
+    const FrameHeader hdr = parse_header(frame);
+    const auto& rung = registry.level(hdr.level);
+    EXPECT_NE(frame, encode_block(*rung.codec, hdr.level, payload));
   }
 }
 
@@ -243,19 +267,19 @@ struct Digest {
 const Digest kPinnedDigests[] = {
     {"HIGH/blocks/LIGHT", 0x89f4bd11ed1f9badull, 171619},
     {"HIGH/sizes/LIGHT", 0x8e390bc719658cb4ull, 11119},
-    {"HIGH/blocks/MEDIUM", 0xb31ca6282edd2856ull, 108962},
-    {"HIGH/sizes/MEDIUM", 0x712a5fd19b302052ull, 9272},
-    {"HIGH/blocks/DEFLATE", 0x06862d479ba7133full, 56616},
-    {"HIGH/sizes/DEFLATE", 0x42837ea4db2212f0ull, 35597},
+    {"HIGH/blocks/MEDIUM", 0x9b71768dcaab90fcull, 113826},
+    {"HIGH/sizes/MEDIUM", 0x9dcca57325e4a59aull, 9934},
+    {"HIGH/blocks/DEFLATE", 0xf4decf467c90089bull, 60867},
+    {"HIGH/sizes/DEFLATE", 0xcad38bfcb9564c24ull, 15435},
     {"HIGH/blocks/HEAVY", 0x1de97c78ed1250faull, 50046},
     {"HIGH/sizes/HEAVY", 0xb36eb645f45d1dc7ull, 6501},
     {"HIGH/stream/LIGHT", 0x0dcd24a7d7a33d18ull, 83735},
     {"MODERATE/blocks/LIGHT", 0xa9a206982261aa3aull, 458740},
     {"MODERATE/sizes/LIGHT", 0x2c8248c650333029ull, 39052},
-    {"MODERATE/blocks/MEDIUM", 0x7da497b7fff11725ull, 402410},
-    {"MODERATE/sizes/MEDIUM", 0xa153a5bf92e07a98ull, 38819},
-    {"MODERATE/blocks/DEFLATE", 0xfda96a3ae212f363ull, 312347},
-    {"MODERATE/sizes/DEFLATE", 0xb83814eac2ede965ull, 45381},
+    {"MODERATE/blocks/MEDIUM", 0x3c5803b18b33ca27ull, 412670},
+    {"MODERATE/sizes/MEDIUM", 0x1e85d6ec09fc2cbbull, 38820},
+    {"MODERATE/blocks/DEFLATE", 0x43eff3a3a7fbeec7ull, 316960},
+    {"MODERATE/sizes/DEFLATE", 0xb654297f1f14eab1ull, 36430},
     {"MODERATE/blocks/HEAVY", 0xcc9eecabb8723267ull, 296224},
     {"MODERATE/sizes/HEAVY", 0x9bf8e1ee951be50eull, 32890},
     {"MODERATE/stream/LIGHT", 0xf885d97f664dc204ull, 223585},

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "common/rng.h"
+#include "compress/deflate_lz.h"
+#include "compress/heavy_lz.h"
 #include "compress/lz77.h"
 #include "corpus/generator.h"
 
@@ -188,6 +191,40 @@ TEST(LzFormat, MediumNeverWorseRatioThanFastOnStructuredData) {
     MediumLz medium;
     EXPECT_LE(medium.compress(data).size(), fast.compress(data).size())
         << corpus::to_string(c);
+  }
+}
+
+// MEDIUM's ratio budget at block scale, on the draw the golden digests
+// pin (seed 7, 8 x 128 KiB blocks, each compressed on its own). MEDIUM
+// parses greedily with 8 chain candidates per search; this is the floor
+// that choice was made under: MEDIUM's output at most 0.92x LIGHT's on
+// MODERATE and 0.75x on HIGH, so the rung Algorithm 1 chooses between
+// stays distinct from LIGHT, and HEAVY < DEFLATE < MEDIUM on both. The
+// greedy parse reads 0.90x and 0.66x (the lazy one-ahead parse before it
+// 0.88x and 0.63x); chain depth 4 reads about 0.94x on MODERATE and fails.
+TEST(LzFormat, MediumHoldsItsRungAtBlockScale) {
+  const FastLz light;
+  const MediumLz medium;
+  const DeflateLz deflate;
+  const HeavyLz heavy;
+  for (const auto& [c, max_vs_light] :
+       {std::pair{corpus::Compressibility::kModerate, 0.92},
+        std::pair{corpus::Compressibility::kHigh, 0.75}}) {
+    SCOPED_TRACE(corpus::to_string(c));
+    auto gen = corpus::make_generator(c, 7);
+    std::size_t light_bytes = 0, medium_bytes = 0, deflate_bytes = 0,
+                heavy_bytes = 0;
+    for (int b = 0; b < 8; ++b) {
+      const common::Bytes block = corpus::take(*gen, 128 << 10);
+      light_bytes += light.compress(block).size();
+      medium_bytes += medium.compress(block).size();
+      deflate_bytes += deflate.compress(block).size();
+      heavy_bytes += heavy.compress(block).size();
+    }
+    EXPECT_LE(static_cast<double>(medium_bytes),
+              max_vs_light * static_cast<double>(light_bytes));
+    EXPECT_LT(deflate_bytes, medium_bytes);
+    EXPECT_LT(heavy_bytes, deflate_bytes);
   }
 }
 
