@@ -22,12 +22,17 @@
 //   * `peak_rss_mib` (getrusage ru_maxrss) and `flow_rows` (FlowTable
 //     rows written) are info fields: the engine's memory follows the
 //     flows queued and in flight, not the flows spawned.
+//   * the engine's and the allocator's work counters (FleetEngine::work)
+//     are det fields: the run is single-threaded and seeded, so a change
+//     in the work an epoch does shows exactly, on any host. `cpu_s`, the
+//     process CPU time over the run, is an info field beside `wall_s`.
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <string>
 #include <thread>
 
@@ -156,6 +161,13 @@ FleetConfig fleet_large(std::uint64_t transfer_flows) {
   return cfg;
 }
 
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* v = std::getenv(name);
   if (!v || !*v) return fallback;
@@ -173,7 +185,9 @@ int main(int argc, char** argv) {
   FleetEngine engine(cfg);
 
   const auto start = std::chrono::steady_clock::now();
+  const double cpu_start = process_cpu_s();
   const FleetMetrics m = engine.run();
+  const double cpu_s = process_cpu_s() - cpu_start;
   const auto end = std::chrono::steady_clock::now();
   const double wall_s = std::chrono::duration<double>(end - start).count();
   const std::string metrics_json = m.to_json();
@@ -195,7 +209,23 @@ int main(int argc, char** argv) {
   out.det("p99_s", m.completion_all_s.quantile(0.99), 6);
   out.det("p999_s", m.completion_all_s.quantile(0.999), 6);
   out.det("metrics_digest", digest);
+  const strato::vsim::FleetWork work = engine.work();
+  out.det("alloc_fills", work.alloc.fills);
+  out.det("alloc_fills_skipped", work.alloc.fills_skipped);
+  out.det("alloc_rounds", work.alloc.rounds);
+  out.det("alloc_last_rounds", work.alloc.last_rounds);
+  out.det("alloc_heap_pushes", work.alloc.heap_pushes);
+  out.det("alloc_heap_pops", work.alloc.heap_pops);
+  out.det("alloc_path_link_updates", work.alloc.path_link_updates);
+  out.det("alloc_links_refolded", work.alloc.links_refolded);
+  out.det("alloc_members_folded", work.alloc.members_folded);
+  out.det("admissions", work.admissions);
+  out.det("reweights", work.reweights);
+  out.det("flow_epochs", work.flow_epochs);
+  out.det("windows_closed", work.windows_closed);
+  out.det("level_changes", work.level_changes);
   out.info("wall_s", wall_s, 3);
+  out.info("cpu_s", cpu_s, 3);
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   out.info("peak_rss_mib", static_cast<double>(ru.ru_maxrss) / 1024.0, 1);

@@ -60,6 +60,7 @@ FleetEngine::FleetEngine(FleetConfig config)
                                   std::max(1.0, cfg_.drain_factor))) {
   runs_.resize(cfg_.tenants.size());
   metrics_.tenants.resize(cfg_.tenants.size());
+  tenant_transfer_.resize(cfg_.tenants.size());
   tenant_active_.assign(cfg_.tenants.size(), 0);
   tenant_last_count_.assign(cfg_.tenants.size(), -1);
   tenant_flow_w_.assign(cfg_.tenants.size(), 0.0);
@@ -71,6 +72,9 @@ FleetEngine::FleetEngine(FleetConfig config)
     spec.policy.adaptive.num_levels =
         std::clamp(spec.policy.adaptive.num_levels, 1, CodecModel::kNumLevels);
     tenant_per_tenant_[t] = spec.share == ShareMode::kPerTenant ? 1 : 0;
+    if (spec.kind == FlowKind::kTransfer && spec.max_in_flight > 0) {
+      tenant_transfer_[t].reserve(static_cast<std::size_t>(spec.max_in_flight));
+    }
     TenantRun& run = runs_[t];
     run.rng = common::Xoshiro256(cfg_.seed ^
                                  (0xC2B2AE3D27D4EB4FULL * (t + 1)));
@@ -198,6 +202,7 @@ void FleetEngine::generate_arrivals(SimTime now) {
 }
 
 void FleetEngine::admit(SimTime now) {
+  std::uint64_t admitted = 0;
   for (std::size_t t = 0; t < cfg_.tenants.size(); ++t) {
     const TenantSpec& spec = cfg_.tenants[t];
     TenantRun& run = runs_[t];
@@ -223,7 +228,7 @@ void FleetEngine::admit(SimTime now) {
               spec.policy.static_level, 0, CodecModel::kNumLevels - 1));
         }
         refresh_flow_kernel(id);
-        active_transfer_.push_back(id);
+        tenant_transfer_[t].push_back(id);
       }
       tm.queue_wait_s_total += (now - q.arrival).to_seconds();
       run.pending.pop_front();
@@ -231,8 +236,10 @@ void FleetEngine::admit(SimTime now) {
       ++run.in_flight;
       ++tenant_active_[t];
       alloc_.add_flow(id, flows_.path[id]);
+      ++admitted;
     }
   }
+  work_.admissions += admitted;
 }
 
 void FleetEngine::recompute_rates(SimTime now) {
@@ -258,17 +265,14 @@ void FleetEngine::recompute_rates(SimTime now) {
   }
   if (weights_changed) {
     for (std::size_t t = 0; t < cfg_.tenants.size(); ++t) {
-      if (tenant_per_tenant_[t]) {
-        if (tenant_active_[t] > 0) {
-          tenant_flow_w_[t] = cfg_.tenants[t].weight /
-                              static_cast<double>(tenant_active_[t]);
-        }
-        tenant_last_count_[t] = tenant_active_[t];
+      if (!tenant_per_tenant_[t]) continue;
+      if (tenant_active_[t] > 0) {
+        tenant_flow_w_[t] =
+            cfg_.tenants[t].weight / static_cast<double>(tenant_active_[t]);
       }
-    }
-    for (const FlowTable::Id id : active_transfer_) {
-      if (tenant_per_tenant_[flows_.tenant[id]]) {
-        flows_.weight[id] = tenant_flow_w_[flows_.tenant[id]];
+      tenant_last_count_[t] = tenant_active_[t];
+      for (const FlowTable::Id id : tenant_transfer_[t]) {
+        flows_.weight[id] = tenant_flow_w_[t];
       }
     }
     for (const FlowTable::Id id : active_dwell_) {
@@ -277,6 +281,7 @@ void FleetEngine::recompute_rates(SimTime now) {
       }
     }
     alloc_.invalidate_weights();
+    ++work_.reweights;
   }
 
   alloc_.allocate_incremental(link_cap_, caps_changed, flows_.path,
@@ -292,8 +297,10 @@ void FleetEngine::recompute_rates(SimTime now) {
   // fluid form of TransferExperiment::run's sender stage). The bound is
   // the cached cpu_bound column; recomputing the clamp every epoch keeps
   // a skipped allocation correct when a level switch moves the bound.
-  for (const FlowTable::Id id : active_transfer_) {
-    flows_.rate[id] = std::min(flows_.alloc_rate[id], flows_.cpu_bound[id]);
+  for (const std::vector<FlowTable::Id>& ids : tenant_transfer_) {
+    for (const FlowTable::Id id : ids) {
+      flows_.rate[id] = std::min(flows_.alloc_rate[id], flows_.cpu_bound[id]);
+    }
   }
   for (const FlowTable::Id id : active_dwell_) {
     flows_.rate[id] = flows_.alloc_rate[id];
@@ -303,45 +310,66 @@ void FleetEngine::recompute_rates(SimTime now) {
 void FleetEngine::drain(SimTime from, SimTime dt) {
   const SimTime epoch_end = from + dt;
   const double dt_s = dt.to_seconds();
-  // Finishing flows mid-pass is safe: finish_flow leaves active_transfer_
-  // intact, and epoch_tick compacts it after the drain.
-  for (const FlowTable::Id id : active_transfer_) {
-    const std::uint16_t t = flows_.tenant[id];
-    const TenantSpec& spec = cfg_.tenants[t];
+  std::uint64_t drained = active_dwell_.size();
+  std::uint64_t windows = 0;
+  std::uint64_t switches = 0;
+  // Tenant by tenant, each tenant's sums fold in locals in admission
+  // order: the same left folds a single pass over every flow computes,
+  // since a flow's arithmetic reads no other flow's state. Finishing flows
+  // mid-pass is safe: finish_flow leaves the lists intact (epoch_tick
+  // compacts them after the drain) and touches none of the four sums.
+  for (std::size_t t = 0; t < tenant_transfer_.size(); ++t) {
+    const std::vector<FlowTable::Id>& ids = tenant_transfer_[t];
+    if (ids.empty()) continue;
+    drained += ids.size();
+    const TenantPolicy& policy = cfg_.tenants[t].policy;
+    const bool adaptive = policy.kind == TenantPolicy::Kind::kAdaptive;
     TenantMetrics& tm = metrics_.tenants[t];
-    const double wf = flows_.wf[id];
-    const double raw_rate = std::max(1e-9, flows_.rate[id] / wf);
-    const double need_s = flows_.raw_remaining[id] / raw_rate;
-    const double adv_s = std::min(need_s, dt_s);
-    const double raw_moved =
-        std::min(flows_.raw_remaining[id], raw_rate * adv_s);
-    const double wire_moved = raw_moved * wf;
-    const double cpu = raw_moved / flows_.comp_speed[id] +
-                       wire_moved * io_cpu_s_per_byte_;
+    double raw_bytes = tm.raw_bytes;
+    double wire_bytes = tm.wire_bytes;
+    double cpu_s = tm.cpu_s;
+    std::array<double, CodecModel::kNumLevels> per_level =
+        tm.raw_bytes_per_level;
+    for (const FlowTable::Id id : ids) {
+      const double wf = flows_.wf[id];
+      const double raw_rate = std::max(1e-9, flows_.rate[id] / wf);
+      const double need_s = flows_.raw_remaining[id] / raw_rate;
+      const double adv_s = std::min(need_s, dt_s);
+      const double raw_moved =
+          std::min(flows_.raw_remaining[id], raw_rate * adv_s);
+      const double wire_moved = raw_moved * wf;
+      const double cpu = raw_moved / flows_.comp_speed[id] +
+                         wire_moved * io_cpu_s_per_byte_;
 
-    flows_.raw_remaining[id] -= raw_moved;
-    tm.raw_bytes += raw_moved;
-    tm.wire_bytes += wire_moved;
-    tm.cpu_s += cpu;
-    tm.raw_bytes_per_level[static_cast<std::size_t>(flows_.level[id])] +=
-        raw_moved;
+      flows_.raw_remaining[id] -= raw_moved;
+      raw_bytes += raw_moved;
+      wire_bytes += wire_moved;
+      cpu_s += cpu;
+      per_level[static_cast<std::size_t>(flows_.level[id])] += raw_moved;
 
-    if (flows_.raw_remaining[id] <= 1e-6) {
-      finish_flow(id, from + SimTime::seconds(adv_s));
-      continue;
+      if (flows_.raw_remaining[id] <= 1e-6) {
+        finish_flow(id, from + SimTime::seconds(adv_s));
+        continue;
+      }
+
+      // Decision windows close at epoch boundaries once >= t has elapsed —
+      // the paper's application-data-rate signal, per flow.
+      if (!adaptive) continue;
+      const auto d = core::window_step(policy.adaptive, kFleetWindow,
+                                       flows_.ctrl[id], flows_.window[id],
+                                       raw_moved, epoch_end);
+      if (!d) continue;
+      ++windows;
+      if (static_cast<std::int8_t>(d->level) != flows_.level[id]) {
+        flows_.level[id] = static_cast<std::int8_t>(d->level);
+        refresh_flow_kernel(id);
+        ++switches;
+      }
     }
-
-    // Decision windows close at epoch boundaries once >= t has elapsed —
-    // the paper's application-data-rate signal, per flow.
-    if (spec.policy.kind != TenantPolicy::Kind::kAdaptive) continue;
-    const auto d =
-        core::window_step(spec.policy.adaptive, kFleetWindow,
-                          flows_.ctrl[id], flows_.window[id], raw_moved,
-                          epoch_end);
-    if (d && static_cast<std::int8_t>(d->level) != flows_.level[id]) {
-      flows_.level[id] = static_cast<std::int8_t>(d->level);
-      refresh_flow_kernel(id);
-    }
+    tm.raw_bytes = raw_bytes;
+    tm.wire_bytes = wire_bytes;
+    tm.cpu_s = cpu_s;
+    tm.raw_bytes_per_level = per_level;
   }
 
   // Dwell flows last: they contribute only integer counters and a max()
@@ -354,6 +382,9 @@ void FleetEngine::drain(SimTime from, SimTime dt) {
       flows_.dwell_remaining[id] -= dt;
     }
   }
+  work_.flow_epochs += drained;
+  work_.windows_closed += windows;
+  work_.level_changes += switches;
 }
 
 void FleetEngine::finish_flow(FlowTable::Id f, SimTime at) {
@@ -395,9 +426,9 @@ void FleetEngine::epoch_tick(SimTime now) {
   const auto done = [&](FlowTable::Id id) {
     return flows_.phase[id] == FlowPhase::kDone;
   };
-  active_transfer_.erase(
-      std::remove_if(active_transfer_.begin(), active_transfer_.end(), done),
-      active_transfer_.end());
+  for (std::vector<FlowTable::Id>& ids : tenant_transfer_) {
+    ids.erase(std::remove_if(ids.begin(), ids.end(), done), ids.end());
+  }
   active_dwell_.erase(
       std::remove_if(active_dwell_.begin(), active_dwell_.end(), done),
       active_dwell_.end());

@@ -184,6 +184,20 @@ struct FleetMetrics {
   [[nodiscard]] std::string to_json() const;
 };
 
+/// Work counters of one FleetEngine run: the allocator's and the
+/// engine's own. Like the rows, they stay out of FleetMetrics, whose JSON
+/// is digested; a seeded run repeats them exactly.
+struct FleetWork {
+  AllocatorWork alloc;  ///< MaxMinAllocator::work()
+  std::uint64_t admissions = 0;
+  std::uint64_t reweights = 0;       ///< kPerTenant weight-rewrite passes
+  std::uint64_t flow_epochs = 0;     ///< flows drained, summed over epochs
+  std::uint64_t windows_closed = 0;  ///< Algorithm 1 decision windows
+  std::uint64_t level_changes = 0;
+
+  bool operator==(const FleetWork&) const = default;
+};
+
 /// Runs fleet experiments.
 class FleetEngine {
  public:
@@ -197,6 +211,13 @@ class FleetEngine {
   /// FlowTable rows written so far (in flight, retired or free). Not a
   /// FleetMetrics field: the metrics JSON is digested.
   [[nodiscard]] std::size_t flow_rows() const { return flows_.size(); }
+
+  /// Work done so far.
+  [[nodiscard]] FleetWork work() const {
+    FleetWork w = work_;
+    w.alloc = alloc_.work();
+    return w;
+  }
 
  private:
   /// A queued flow: spawn_flow's draws, kept until admission writes them
@@ -244,8 +265,9 @@ class FleetEngine {
   LinkBank bank_;
   MaxMinAllocator alloc_;
   std::vector<TenantRun> runs_;
-  /// Active ids partitioned by kind, each in admission order.
-  std::vector<std::uint32_t> active_transfer_;
+  /// Active transfer ids per tenant, and active dwell ids, each in
+  /// admission order.
+  std::vector<std::vector<std::uint32_t>> tenant_transfer_;
   std::vector<std::uint32_t> active_dwell_;
   std::vector<double> link_cap_;
   std::vector<double> link_cap_prev_;  ///< change detection for alloc skip
@@ -257,6 +279,7 @@ class FleetEngine {
   /// the bounds-checked map walk) feeding refresh_flow_kernel.
   std::vector<LevelBehaviour> behaviour_;
   FleetMetrics metrics_;
+  FleetWork work_;  ///< engine counters; work() adds the allocator's
   double io_cpu_s_per_byte_ = 0.0;
   common::SimTime hard_stop_;
 };

@@ -2,8 +2,19 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 namespace strato::vsim {
+
+namespace {
+
+// std:: heaps keep their greatest entry on top; ordering entries by "comes
+// after" in (share, link id) puts the least share, lowest id first there.
+constexpr auto kHeapAfter = [](const auto& a, const auto& b) {
+  return a.share != b.share ? a.share > b.share : a.link > b.link;
+};
+
+}  // namespace
 
 Topology::LinkId Topology::add_link(LinkSpec spec) {
   links_.push_back(std::move(spec));
@@ -11,6 +22,14 @@ Topology::LinkId Topology::add_link(LinkSpec spec) {
 }
 
 Topology::PathId Topology::add_path(std::vector<LinkId> links) {
+  for (auto it = links.begin(); it != links.end(); ++it) {
+    if (*it >= links_.size()) {
+      throw std::invalid_argument("Topology::add_path: no such link");
+    }
+    if (std::find(links.begin(), it, *it) != it) {
+      throw std::invalid_argument("Topology::add_path: path repeats a link");
+    }
+  }
   paths_.push_back(std::move(links));
   return static_cast<PathId>(paths_.size() - 1);
 }
@@ -208,6 +227,8 @@ void MaxMinAllocator::refold_dirty(const std::vector<double>& flow_weight,
   // members in admission order — the exact association the full rebuild
   // uses — compacting tombstones in place as we go.
   const std::size_t links = topo_->link_count();
+  std::uint64_t refolded = 0;
+  std::uint64_t folded = 0;
   for (std::size_t l = 0; l < links; ++l) {
     if (!fold_all && !dirty_[l]) continue;
     std::vector<std::uint32_t>& mem = member_[l];
@@ -226,43 +247,24 @@ void MaxMinAllocator::refold_dirty(const std::vector<double>& flow_weight,
     wsum_base_[l] = sum;
     dirty_[l] = 0;
     dead_[l] = 0;
+    ++refolded;
+    folded += mem.size();
   }
+  work_.links_refolded += refolded;
+  work_.members_folded += folded;
 }
 
 void MaxMinAllocator::heap_push(double share, std::uint32_t link) {
   heap_.push_back(HeapEntry{share, link});
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t p = (i - 1) / 2;
-    const bool less = heap_[i].share != heap_[p].share
-                          ? heap_[i].share < heap_[p].share
-                          : heap_[i].link < heap_[p].link;
-    if (!less) break;
-    std::swap(heap_[i], heap_[p]);
-    i = p;
-  }
+  std::push_heap(heap_.begin(), heap_.end(), kHeapAfter);
 }
 
 bool MaxMinAllocator::heap_pop(double& share, std::uint32_t& link) {
   if (heap_.empty()) return false;
-  share = heap_[0].share;
-  link = heap_[0].link;
-  heap_[0] = heap_.back();
+  std::pop_heap(heap_.begin(), heap_.end(), kHeapAfter);
+  share = heap_.back().share;
+  link = heap_.back().link;
   heap_.pop_back();
-  std::size_t i = 0;
-  const std::size_t n = heap_.size();
-  for (;;) {
-    std::size_t best = i;
-    for (std::size_t c = 2 * i + 1; c <= 2 * i + 2 && c < n; ++c) {
-      const bool less = heap_[c].share != heap_[best].share
-                            ? heap_[c].share < heap_[best].share
-                            : heap_[c].link < heap_[best].link;
-      if (less) best = c;
-    }
-    if (best == i) break;
-    std::swap(heap_[i], heap_[best]);
-    i = best;
-  }
   return true;
 }
 
@@ -286,8 +288,12 @@ bool MaxMinAllocator::allocate_incremental(
   const bool must_fill =
       weights_dirty_ || any_dirty || capacity_changed || !rates_valid_;
   weights_dirty_ = false;
-  if (!must_fill) return false;
+  if (!must_fill) {
+    ++work_.fills_skipped;
+    return false;
+  }
   fill_incremental(link_capacity, flow_path, flow_weight, rate_out);
+  ++work_.fills;
   rates_valid_ = true;
   return true;
 }
@@ -302,10 +308,11 @@ void MaxMinAllocator::fill_incremental(
   heap_.clear();
   for (std::size_t l = 0; l < links; ++l) {
     if (wsum_[l] > 1e-12) {
-      heap_push(std::max(0.0, cap_rem_[l]) / wsum_[l],
-                static_cast<std::uint32_t>(l));
+      heap_.push_back(HeapEntry{std::max(0.0, cap_rem_[l]) / wsum_[l],
+                                static_cast<std::uint32_t>(l)});
     }
   }
+  std::make_heap(heap_.begin(), heap_.end(), kHeapAfter);
 
   // Progressive filling driven by a lazy heap: every time a link's
   // (cap_rem, wsum) changes we push its fresh share; stale entries are
@@ -314,29 +321,53 @@ void MaxMinAllocator::fill_incremental(
   // reproduces the linear scan's strict-< tie-break (lowest id wins).
   ++epoch_;
   std::size_t remaining = live_;
+  std::uint64_t rounds = 0;
+  std::uint64_t pushes = 0;
+  std::uint64_t pops = 0;
+  std::uint64_t updates = 0;
   double share_hint;
   std::uint32_t best;
   while (remaining > 0 && heap_pop(share_hint, best)) {
+    ++pops;
     if (wsum_[best] <= 1e-12) continue;  // saturated or weightless now
     const double share = std::max(0.0, cap_rem_[best]) / wsum_[best];
     if (share != share_hint) continue;  // stale: a fresher entry is queued
+    ++rounds;
+    // Every member is alive here: a removal dirties its links, and dirty
+    // links always refold (compacting tombstones) before the fill. A path
+    // crosses a link at most once, so a link with live_ members carries
+    // every live flow: this round freezes all that are left, and nothing
+    // reads the capacities, weight sums, frozen marks or heap again
+    // before the next fill resets them, so it writes only the rates.
+    const std::vector<std::uint32_t>& members = member_[best];
+    if (members.size() == live_) {
+      for (const std::uint32_t f : members) {
+        if (frozen_epoch_[f] != epoch_) rate_out[f] = flow_weight[f] * share;
+      }
+      ++work_.last_rounds;
+      remaining = 0;
+      break;
+    }
     ++round_;
     touched_.clear();
-    // Every member is alive here: a removal dirties its links, and dirty
-    // links always refold (compacting tombstones) before the fill.
-    for (const std::uint32_t f : member_[best]) {
+    for (const std::uint32_t f : members) {
       if (frozen_epoch_[f] == epoch_) continue;
       const double w = flow_weight[f];
       const double r = w * share;
       rate_out[f] = r;
       frozen_epoch_[f] = epoch_;
       --remaining;
+      // `best` itself is skipped: its weight sum is zeroed below, so it is
+      // never pushed again and is skipped if a stale entry pops.
       const std::uint32_t p = flow_path[f];
-      for (std::uint32_t pi = path_off_[p]; pi < path_off_[p + 1]; ++pi) {
+      const std::uint32_t end = path_off_[p + 1];
+      updates += end - path_off_[p] - 1;
+      for (std::uint32_t pi = path_off_[p]; pi < end; ++pi) {
         const std::uint32_t l = path_flat_[pi];
+        if (l == best) continue;
         cap_rem_[l] -= r;
         wsum_[l] -= w;
-        if (l != best && touched_stamp_[l] != round_) {
+        if (touched_stamp_[l] != round_) {
           touched_stamp_[l] = round_;
           touched_.push_back(l);
         }
@@ -346,9 +377,14 @@ void MaxMinAllocator::fill_incremental(
     for (const std::uint32_t l : touched_) {
       if (wsum_[l] > 1e-12) {
         heap_push(std::max(0.0, cap_rem_[l]) / wsum_[l], l);
+        ++pushes;
       }
     }
   }
+  work_.rounds += rounds;
+  work_.heap_pushes += pushes;
+  work_.heap_pops += pops;
+  work_.path_link_updates += updates;
   if (remaining > 0) {
     // Mirror of the full path's defensive zeroing: live flows that never
     // froze (weight ~0 on every link) must not keep stale rates.

@@ -48,7 +48,10 @@ class Topology {
 
   /// Add a link; returns its id.
   LinkId add_link(LinkSpec spec);
-  /// Add a path (ordered link ids, all previously added); returns its id.
+  /// Add a path (ordered link ids, all previously added, none twice);
+  /// returns its id. Throws std::invalid_argument on an unknown or
+  /// repeated link: MaxMinAllocator indexes its per-link state by these
+  /// ids and reads a link's member count as its flow count.
   PathId add_path(std::vector<LinkId> links);
 
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
@@ -120,6 +123,25 @@ class LinkBank {
   std::vector<common::ChaosSchedule> chaos_;
 };
 
+/// Work counters of MaxMinAllocator's incremental mode. Plain integers:
+/// a seeded single-threaded run does the same work every time, so
+/// bench_fleet_scale pins them exactly.
+struct AllocatorWork {
+  std::uint64_t fills = 0;          ///< allocate_incremental calls that filled
+  std::uint64_t fills_skipped = 0;  ///< calls that kept last epoch's rates
+  std::uint64_t rounds = 0;         ///< links saturated (valid heap pops)
+  /// Rounds whose link carried every live flow and so ended the fill.
+  std::uint64_t last_rounds = 0;
+  std::uint64_t heap_pushes = 0;  ///< pushes after the start-of-fill build
+  std::uint64_t heap_pops = 0;    ///< stale entries included
+  /// Remaining-capacity and weight-sum updates along frozen flows' paths.
+  std::uint64_t path_link_updates = 0;
+  std::uint64_t links_refolded = 0;
+  std::uint64_t members_folded = 0;  ///< live members summed by refolds
+
+  bool operator==(const AllocatorWork&) const = default;
+};
+
 /// Weighted max-min fair allocation over a Topology via progressive
 /// filling. All scratch state is reused between calls — after warm-up an
 /// allocate() performs no heap allocation.
@@ -135,7 +157,9 @@ class LinkBank {
 ///     skips the fill entirely and keeps last epoch's rates; an epoch
 ///     with local churn refolds only dirty links. Progressive filling
 ///     runs off a lazy heap of (share, link) instead of an O(links)
-///     scan per round.
+///     scan per round, does no bookkeeping for the link a round
+///     saturates, and stops at the first link that carries every live
+///     flow, writing only their rates.
 ///
 /// Bit-exactness invariants (DESIGN.md §15): per-link weight sums are
 /// always produced by a left fold over members in admission order —
@@ -175,6 +199,9 @@ class MaxMinAllocator {
   void invalidate_weights();
 
   [[nodiscard]] std::size_t live_flows() const { return live_; }
+
+  /// Work done by allocate_incremental() so far (allocate() counts none).
+  [[nodiscard]] const AllocatorWork& work() const { return work_; }
 
   /// Incremental epoch allocation over the registered flows.
   ///
@@ -222,6 +249,7 @@ class MaxMinAllocator {
   std::vector<HeapEntry> heap_;
   std::vector<std::uint32_t> touched_;       ///< links changed this round
   std::vector<std::uint64_t> touched_stamp_; ///< per link, == round_ if queued
+  AllocatorWork work_;
   std::uint64_t epoch_ = 0;
   std::uint64_t round_ = 0;
   std::size_t live_ = 0;

@@ -1,10 +1,14 @@
 // MaxMinAllocator: the incremental drive mode must be bit-identical to
 // the stateless full rebuild under arbitrary churn, also when finished
-// ids are reused the way the fleet reuses FlowTable rows, and the fill
-// must never leave a stale rate behind (the frozen-short bug).
+// ids are reused the way the fleet reuses FlowTable rows and on a fabric
+// where no link carries every flow, and the fill must never leave a
+// stale rate behind (the frozen-short bug).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -13,16 +17,44 @@
 namespace strato::vsim {
 namespace {
 
+// Six racks of four hosts: NIC and rack rounds come first, and then the
+// spine, which carries every flow, often ends the fill in a last round.
+// (On two racks the rack uplinks cap the total below the spine, which
+// then never saturates.)
 Topology small_fabric() {
   Topology::FleetShape shape;
-  shape.racks = 2;
+  shape.racks = 6;
   shape.hosts_per_rack = 4;
   return Topology::rack_spine_wan(shape);
 }
 
+// Two racks of three hosts and no spine: host h's paths are [nic, rack]
+// and [nic, rack, its rack's egress], so no link lies on every path and a
+// fill ends in a last round only when every live flow shares one link.
+Topology two_racks() {
+  Topology t;
+  std::vector<Topology::LinkId> nic;
+  for (int h = 0; h < 6; ++h) {
+    nic.push_back(
+        t.add_link({"host" + std::to_string(h) + ".nic", 117e6, {}}));
+  }
+  const Topology::LinkId rack[2] = {t.add_link({"rack0.up", 2 * 117e6, {}}),
+                                    t.add_link({"rack1.up", 2 * 117e6, {}})};
+  const Topology::LinkId egress[2] = {
+      t.add_link({"rack0.egress", 1.5 * 117e6, {}}),
+      t.add_link({"rack1.egress", 1.5 * 117e6, {}})};
+  for (int h = 0; h < 6; ++h) {
+    t.add_path({nic[h], rack[h / 3]});
+    t.add_path({nic[h], rack[h / 3], egress[h / 3]});
+  }
+  return t;
+}
+
 // Mirrors the engine's bookkeeping for one flow in both drive modes.
 struct Churn {
-  Topology topo = small_fabric();
+  explicit Churn(Topology fabric = small_fabric()) : topo(std::move(fabric)) {}
+
+  Topology topo;
   MaxMinAllocator full{topo};
   MaxMinAllocator inc{topo};
   std::vector<std::uint32_t> path;
@@ -144,8 +176,9 @@ TEST(MaxMinIncremental, MatchesFullRebuildUnderChurn) {
     c.epoch(caps, caps_changed);
   }
   // The churn schedule must actually have produced quiet epochs, or the
-  // skip path went untested.
+  // skip path went untested, and fills that end in a last round.
   EXPECT_GT(skipped_epochs, 5);
+  EXPECT_GT(c.inc.work().last_rounds, 0u);
 }
 
 // The same churn property with ids reused: finished ids return to a
@@ -196,8 +229,84 @@ TEST(MaxMinIncremental, ReusedIdsMatchFullRebuild) {
     c.epoch(caps, caps_changed);
     if (HasFatalFailure()) return;
   }
-  // Most admissions took a reused id.
+  // Most admissions took a reused id, and some fills ended in a last
+  // round.
   EXPECT_GT(c.reused, 200u) << c.path.size() << " ids";
+  EXPECT_GT(c.inc.work().last_rounds, 0u);
+}
+
+// Churn on two_racks(), with and without id reuse. The population stays
+// small, so now and then every live flow sits in one rack and the fill
+// ends in a last round; most rounds take the full path walk. A last-round
+// test that fires whenever a link carries as many flows as are still
+// unfrozen leaves the other rack's flows with stale rates here.
+void two_rack_churn(bool reuse_ids, std::uint64_t seed) {
+  Churn c(two_racks());
+  c.reuse_ids = reuse_ids;
+  common::Xoshiro256 rng(seed);
+  std::vector<double> caps(c.topo.link_count());
+  for (std::size_t l = 0; l < caps.size(); ++l) {
+    caps[l] = c.topo.link(static_cast<Topology::LinkId>(l)).capacity_bytes_s;
+  }
+  const auto pick_path = [&] {
+    return static_cast<Topology::PathId>(rng() % c.topo.path_count());
+  };
+  const auto pick_weight = [&] {
+    return 0.25 + 0.25 * static_cast<double>(rng() % 8);
+  };
+
+  for (int i = 0; i < 4; ++i) c.admit(pick_path(), pick_weight());
+  for (int e = 0; e < 400; ++e) {
+    const std::uint64_t n_fin = rng() % 3;
+    for (std::uint64_t i = 0; i < n_fin && c.active.size() > 1; ++i) {
+      c.finish(static_cast<std::size_t>(rng() % c.active.size()));
+    }
+    const std::uint64_t n_admit = rng() % 3;
+    for (std::uint64_t i = 0; i < n_admit && c.active.size() < 12; ++i) {
+      c.admit(pick_path(), pick_weight());
+    }
+    if (rng() % 5 == 0) {
+      c.reweight(c.active[static_cast<std::size_t>(rng() % c.active.size())],
+                 pick_weight());
+    }
+    bool caps_changed = false;
+    if (e % 3 == 0) {
+      const std::size_t l = static_cast<std::size_t>(rng() % caps.size());
+      caps[l] = c.topo.link(static_cast<Topology::LinkId>(l))
+                    .capacity_bytes_s *
+                (0.7 + 0.01 * static_cast<double>(rng() % 60));
+      caps_changed = true;
+    }
+    c.epoch(caps, caps_changed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  const AllocatorWork& w = c.inc.work();
+  EXPECT_GT(w.last_rounds, 10u);
+  EXPECT_GT(w.rounds, 3 * w.last_rounds);
+  if (reuse_ids) {
+    EXPECT_GT(c.reused, 200u) << c.path.size() << " ids";
+  }
+}
+
+TEST(MaxMinIncremental, NoCommonLinkMatchesFullRebuildUnderChurn) {
+  two_rack_churn(false, 0x7A0BACC5);
+}
+
+TEST(MaxMinIncremental, NoCommonLinkReusedIdsMatchFullRebuild) {
+  two_rack_churn(true, 0x7A0BACC6);
+}
+
+// A path that crosses one link twice, or names a link that does not
+// exist, is refused: the allocator indexes per-link state by the ids and
+// reads a link's member count as the number of flows on it.
+TEST(TopologyPaths, RepeatedOrUnknownLinkIsRefused) {
+  Topology t;
+  const auto a = t.add_link({"a", 1e6, {}});
+  const auto b = t.add_link({"b", 1e6, {}});
+  EXPECT_THROW(t.add_path({a, b, a}), std::invalid_argument);
+  EXPECT_THROW(t.add_path({a, b + 1}), std::invalid_argument);
+  EXPECT_EQ(t.path_count(), 0u);
+  EXPECT_EQ(t.add_path({a, b}), 0u);
 }
 
 // A no-change epoch must skip the fill (return false) and still serve
@@ -215,6 +324,8 @@ TEST(MaxMinIncremental, QuietEpochSkipsFillAndKeepsRates) {
   EXPECT_FALSE(c.inc.allocate_incremental(caps, false, c.path, c.weight,
                                           c.rate_inc));
   EXPECT_EQ(c.rate_inc, first);
+  EXPECT_EQ(c.inc.work().fills, 1u);
+  EXPECT_EQ(c.inc.work().fills_skipped, 1u);
   c.epoch(caps, false);  // and still bit-equal to the reference
 }
 

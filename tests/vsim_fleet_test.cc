@@ -1,7 +1,8 @@
 // Fleet-engine invariants: deterministic replay, weighted max-min shares
 // (the single-link case against the Table II closed form), per-tenant
 // fairness, admission control, the flow limit, the hard stop, the
-// adaptive ladder bound and the flow-table row bound.
+// adaptive ladder bound, the flow-table row bound and repeatable work
+// counters.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -384,6 +385,35 @@ TEST(Fleet, RowsTrackFlowsInFlight) {
   }
   EXPECT_GE(total[1], 9 * total[0]);
   EXPECT_LE(total[1], 11 * total[0]);
+}
+
+// The work counters are a function of the configuration: three runs
+// agree on every one. Every rack_spine_wan path crosses the spine, so
+// fills end in a last round there.
+TEST(Fleet, WorkCountersRepeat) {
+  std::vector<FleetWork> runs;
+  FleetMetrics m;
+  for (int i = 0; i < 3; ++i) {
+    FleetEngine engine(queued_fleet(1000));
+    m = engine.run();
+    runs.push_back(engine.work());
+  }
+  EXPECT_TRUE(runs[1] == runs[0]);
+  EXPECT_TRUE(runs[2] == runs[0]);
+
+  std::uint64_t admitted = 0;
+  for (const TenantMetrics& tm : m.tenants) admitted += tm.admitted;
+  const FleetWork& w = runs[0];
+  EXPECT_EQ(w.alloc.fills + w.alloc.fills_skipped, m.epochs);
+  EXPECT_GT(w.alloc.last_rounds, 0u);
+  EXPECT_LE(w.alloc.last_rounds, w.alloc.fills);
+  EXPECT_GE(w.alloc.rounds, w.alloc.last_rounds);
+  EXPECT_GT(w.alloc.path_link_updates, 0u);
+  EXPECT_GT(w.alloc.links_refolded, 0u);
+  EXPECT_EQ(w.admissions, admitted);
+  EXPECT_GT(w.flow_epochs, w.admissions);
+  EXPECT_GT(w.windows_closed, 0u);  // tenant t8 runs Algorithm 1
+  EXPECT_LE(w.level_changes, w.windows_closed);
 }
 
 // ---------------------------------------------------------------------------
