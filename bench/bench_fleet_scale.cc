@@ -214,8 +214,7 @@ int main(int argc, char** argv) {
   out.det("alloc_fills_skipped", work.alloc.fills_skipped);
   out.det("alloc_rounds", work.alloc.rounds);
   out.det("alloc_last_rounds", work.alloc.last_rounds);
-  out.det("alloc_heap_pushes", work.alloc.heap_pushes);
-  out.det("alloc_heap_pops", work.alloc.heap_pops);
+  out.det("alloc_links_scanned", work.alloc.links_scanned);
   out.det("alloc_path_link_updates", work.alloc.path_link_updates);
   out.det("alloc_links_refolded", work.alloc.links_refolded);
   out.det("alloc_members_folded", work.alloc.members_folded);

@@ -291,20 +291,6 @@ void FleetEngine::recompute_rates(SimTime now) {
   // above compacted their tombstones. Reused any sooner, add_flow would
   // revive a tombstone and the link would count that flow twice.
   flows_.release_retired();
-
-  // Sender-CPU bound: a flow cannot push wire bytes faster than its one
-  // vCPU can compress them — wire rate <= comp_speed * wire_factor (the
-  // fluid form of TransferExperiment::run's sender stage). The bound is
-  // the cached cpu_bound column; recomputing the clamp every epoch keeps
-  // a skipped allocation correct when a level switch moves the bound.
-  for (const std::vector<FlowTable::Id>& ids : tenant_transfer_) {
-    for (const FlowTable::Id id : ids) {
-      flows_.rate[id] = std::min(flows_.alloc_rate[id], flows_.cpu_bound[id]);
-    }
-  }
-  for (const FlowTable::Id id : active_dwell_) {
-    flows_.rate[id] = flows_.alloc_rate[id];
-  }
 }
 
 void FleetEngine::drain(SimTime from, SimTime dt) {
@@ -315,11 +301,11 @@ void FleetEngine::drain(SimTime from, SimTime dt) {
   std::uint64_t switches = 0;
   // Tenant by tenant, each tenant's sums fold in locals in admission
   // order: the same left folds a single pass over every flow computes,
-  // since a flow's arithmetic reads no other flow's state. Finishing flows
-  // mid-pass is safe: finish_flow leaves the lists intact (epoch_tick
-  // compacts them after the drain) and touches none of the four sums.
+  // since a flow's arithmetic reads no other flow's state. finish_flow
+  // touches none of the four sums, and the walk drops each finished flow
+  // from its list in place, keeping the others in admission order.
   for (std::size_t t = 0; t < tenant_transfer_.size(); ++t) {
-    const std::vector<FlowTable::Id>& ids = tenant_transfer_[t];
+    std::vector<FlowTable::Id>& ids = tenant_transfer_[t];
     if (ids.empty()) continue;
     drained += ids.size();
     const TenantPolicy& policy = cfg_.tenants[t].policy;
@@ -330,34 +316,40 @@ void FleetEngine::drain(SimTime from, SimTime dt) {
     double cpu_s = tm.cpu_s;
     std::array<double, CodecModel::kNumLevels> per_level =
         tm.raw_bytes_per_level;
+    std::size_t keep = 0;
     for (const FlowTable::Id id : ids) {
+      // Sender-CPU bound: a flow cannot push wire bytes faster than its one
+      // vCPU can compress them — wire rate <= comp_speed * wire_factor (the
+      // fluid form of TransferExperiment::run's sender stage). Clamping
+      // here, every epoch, keeps a skipped allocation correct when a level
+      // switch moved the bound.
       const double wf = flows_.wf[id];
-      const double raw_rate = std::max(1e-9, flows_.rate[id] / wf);
-      const double need_s = flows_.raw_remaining[id] / raw_rate;
-      const double adv_s = std::min(need_s, dt_s);
-      const double raw_moved =
-          std::min(flows_.raw_remaining[id], raw_rate * adv_s);
-      const double wire_moved = raw_moved * wf;
-      const double cpu = raw_moved / flows_.comp_speed[id] +
+      const double rate = std::min(flows_.alloc_rate[id], flows_.cpu_bound[id]);
+      const double raw_rate = std::max(1e-9, rate / wf);
+      const EpochAdvance a =
+          epoch_advance(flows_.raw_remaining[id], raw_rate, dt_s);
+      const double wire_moved = a.raw_moved * wf;
+      const double cpu = a.raw_moved / flows_.comp_speed[id] +
                          wire_moved * io_cpu_s_per_byte_;
 
-      flows_.raw_remaining[id] -= raw_moved;
-      raw_bytes += raw_moved;
+      flows_.raw_remaining[id] -= a.raw_moved;
+      raw_bytes += a.raw_moved;
       wire_bytes += wire_moved;
       cpu_s += cpu;
-      per_level[static_cast<std::size_t>(flows_.level[id])] += raw_moved;
+      per_level[static_cast<std::size_t>(flows_.level[id])] += a.raw_moved;
 
       if (flows_.raw_remaining[id] <= 1e-6) {
-        finish_flow(id, from + SimTime::seconds(adv_s));
+        finish_flow(id, from + SimTime::seconds(a.adv_s));
         continue;
       }
+      ids[keep++] = id;  // keep <= the index being read
 
       // Decision windows close at epoch boundaries once >= t has elapsed —
       // the paper's application-data-rate signal, per flow.
       if (!adaptive) continue;
       const auto d = core::window_step(policy.adaptive, kFleetWindow,
                                        flows_.ctrl[id], flows_.window[id],
-                                       raw_moved, epoch_end);
+                                       a.raw_moved, epoch_end);
       if (!d) continue;
       ++windows;
       if (static_cast<std::int8_t>(d->level) != flows_.level[id]) {
@@ -366,6 +358,7 @@ void FleetEngine::drain(SimTime from, SimTime dt) {
         ++switches;
       }
     }
+    ids.resize(keep);
     tm.raw_bytes = raw_bytes;
     tm.wire_bytes = wire_bytes;
     tm.cpu_s = cpu_s;
@@ -374,14 +367,17 @@ void FleetEngine::drain(SimTime from, SimTime dt) {
 
   // Dwell flows last: they contribute only integer counters and a max()
   // to the metrics, so ordering them after the transfers cannot change
-  // any accumulated value.
+  // any accumulated value. They hold their share without reading it.
+  std::size_t keep = 0;
   for (const FlowTable::Id id : active_dwell_) {
     if (flows_.dwell_remaining[id] <= dt) {
       finish_flow(id, from + flows_.dwell_remaining[id]);
     } else {
       flows_.dwell_remaining[id] -= dt;
+      active_dwell_[keep++] = id;
     }
   }
+  active_dwell_.resize(keep);
   work_.flow_epochs += drained;
   work_.windows_closed += windows;
   work_.level_changes += switches;
@@ -420,18 +416,6 @@ void FleetEngine::epoch_tick(SimTime now) {
   admit(now);
   recompute_rates(now);
   drain(now, kFleetEpoch);
-
-  // Compact: drop finished flows from the active sets (swap-free erase,
-  // preserves index order for determinism).
-  const auto done = [&](FlowTable::Id id) {
-    return flows_.phase[id] == FlowPhase::kDone;
-  };
-  for (std::vector<FlowTable::Id>& ids : tenant_transfer_) {
-    ids.erase(std::remove_if(ids.begin(), ids.end(), done), ids.end());
-  }
-  active_dwell_.erase(
-      std::remove_if(active_dwell_.begin(), active_dwell_.end(), done),
-      active_dwell_.end());
 }
 
 FleetMetrics FleetEngine::run() {

@@ -18,12 +18,13 @@
 //   2. admits queued flows FIFO up to each tenant's in-flight cap,
 //      writing each into a FlowTable row,
 //   3. recomputes every link's fluctuating capacity and all flow rates in
-//      one incremental weighted max-min pass (MaxMinAllocator), clamps
-//      each flow by its sender-CPU compression-throughput bound,
-//   4. drains bytes, charges CPU on the KVM-para profile, closes
-//      kFleetWindow-long controller decision windows
-//      (application-data-rate only, exactly the paper's signal), and
-//   5. retires finished flows into FleetMetrics.
+//      one incremental weighted max-min pass (MaxMinAllocator),
+//   4. drains bytes in one walk over the flows in flight: clamps each
+//      flow's share by its sender-CPU compression-throughput bound,
+//      charges CPU on the KVM-para profile, closes kFleetWindow-long
+//      controller decision windows (application-data-rate only, exactly
+//      the paper's signal), retires finished flows into FleetMetrics and
+//      drops them from the active lists.
 //
 // Memory follows the flows queued and in flight: a queued flow is a
 // 40-byte QueuedFlow, a row lives from admission to finish, and a
@@ -42,6 +43,7 @@
 // (vsim_fleet_test).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -64,6 +66,27 @@ namespace strato::vsim {
 inline constexpr common::SimTime kFleetEpoch = common::SimTime::ms(50);
 /// Length of every adaptive flow's decision window (the paper's t).
 inline constexpr common::SimTime kFleetWindow = common::SimTime::seconds(2);
+
+/// One transfer flow's progress over one epoch of the drain.
+struct EpochAdvance {
+  double adv_s;      ///< seconds of the epoch the flow sent for
+  double raw_moved;  ///< raw bytes sent
+};
+
+/// Advance a flow with `rem` raw bytes left at `raw_rate` bytes/s for up
+/// to `dt_s` seconds. Bit-identical to need_s = rem / raw_rate, adv_s =
+/// min(need_s, dt_s), raw_moved = min(rem, raw_rate * adv_s), but divides
+/// only when the flow can finish: step = fl(raw_rate * dt_s) is within
+/// half an ulp of the exact product, so rem > step puts rem above the
+/// exact product, rem / raw_rate above dt_s, and its rounding at or above
+/// dt_s (DESIGN §15).
+inline EpochAdvance epoch_advance(double rem, double raw_rate, double dt_s) {
+  const double step = raw_rate * dt_s;
+  if (rem > step) return {dt_s, step};
+  const double need_s = rem / raw_rate;
+  const double adv_s = std::min(need_s, dt_s);
+  return {adv_s, std::min(rem, raw_rate * adv_s)};
+}
 
 /// Per-tenant compression policy. Static levels model tenants that
 /// pinned a level; adaptive runs the paper's Algorithm 1 per flow.

@@ -31,7 +31,6 @@ FlowTable::Id FlowTable::add_transfer(std::uint16_t tenant_id,
     id = free_.back();
     free_.pop_back();
   }
-  put(phase, id, FlowPhase::kActive);
   put(kind, id, FlowKind::kTransfer);
   put(tenant, id, tenant_id);
   put(cls, id, c);
@@ -43,7 +42,6 @@ FlowTable::Id FlowTable::add_transfer(std::uint16_t tenant_id,
   put(dwell_remaining, id, common::SimTime());
   put(arrival, id, at);
   put(admitted, id, admitted_at);
-  put(rate, id, 0.0);
   put(alloc_rate, id, 0.0);
   put(ratio_jitter, id, ratio_jit);
   put(speed_jitter, id, speed_jit);
@@ -68,10 +66,7 @@ FlowTable::Id FlowTable::add_dwell(std::uint16_t tenant_id,
   return id;
 }
 
-void FlowTable::retire(Id id) {
-  phase[id] = FlowPhase::kDone;
-  retired_.push_back(id);
-}
+void FlowTable::retire(Id id) { retired_.push_back(id); }
 
 void FlowTable::release_retired() {
   free_.insert(free_.end(), retired_.begin(), retired_.end());

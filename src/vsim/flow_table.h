@@ -3,12 +3,14 @@
 // The original TransferExperiment keeps one heap object per transfer
 // (policy, link, timeline). At fleet scale that layout dies by pointer
 // chasing and allocator pressure: every epoch touches every active flow,
-// so the state an epoch reads (phase, remaining bytes, rate, level) must
-// be contiguous. FlowTable stores each field as its own parallel vector;
-// a flow is an index, not an object. The adaptive controller rides along
-// as embedded POD (core::ControllerState, 40 bytes) and its decision
-// window as core::DecisionWindow, so a million DYNAMIC flows are two flat
-// arrays rather than two million heap objects.
+// so the state an epoch reads (remaining bytes, allocated rate, level,
+// the cached kernel) must be contiguous. FlowTable stores each field as
+// its own parallel vector; a flow is an index, not an object. The
+// adaptive controller rides along as embedded POD
+// (core::ControllerState, 40 bytes) and its decision window as
+// core::DecisionWindow, so a million DYNAMIC flows are two flat arrays
+// rather than two million heap objects. A row records no phase: the
+// engine's active lists say which rows are in flight.
 //
 // A row exists from admission to finish. A queued flow is not a row but
 // a spawn record in its tenant's queue (FleetEngine), and a finished row
@@ -31,12 +33,6 @@
 
 namespace strato::vsim {
 
-/// Row lifecycle.
-enum class FlowPhase : std::uint8_t {
-  kActive = 0,  ///< admitted, competing for link shares
-  kDone,        ///< finished; the row waits for reuse
-};
-
 /// What the flow transports.
 enum class FlowKind : std::uint8_t {
   kTransfer,  ///< fixed raw byte count through the compression module
@@ -51,8 +47,8 @@ class FlowTable {
   using Id = std::uint32_t;
 
   /// Write an admitted transfer flow into a free row, or append a row
-  /// when none is free; returns its id. Every column is written: kActive,
-  /// level 0, rates 0, decision window opened at `admitted`.
+  /// when none is free; returns its id. Every column is written: level 0,
+  /// allocated rate 0, decision window opened at `admitted`.
   Id add_transfer(std::uint16_t tenant, std::uint32_t path,
                   corpus::Compressibility cls, std::uint64_t raw_bytes,
                   double weight, common::SimTime arrival,
@@ -64,18 +60,18 @@ class FlowTable {
                common::SimTime arrival, common::SimTime admitted,
                common::SimTime dwell);
 
-  /// Mark a finished flow's row kDone. Its columns stay readable, and it
-  /// is not reused before the next release_retired().
+  /// Park a finished flow's row. Its columns stay readable, and it is not
+  /// reused before the next release_retired(). The engine drops the id
+  /// from its active lists itself.
   void retire(Id id);
 
   /// Make every row retired so far reusable.
   void release_retired();
 
   /// Rows ever written: in flight, retired or free.
-  [[nodiscard]] std::size_t size() const { return phase.size(); }
+  [[nodiscard]] std::size_t size() const { return kind.size(); }
 
   // --- columns (index-parallel; the engine iterates these directly) ----
-  std::vector<FlowPhase> phase;
   std::vector<FlowKind> kind;
   std::vector<std::uint16_t> tenant;
   std::vector<corpus::Compressibility> cls;
@@ -87,8 +83,8 @@ class FlowTable {
   std::vector<common::SimTime> dwell_remaining;  ///< kDwell only
   std::vector<common::SimTime> arrival;
   std::vector<common::SimTime> admitted;
-  std::vector<double> rate;               ///< allocated wire bytes/s
-  std::vector<double> alloc_rate;         ///< max-min share before CPU clamp
+  /// Max-min share, wire bytes/s; the drain clamps it by cpu_bound.
+  std::vector<double> alloc_rate;
   std::vector<double> ratio_jitter;       ///< per-flow multiplicative jitter
   std::vector<double> speed_jitter;
   std::vector<core::ControllerState> ctrl;  ///< Algorithm 1 state (POD)

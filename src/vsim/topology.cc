@@ -6,16 +6,6 @@
 
 namespace strato::vsim {
 
-namespace {
-
-// std:: heaps keep their greatest entry on top; ordering entries by "comes
-// after" in (share, link id) puts the least share, lowest id first there.
-constexpr auto kHeapAfter = [](const auto& a, const auto& b) {
-  return a.share != b.share ? a.share > b.share : a.link > b.link;
-};
-
-}  // namespace
-
 Topology::LinkId Topology::add_link(LinkSpec spec) {
   links_.push_back(std::move(spec));
   return static_cast<LinkId>(links_.size() - 1);
@@ -117,7 +107,6 @@ MaxMinAllocator::MaxMinAllocator(const Topology& topo) : topo_(&topo) {
   wsum_base_.assign(topo.link_count(), 0.0);
   dirty_.assign(topo.link_count(), 0);
   dead_.assign(topo.link_count(), 0);
-  touched_stamp_.assign(topo.link_count(), 0);
   // Flatten the path table: one offset-indexed array instead of a heap
   // vector per path, so the per-flow inner loops walk contiguous memory.
   path_off_.reserve(topo.path_count() + 1);
@@ -254,20 +243,6 @@ void MaxMinAllocator::refold_dirty(const std::vector<double>& flow_weight,
   work_.members_folded += folded;
 }
 
-void MaxMinAllocator::heap_push(double share, std::uint32_t link) {
-  heap_.push_back(HeapEntry{share, link});
-  std::push_heap(heap_.begin(), heap_.end(), kHeapAfter);
-}
-
-bool MaxMinAllocator::heap_pop(double& share, std::uint32_t& link) {
-  if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), kHeapAfter);
-  share = heap_.back().share;
-  link = heap_.back().link;
-  heap_.pop_back();
-  return true;
-}
-
 bool MaxMinAllocator::allocate_incremental(
     const std::vector<double>& link_capacity, bool capacity_changed,
     const std::vector<std::uint32_t>& flow_path,
@@ -305,40 +280,34 @@ void MaxMinAllocator::fill_incremental(
   const std::size_t links = topo_->link_count();
   cap_rem_.assign(link_capacity.begin(), link_capacity.end());
   wsum_ = wsum_base_;
-  heap_.clear();
-  for (std::size_t l = 0; l < links; ++l) {
-    if (wsum_[l] > 1e-12) {
-      heap_.push_back(HeapEntry{std::max(0.0, cap_rem_[l]) / wsum_[l],
-                                static_cast<std::uint32_t>(l)});
-    }
-  }
-  std::make_heap(heap_.begin(), heap_.end(), kHeapAfter);
 
-  // Progressive filling driven by a lazy heap: every time a link's
-  // (cap_rem, wsum) changes we push its fresh share; stale entries are
-  // recognized at pop time because their recorded share no longer equals
-  // the recomputed current share. The (share, link-id) ascending order
-  // reproduces the linear scan's strict-< tie-break (lowest id wins).
   ++epoch_;
   std::size_t remaining = live_;
   std::uint64_t rounds = 0;
-  std::uint64_t pushes = 0;
-  std::uint64_t pops = 0;
+  std::uint64_t scanned = 0;
   std::uint64_t updates = 0;
-  double share_hint;
-  std::uint32_t best;
-  while (remaining > 0 && heap_pop(share_hint, best)) {
-    ++pops;
-    if (wsum_[best] <= 1e-12) continue;  // saturated or weightless now
-    const double share = std::max(0.0, cap_rem_[best]) / wsum_[best];
-    if (share != share_hint) continue;  // stale: a fresher entry is queued
+  while (remaining > 0) {
+    // The bottleneck is allocate()'s: the least share over every link that
+    // carries weight, lowest id first on a tie.
+    double share = std::numeric_limits<double>::infinity();
+    std::size_t best = links;
+    for (std::size_t l = 0; l < links; ++l) {
+      if (wsum_[l] <= 1e-12) continue;
+      const double s = std::max(0.0, cap_rem_[l]) / wsum_[l];
+      if (s < share) {
+        share = s;
+        best = l;
+      }
+    }
+    scanned += links;
+    if (best == links) break;  // the flows left carry weight ~0
     ++rounds;
     // Every member is alive here: a removal dirties its links, and dirty
     // links always refold (compacting tombstones) before the fill. A path
     // crosses a link at most once, so a link with live_ members carries
     // every live flow: this round freezes all that are left, and nothing
-    // reads the capacities, weight sums, frozen marks or heap again
-    // before the next fill resets them, so it writes only the rates.
+    // reads the capacities, weight sums or frozen marks again before the
+    // next fill resets them, so it writes only the rates.
     const std::vector<std::uint32_t>& members = member_[best];
     if (members.size() == live_) {
       for (const std::uint32_t f : members) {
@@ -348,8 +317,6 @@ void MaxMinAllocator::fill_incremental(
       remaining = 0;
       break;
     }
-    ++round_;
-    touched_.clear();
     for (const std::uint32_t f : members) {
       if (frozen_epoch_[f] == epoch_) continue;
       const double w = flow_weight[f];
@@ -357,8 +324,8 @@ void MaxMinAllocator::fill_incremental(
       rate_out[f] = r;
       frozen_epoch_[f] = epoch_;
       --remaining;
-      // `best` itself is skipped: its weight sum is zeroed below, so it is
-      // never pushed again and is skipped if a stale entry pops.
+      // `best` itself is skipped: its weight sum is zeroed below, so no
+      // later scan reads it.
       const std::uint32_t p = flow_path[f];
       const std::uint32_t end = path_off_[p + 1];
       updates += end - path_off_[p] - 1;
@@ -367,23 +334,12 @@ void MaxMinAllocator::fill_incremental(
         if (l == best) continue;
         cap_rem_[l] -= r;
         wsum_[l] -= w;
-        if (touched_stamp_[l] != round_) {
-          touched_stamp_[l] = round_;
-          touched_.push_back(l);
-        }
       }
     }
     wsum_[best] = 0.0;  // clear numeric residue
-    for (const std::uint32_t l : touched_) {
-      if (wsum_[l] > 1e-12) {
-        heap_push(std::max(0.0, cap_rem_[l]) / wsum_[l], l);
-        ++pushes;
-      }
-    }
   }
   work_.rounds += rounds;
-  work_.heap_pushes += pushes;
-  work_.heap_pops += pops;
+  work_.links_scanned += scanned;
   work_.path_link_updates += updates;
   if (remaining > 0) {
     // Mirror of the full path's defensive zeroing: live flows that never

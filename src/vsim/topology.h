@@ -129,11 +129,11 @@ class LinkBank {
 struct AllocatorWork {
   std::uint64_t fills = 0;          ///< allocate_incremental calls that filled
   std::uint64_t fills_skipped = 0;  ///< calls that kept last epoch's rates
-  std::uint64_t rounds = 0;         ///< links saturated (valid heap pops)
+  std::uint64_t rounds = 0;         ///< links saturated
   /// Rounds whose link carried every live flow and so ended the fill.
   std::uint64_t last_rounds = 0;
-  std::uint64_t heap_pushes = 0;  ///< pushes after the start-of-fill build
-  std::uint64_t heap_pops = 0;    ///< stale entries included
+  /// Links the bottleneck scans read: the link count once per scan.
+  std::uint64_t links_scanned = 0;
   /// Remaining-capacity and weight-sum updates along frozen flows' paths.
   std::uint64_t path_link_updates = 0;
   std::uint64_t links_refolded = 0;
@@ -155,11 +155,11 @@ struct AllocatorWork {
 ///     allocate_incremental(): persistent per-link membership. An epoch
 ///     where nothing changed (same capacities, weights, membership)
 ///     skips the fill entirely and keeps last epoch's rates; an epoch
-///     with local churn refolds only dirty links. Progressive filling
-///     runs off a lazy heap of (share, link) instead of an O(links)
-///     scan per round, does no bookkeeping for the link a round
-///     saturates, and stops at the first link that carries every live
-///     flow, writing only their rates.
+///     with local churn refolds only dirty links. Each round of
+///     progressive filling scans the link table for its bottleneck the
+///     way allocate() does, O(links), does no bookkeeping for the link
+///     it saturates, and the fill stops at the first link that carries
+///     every live flow, writing only their rates.
 ///
 /// Bit-exactness invariants (DESIGN.md §15): per-link weight sums are
 /// always produced by a left fold over members in admission order —
@@ -223,8 +223,6 @@ class MaxMinAllocator {
                         const std::vector<std::uint32_t>& flow_path,
                         const std::vector<double>& flow_weight,
                         std::vector<double>& rate_out);
-  void heap_push(double share, std::uint32_t link);
-  bool heap_pop(double& share, std::uint32_t& link);
 
   const Topology* topo_;
   // Reusable scratch (see class comment).
@@ -234,10 +232,6 @@ class MaxMinAllocator {
   std::vector<std::uint8_t> frozen_;
 
   // Persistent incremental state.
-  struct HeapEntry {
-    double share;
-    std::uint32_t link;
-  };
   std::vector<std::vector<std::uint32_t>> member_;  ///< admission order
   std::vector<double> wsum_base_;     ///< cached fold per link
   std::vector<std::uint8_t> dirty_;   ///< membership changed since refold
@@ -246,12 +240,8 @@ class MaxMinAllocator {
   std::vector<std::uint64_t> frozen_epoch_;  ///< by flow id; == epoch_ when frozen
   std::vector<std::uint32_t> path_flat_;  ///< all paths' link ids, packed
   std::vector<std::uint32_t> path_off_;   ///< path p = [off[p], off[p+1])
-  std::vector<HeapEntry> heap_;
-  std::vector<std::uint32_t> touched_;       ///< links changed this round
-  std::vector<std::uint64_t> touched_stamp_; ///< per link, == round_ if queued
   AllocatorWork work_;
   std::uint64_t epoch_ = 0;
-  std::uint64_t round_ = 0;
   std::size_t live_ = 0;
   bool weights_dirty_ = true;
   bool rates_valid_ = false;

@@ -1,15 +1,20 @@
 // Fleet-engine invariants: deterministic replay, weighted max-min shares
-// (the single-link case against the Table II closed form), per-tenant
-// fairness, admission control, the flow limit, the hard stop, the
-// adaptive ladder bound, the flow-table row bound and repeatable work
-// counters.
+// (the single-link case against the Table II closed form), the drain's
+// per-flow step against its division form, per-tenant fairness,
+// admission control, the flow limit, the hard stop, the adaptive ladder
+// bound, the flow-table row bound and repeatable work counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "vsim/fleet.h"
 #include "vsim/link.h"
 #include "vsim/profile.h"
@@ -92,6 +97,59 @@ TEST(MaxMin, BottleneckFreezesAndReleasesCapacity) {
   alloc.allocate(caps, path, weight, active, rate);
   EXPECT_NEAR(rate[0], 10.0, 1e-9);
   EXPECT_NEAR(rate[1], 90.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// The drain's per-flow step.
+// ---------------------------------------------------------------------------
+
+// The three lines epoch_advance stands for, dividing every time.
+EpochAdvance division_form(double rem, double raw_rate, double dt_s) {
+  const double need_s = rem / raw_rate;
+  const double adv_s = std::min(need_s, dt_s);
+  return {adv_s, std::min(rem, raw_rate * adv_s)};
+}
+
+TEST(EpochAdvance, MatchesDivisionFormBitForBit) {
+  // Rates log-uniform over [1e-9, 1e12] bytes/s (the drain floors a rate
+  // at 1e-9); remaining bytes at the step, one ulp either side of it, at
+  // most 1e-6, around the step and log-uniform over 24 decades. Half the
+  // cases use the engine's epoch, half a random length. A skip taken at
+  // rem == step disagrees in about one case in twenty.
+  common::Xoshiro256 rng(0xE90C4ADFULL);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::uint64_t cases = 0;
+  std::uint64_t mismatches = 0;
+  for (int i = 0; i < 200'000; ++i) {
+    const double raw_rate = std::pow(10.0, rng.uniform(-9.0, 12.0));
+    const double dt_s =
+        i % 2 == 0 ? kFleetEpoch.to_seconds() : rng.uniform(1e-3, 10.0);
+    const double step = raw_rate * dt_s;
+    const double rems[] = {step,
+                           std::nextafter(step, inf),
+                           std::nextafter(step, -inf),
+                           rng.uniform(0.0, 1e-6),
+                           step * rng.uniform(0.0, 2.0),
+                           std::pow(10.0, rng.uniform(-9.0, 15.0))};
+    for (const double rem : rems) {
+      ++cases;
+      const EpochAdvance got = epoch_advance(rem, raw_rate, dt_s);
+      const EpochAdvance want = division_form(rem, raw_rate, dt_s);
+      if (std::bit_cast<std::uint64_t>(got.adv_s) ==
+              std::bit_cast<std::uint64_t>(want.adv_s) &&
+          std::bit_cast<std::uint64_t>(got.raw_moved) ==
+              std::bit_cast<std::uint64_t>(want.raw_moved)) {
+        continue;
+      }
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << std::hexfloat << "rem " << rem << " raw_rate "
+                      << raw_rate << " dt_s " << dt_s << ": adv_s "
+                      << got.adv_s << " vs " << want.adv_s << ", raw_moved "
+                      << got.raw_moved << " vs " << want.raw_moved;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << cases << " cases";
 }
 
 // ---------------------------------------------------------------------------
@@ -434,7 +492,9 @@ std::uint64_t fnv1a(const std::string& s) {
 }
 
 // A medium config exercising kPerTenant reweight churn, admission-queue
-// pressure and rejections — every incremental code path at once.
+// pressure and rejections. Its adaptive flows all finish inside their
+// first decision window, so it closes none; the queued-fleet digest
+// below covers Algorithm 1.
 FleetConfig medium_fleet(std::uint64_t seed) {
   FleetConfig cfg;
   cfg.topology = Topology::rack_spine_wan(Topology::FleetShape{});
@@ -468,6 +528,20 @@ TEST(FleetGolden, PreOptimizationDigestsReproduce) {
             0xb88751d8cf3c405cULL);
   EXPECT_EQ(fnv1a(FleetEngine(medium_fleet(5)).run().to_json()),
             0xa641e245520e92fbULL);
+}
+
+// None of the three configs above closes a decision window. This one
+// runs Algorithm 1 in the fleet: window closes, level switches and the
+// kernel refresh they trigger all reach the digest. The constant was
+// recorded at commit 2daf342 (the lazy-heap fill, with the clamp and the
+// compaction as separate passes), not by the pre-incremental engine.
+TEST(FleetGolden, AdaptiveDecisionsDigestReproduces) {
+  FleetEngine engine(queued_fleet(1000));
+  const FleetMetrics m = engine.run();
+  EXPECT_EQ(fnv1a(m.to_json()), 0x9927e531f0d2a378ULL);
+  EXPECT_EQ(m.epochs, 1400u);
+  EXPECT_EQ(engine.work().windows_closed, 64u);
+  EXPECT_EQ(engine.work().level_changes, 62u);
 }
 
 }  // namespace
